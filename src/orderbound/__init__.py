@@ -8,7 +8,6 @@ from .closedform import (
     optimal_pointwise_homogeneous,
 )
 from .dist import Distribution, SupportSet, augment, mean, prob_upper_set, sample_prob
-from .kernels import backend_name
 from .oracle import (
     InfeasibleError,
     OracleConfig,
@@ -50,7 +49,6 @@ __all__ = [
     "SupportSet",
     "UpperSet",
     "augment",
-    "backend_name",
     "binom_cdf",
     "enumerate_omega",
     "grid_point",

@@ -21,7 +21,7 @@ from .harness import SCHEMA_VERSION, OracleCache
 from .oracle import InfeasibleError, OracleConfig, pessimal_bound_oracle
 from .orders import order_from_string
 from .quantile import quantile_bound
-from .support import GridError, Sample, SupportGrid, make_sample, parse_sample_values
+from .support import GridError, SupportGrid, make_sample, parse_sample_values
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -179,12 +179,7 @@ def _cmd_verify(args):
     elif args.campaign == "consistency":
         reports = harness.consistency_campaign(grid, args.n, args.alpha, cfg)
     elif args.campaign == "agreement":
-        agrid = SupportGrid(grid.s_min, grid.s_max, max(grid.m, 3))
-        x = Sample(agrid, tuple(sorted((1, 1, min(3, agrid.m - 1)))))
-        reports = [
-            harness.verify_agreement(x, order_from_string("lexi-low"), args.trials, args.seed),
-            harness.verify_agreement(x, order_from_string("quantile:2"), args.trials, args.seed + 1),
-        ]
+        reports = harness.agreement_campaign(grid, args.trials, args.seed)
     else:
         reports = harness.run_all(grid, args.n, args.alpha, cfg,
                                   trials=args.trials, seed=args.seed)

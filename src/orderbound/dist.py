@@ -33,6 +33,8 @@ class Distribution:
         arr = np.asarray(self.mass, dtype=float)
         if arr.shape != (self.grid.m,):
             raise ValueError(f"mass vector must have length m={self.grid.m}")
+        if not np.isfinite(arr).all():
+            raise ValueError("mass vector has non-finite entries")
         if np.any(arr < 0):
             raise ValueError("mass vector has negative entries")
         if abs(float(arr.sum()) - 1.0) > MASS_SUM_TOL:

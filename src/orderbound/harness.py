@@ -313,6 +313,16 @@ def verify_agreement(x: Sample, order: Preorder, trials: int, seed: int) -> Veri
     return report
 
 
+def agreement_campaign(grid: SupportGrid, trials: int, seed: int) -> list[VerifyReport]:
+    """Agreement invariance for the low-lexicographic and median preorders
+    at the mixed sample (1, 1, 3) on a 5-point grid over grid's range."""
+    x = Sample(SupportGrid(grid.s_min, grid.s_max, 5), (1, 1, 3))
+    return [
+        verify_agreement(x, LexiLow(), trials, seed),
+        verify_agreement(x, Quantile(2), trials, seed + 1),
+    ]
+
+
 def verify_refinement(grid: SupportGrid, n: int, alpha: float,
                       cfg: OracleConfig | None = None) -> VerifyReport:
     """Support restriction does not change oracle values for quantile and
@@ -360,10 +370,7 @@ def run_all(grid: SupportGrid | None = None, n: int = 2, alpha: float = 0.25,
     cfg = cfg or OracleConfig()
     reports = [verify_sandwich(grid, n, alpha, cfg)]
     reports.extend(consistency_campaign(grid, n, alpha, cfg))
-    agree_grid = SupportGrid(grid.s_min, grid.s_max, 5)
-    agree_x = Sample(agree_grid, (1, 1, 3))
-    reports.append(verify_agreement(agree_x, LexiLow(), trials, seed))
-    reports.append(verify_agreement(agree_x, Quantile(2), trials, seed + 1))
+    reports.extend(agreement_campaign(grid, trials, seed))
     reports.append(verify_refinement(grid, n, alpha, cfg))
     reports.append(verify_lipschitz(seed=seed))
     return reports

@@ -1,49 +1,37 @@
-"""Hot-kernel dispatch plus shared scan plumbing.
+"""Constraint-probability kernel plus shared scan plumbing.
 
 The constraint-probability evaluation over candidate mass vectors is the
-inner loop of the search oracle. A compiled implementation is used when
-the extension built; setting ORDERBOUND_PURE=1 in the environment forces
-the pure-Python backend. Everything around the kernel (power tables,
-composition enumeration, scores) is shared, so the backends only differ
-in who runs the innermost loop.
+inner loop of the search oracle. Around it sit the power tables,
+composition enumeration and N-scaled scores that the oracle's scans share.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 
 import numpy as np
 
-from . import _scan_py
-
-_COMPILED = None
-if not os.environ.get("ORDERBOUND_PURE"):
-    try:
-        from . import _scan as _COMPILED  # type: ignore[no-redef]
-    except ImportError:
-        _COMPILED = None
-
-_IMPL = _COMPILED if _COMPILED is not None else _scan_py
-BACKEND = "cython" if _COMPILED is not None else "python"
-
-
-def backend_name() -> str:
-    return BACKEND
-
 
 def eval_probs(counts: np.ndarray, table: np.ndarray, coefs: np.ndarray,
-               expts: np.ndarray, impl=None) -> np.ndarray:
-    """Constraint probability for each row of ``counts``; see _scan_py."""
-    if counts.size == 0:
-        return np.zeros(0)
-    impl = impl or _IMPL
-    return impl.eval_probs(
-        np.ascontiguousarray(counts, dtype=np.int64),
-        np.ascontiguousarray(table, dtype=np.float64),
-        np.ascontiguousarray(coefs, dtype=np.float64),
-        np.ascontiguousarray(expts, dtype=np.int64),
-    )
+               expts: np.ndarray) -> np.ndarray:
+    """Constraint probability for each candidate count vector.
+
+    counts : int64 (B, k) occupation numbers summing to N
+    table  : float64 (N+1, E+1) with table[c, e] = (c / N) ** e
+    coefs  : float64 (T,) multinomial coefficients per upper-set member
+    expts  : int64 (T, k) per-atom occurrence counts per member
+
+    Each term is multiplied out atom by atom and the terms are summed in
+    member order, so results are reproducible bit for bit.
+    """
+    B, k = counts.shape
+    acc = np.zeros(B)
+    for t in range(coefs.shape[0]):
+        term = np.full(B, coefs[t])
+        for j in range(k):
+            term = term * table[counts[:, j], expts[t, j]]
+        acc = acc + term
+    return acc
 
 
 def pow_table(N: int, max_exp: int) -> np.ndarray:

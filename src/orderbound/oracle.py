@@ -47,7 +47,6 @@ class OracleConfig:
 
     resolution: float = 1e-3
     refine_passes: int = 3
-    constraint: str = "geq-alpha"
     support_override: SupportSet | None = None
     cell_budget: int = 600_000
     beam_width: int = 24
@@ -57,8 +56,6 @@ class OracleConfig:
             raise ValueError("resolution must be positive")
         if self.refine_passes < 0:
             raise ValueError("refine_passes must be >= 0")
-        if self.constraint != "geq-alpha":
-            raise ValueError(f"unsupported constraint {self.constraint!r}")
         if self.cell_budget < 100:
             raise ValueError("cell_budget unreasonably small")
         if self.beam_width < 1:

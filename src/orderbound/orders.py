@@ -136,10 +136,6 @@ class CustomTable(Preorder):
         return cls({s: r for r, s in enumerate(ordered)})
 
 
-def compare(order: Preorder, x: Sample, y: Sample) -> int:
-    return order.compare(x, y)
-
-
 def enumerate_omega(grid: SupportGrid, n: int, max_size: int = 10**6) -> list[Sample]:
     """All size-n multisets of grid indices, in lexicographic order.
 

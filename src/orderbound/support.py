@@ -130,6 +130,8 @@ def make_sample(grid: SupportGrid, values: list[float]) -> Sample:
     abs_tol = 1e-9 * grid.spacing
     idx = []
     for v in values:
+        if not math.isfinite(v):
+            raise GridError(f"sample value {v} is not finite")
         i = int(round((v - grid.s_min) / grid.spacing))
         i = min(max(i, 0), grid.m - 1)
         if not math.isclose(v, grid.point(i), rel_tol=1e-9, abs_tol=abs_tol):

@@ -98,6 +98,14 @@ class TestOracle:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_sample_fails(self, capsys, value):
+        code = main(["oracle", "--order", "lexi-low", "--m", "2",
+                     "--sample", value, "--alpha", "0.1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err
+
 
 class TestCoverage:
     def test_exact(self, capsys):
@@ -119,6 +127,12 @@ class TestCoverage:
         assert payload["mode"] == "MONTE_CARLO"
         assert payload["trials"] == 500 and payload["seed"] == 9
 
+    def test_nan_mass_fails(self, capsys):
+        code = main(["coverage", "--exact", "--m", "2", "--n", "2",
+                     "--dist", "[NaN, 1.0]"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerify:
     def test_sandwich_passes(self, capsys):
@@ -127,6 +141,12 @@ class TestVerify:
         assert code == 0
         reports = json.loads(out)
         assert all(r["passed"] for r in reports)
+
+    def test_agreement_passes(self, capsys):
+        code, reports = _run_json(capsys, "verify", "agreement", "--trials", "20")
+        assert code == 0
+        assert [r["theorem"] for r in reports] == ["agreement[lexi-low]", "agreement[quantile:2]"]
+        assert all(r["passed"] and r["instances_checked"] == 20 for r in reports)
 
     def test_csv_format(self, capsys):
         code, out = _run(capsys, "verify", "sandwich", "--m", "2", "--n", "2",

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +54,13 @@ class TestDistribution:
             _dist(unit3, 0.7, 0.4, -0.1)
         with pytest.raises(ValueError):
             _dist(unit3, 0.5, 0.5, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, unit2, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            _dist(unit2, bad, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            distribution_from_json(unit2, f"[{json.dumps(bad)}, 1.0]")
 
     def test_json_roundtrip(self, unit3):
         F = _dist(unit3, 0.2, 0.3, 0.5)

@@ -1,20 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from orderbound import kernels
-from orderbound import _scan_py
-
-try:
-    from orderbound import _scan as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
 
 
 def _random_instance(rng):
@@ -27,16 +16,6 @@ def _random_instance(rng):
     coefs = rng.random(T) * 20
     expts = rng.integers(0, maxe + 1, size=(T, k)).astype(np.int64)
     return counts, table, coefs, expts
-
-
-@needs_compiled
-def test_backends_bitwise_identical():
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        counts, table, coefs, expts = _random_instance(rng)
-        a = kernels.eval_probs(counts, table, coefs, expts, impl=compiled)
-        b = kernels.eval_probs(counts, table, coefs, expts, impl=_scan_py)
-        assert np.array_equal(a, b)
 
 
 def test_eval_probs_against_direct_formula():
@@ -90,17 +69,3 @@ class TestCompositionBlocks:
         chunked = np.concatenate(list(kernels.iter_composition_blocks(30, 3, chunk=7)), axis=0)
         assert np.array_equal(all_at_once, chunked)
 
-
-def test_env_var_forces_pure_backend():
-    code = "import orderbound; print(orderbound.backend_name())"
-    env = dict(os.environ, ORDERBOUND_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_default_backend_is_compiled():
-    if os.environ.get("ORDERBOUND_PURE"):
-        assert kernels.backend_name() == "python"
-    else:
-        assert kernels.backend_name() == "cython"

@@ -148,8 +148,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(refine_passes=-1)
         with pytest.raises(ValueError):
-            OracleConfig(constraint="leq-alpha")
-        with pytest.raises(ValueError):
             OracleConfig(beam_width=0)
 
     def test_alpha_validation(self, unit2):

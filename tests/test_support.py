@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,11 @@ class TestMakeSample:
     def test_empty_rejected(self, unit3):
         with pytest.raises(GridError):
             make_sample(unit3, [])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, unit3, bad):
+        with pytest.raises(GridError, match="not finite"):
+            make_sample(unit3, [0.5, bad])
 
     def test_tiny_perturbation_resolved(self, unit3):
         assert make_sample(unit3, [0.5 + 1e-12]).idx == (1,)
