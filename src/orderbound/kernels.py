@@ -3,10 +3,19 @@
 The constraint-probability evaluation over candidate mass vectors is the
 inner loop of the search oracle. Around it sit the power tables,
 composition enumeration and N-scaled scores that the oracle's scans share.
+
+Enumeration streams blocks of at most ``chunk`` rows (16,384 by
+default): it groups runs of sibling subtrees of the composition tree into
+one block and expands each run level by level with numpy, so no Python
+loop runs per row or per short prefix. The kernel gathers each
+(atom, exponent) factor column once per block. Neither changes a bit of
+the results: rows come out in the same lexicographic order and every
+probability is the same product of the same factors in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -22,15 +31,24 @@ def eval_probs(counts: np.ndarray, table: np.ndarray, coefs: np.ndarray,
     expts  : int64 (T, k) per-atom occurrence counts per member
 
     Each term is multiplied out atom by atom and the terms are summed in
-    member order, so results are reproducible bit for bit.
+    member order, so results are reproducible bit for bit. A factor with
+    exponent zero is exactly 1.0 and is skipped; every other factor
+    column table[counts[:, j], e] is gathered once per call and shared by
+    all terms that use it.
     """
-    B, k = counts.shape
-    acc = np.zeros(B)
-    for t in range(coefs.shape[0]):
-        term = np.full(B, coefs[t])
-        for j in range(k):
-            term = term * table[counts[:, j], expts[t, j]]
-        acc = acc + term
+    acc = np.zeros(counts.shape[0])
+    cols = np.ascontiguousarray(counts.T)
+    factors: dict[tuple[int, int], np.ndarray] = {}
+    for coef, row in zip(coefs.tolist(), expts.tolist()):
+        term = None
+        for j, e in enumerate(row):
+            if e == 0:
+                continue
+            f = factors.get((j, e))
+            if f is None:
+                f = factors[j, e] = table[:, e][cols[j]]
+            term = f * coef if term is None else np.multiply(term, f, out=term)
+        acc += coef if term is None else term
     return acc
 
 
@@ -52,45 +70,67 @@ def scaled_scores(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Yield all compositions of N into k parts as int64 blocks, in
-    lexicographic order of the count vectors.
+def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
+    """Yield all compositions of N into k parts as int64 blocks of at most
+    ``chunk`` rows, in lexicographic order of the count vectors.
 
-    The final two coordinates of each prefix are vectorized; blocks are
-    buffered up to roughly ``chunk`` rows before being yielded.
+    The compositions form a tree whose level-i nodes fix the first i
+    coordinates. At a node, consecutive children whose subtree sizes sum
+    to at most ``chunk`` are grouped into one run, and each run is
+    expanded into a single block level by level with numpy; only a child
+    whose own subtree exceeds ``chunk`` is descended into.
     """
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     if k == 1:
         yield np.array([[N]], dtype=np.int64)
         return
 
-    pending: list[np.ndarray] = []
-    size = 0
-    prefix = np.zeros(k - 2, dtype=np.int64)
+    def _subtree(rem: int, free: int) -> int:
+        # compositions of rem into `free` parts
+        return math.comb(rem + free - 1, free - 1)
 
-    def _tail_block(rem: int) -> np.ndarray:
-        block = np.empty((rem + 1, k), dtype=np.int64)
-        block[:, : k - 2] = prefix
-        t = np.arange(rem + 1, dtype=np.int64)
-        block[:, k - 2] = t
-        block[:, k - 1] = rem - t
+    def _expand(prefix: tuple[int, ...], lo: int, hi: int, rem: int, size: int) -> np.ndarray:
+        # rows whose coordinate len(prefix) runs over lo..hi, all later
+        # coordinates free, in lexicographic order
+        level = len(prefix)
+        block = np.empty((size, k), dtype=np.int64)
+        block[:, :level] = prefix
+        col = np.arange(lo, hi + 1, dtype=np.int64)
+        left = rem - col
+        cols = [col]
+        for _ in range(level + 1, k - 1):
+            reps = left + 1
+            parent = np.repeat(np.arange(reps.shape[0]), reps)
+            starts = np.cumsum(reps) - reps
+            child = np.arange(parent.shape[0], dtype=np.int64) - starts[parent]
+            cols = [c[parent] for c in cols]
+            cols.append(child)
+            left = left[parent] - child
+        cols.append(left)
+        for j, c in enumerate(cols):
+            block[:, level + j] = c
         return block
 
-    def _walk(level: int, rem: int):
-        nonlocal size
-        if level == k - 2:
-            pending.append(_tail_block(rem))
-            size += rem + 1
-            if size >= chunk:
-                out = np.concatenate(pending, axis=0)
-                pending.clear()
-                size = 0
-                yield out
+    def _walk(prefix: tuple[int, ...], rem: int) -> Iterator[np.ndarray]:
+        free = k - len(prefix) - 1  # coordinates left after this one
+        total = _subtree(rem, free + 1)
+        if total <= chunk:
+            yield _expand(prefix, 0, rem, rem, total)
             return
+        lo, size = 0, 0
         for c in range(rem + 1):
-            prefix[level] = c
-            yield from _walk(level + 1, rem - c)
-        prefix[level] = 0
+            sub = _subtree(rem - c, free)
+            if size and size + sub > chunk:
+                yield _expand(prefix, lo, c - 1, rem, size)
+                size = 0
+            if sub > chunk:
+                yield from _walk(prefix + (c,), rem - c)
+                continue
+            if not size:
+                lo = c
+            size += sub
+        if size:
+            yield _expand(prefix, lo, rem, rem, size)
 
-    yield from _walk(0, N)
-    if pending:
-        yield np.concatenate(pending, axis=0)
+    yield from _walk((), N)

@@ -131,6 +131,13 @@ def _neighbor_radius(k: int) -> int:
     return 1
 
 
+def _lex_order(rows: np.ndarray, scores: np.ndarray | None = None) -> np.ndarray:
+    """Permutation sorting by (score, row) lexicographically, or by row
+    alone without scores."""
+    keys = tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1))
+    return np.lexsort(keys if scores is None else keys + (scores,))
+
+
 class _Reducer:
     """Deterministic reduction over candidate blocks processed in
     lexicographic order: tracks the feasible minimum (first-wins on exact
@@ -152,27 +159,32 @@ class _Reducer:
         if probs[i] > self.top_prob:
             self.top_prob = float(probs[i])
             self.top_row = rows[i].copy()
-        feas = probs >= self.alpha
-        if not feas.any():
+        feas = np.flatnonzero(probs >= self.alpha)
+        if feas.size == 0:
             return
-        rows_f = rows[feas]
         scores_f = scores[feas]
         j = int(np.argmin(scores_f))
         if scores_f[j] < self.best_score:
             self.best_score = float(scores_f[j])
-            self.best_row = rows_f[j].copy()
-        take = min(self.beam_width, rows_f.shape[0])
-        order = np.lexsort(tuple(rows_f[:, c] for c in range(rows_f.shape[1] - 1, -1, -1)) + (scores_f,))
-        self._pool_rows.append(rows_f[order[:take]])
-        self._pool_scores.append(scores_f[order[:take]])
+            self.best_row = rows[feas[j]].copy()
+        take = min(self.beam_width, feas.size)
+        if take < feas.size:
+            # every row scoring at or below the take-th score, ties included,
+            # so the (score, row) order of this slice starts with the beam
+            cut = np.partition(scores_f, take - 1)[take - 1]
+            keep = np.flatnonzero(scores_f <= cut)
+            feas, scores_f = feas[keep], scores_f[keep]
+        rows_f = rows[feas]
+        order = _lex_order(rows_f, scores_f)[:take]
+        self._pool_rows.append(rows_f[order])
+        self._pool_scores.append(scores_f[order])
 
     def beam(self) -> np.ndarray:
         if not self._pool_rows:
             return np.zeros((0, 0), dtype=np.int64)
         rows = np.concatenate(self._pool_rows, axis=0)
         scores = np.concatenate(self._pool_scores)
-        order = np.lexsort(tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)) + (scores,))
-        return rows[order[: self.beam_width]]
+        return rows[_lex_order(rows, scores)[: self.beam_width]]
 
 
 def _scan_blocks(blocks, table, coefs, expts, values, alpha, beam_width) -> _Reducer:
@@ -188,7 +200,14 @@ def _neighborhood(centers: np.ndarray, k: int) -> np.ndarray:
     offs = _zero_sum_offsets(k, _neighbor_radius(k))
     cands = (centers[:, None, :] + offs[None, :, :]).reshape(-1, k)
     cands = cands[(cands >= 0).all(axis=1)]
-    return np.unique(cands, axis=0)
+    # the smallest unsigned type holding every entry orders rows the same,
+    # and numpy radix-sorts 8- and 16-bit keys
+    keys = cands.astype(np.min_scalar_type(cands.max(initial=0)))
+    order = _lex_order(keys)
+    keys = keys[order]
+    fresh = np.ones(keys.shape[0], dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return cands[order[fresh]]
 
 
 def _max_affordable_n(k: int, budget: int) -> int:

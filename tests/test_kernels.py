@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,41 @@ def test_eval_probs_against_direct_formula():
             for t in range(coefs.shape[0])
         )
         assert got[b] == pytest.approx(want, abs=1e-12)
+
+
+def _eval_probs_per_term(counts, table, coefs, expts):
+    """The kernel as a plain per-term loop: one product per term over all
+    k atoms, exponent-zero factors included, summed in member order."""
+    B, k = counts.shape
+    acc = np.zeros(B)
+    for t in range(coefs.shape[0]):
+        term = np.full(B, coefs[t])
+        for j in range(k):
+            term = term * table[counts[:, j], expts[t, j]]
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eval_probs_bitwise_equals_per_term_loop(seed):
+    rng = np.random.default_rng(seed)
+    counts, table, coefs, expts = _random_instance(rng)
+    # zero out a share of the exponents, whole rows included
+    expts[rng.random(expts.shape) < 0.4] = 0
+    if expts.shape[0] > 1:
+        expts[0] = 0
+    got = kernels.eval_probs(counts, table, coefs, expts)
+    assert np.array_equal(got, _eval_probs_per_term(counts, table, coefs, expts))
+
+
+def test_eval_probs_no_terms_bitwise():
+    rng = np.random.default_rng(11)
+    counts, table, _, _ = _random_instance(rng)
+    k = counts.shape[1]
+    coefs, expts = np.zeros(0), np.zeros((0, k), dtype=np.int64)
+    got = kernels.eval_probs(counts, table, coefs, expts)
+    assert np.array_equal(got, _eval_probs_per_term(counts, table, coefs, expts))
+    assert got.shape == (counts.shape[0],)
 
 
 def test_empty_terms_give_zero():
@@ -69,3 +105,30 @@ class TestCompositionBlocks:
         chunked = np.concatenate(list(kernels.iter_composition_blocks(30, 3, chunk=7)), axis=0)
         assert np.array_equal(all_at_once, chunked)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("N", [0, 1, 4, 9])
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
+    def test_equals_itertools_reference(self, N, k, chunk):
+        got = [tuple(r) for b in kernels.iter_composition_blocks(N, k, chunk) for r in b.tolist()]
+        assert got == list(_compositions(N, k))
+
+    @pytest.mark.parametrize("N,k", [(30, 3), (12, 5), (59, 5), (1000, 3), (9, 8)])
+    @pytest.mark.parametrize("chunk", [7, 100, None])
+    def test_blocks_never_exceed_chunk(self, N, k, chunk):
+        kwargs = {} if chunk is None else {"chunk": chunk}
+        cap = chunk or 1 << 14
+        sizes = [b.shape[0] for b in kernels.iter_composition_blocks(N, k, **kwargs)]
+        assert max(sizes) <= cap
+        assert sum(sizes) == math.comb(N + k - 1, k - 1)
+
+    def test_chunk_must_be_positive(self):
+        with pytest.raises(ValueError):
+            next(kernels.iter_composition_blocks(3, 2, chunk=0))
+
+
+def _compositions(N, k):
+    """Compositions of N into k parts in lexicographic order, by stars and
+    bars: increasing bar positions give increasing count vectors."""
+    for bars in itertools.combinations(range(N + k - 1), k - 1):
+        edges = (-1,) + bars + (N + k - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))

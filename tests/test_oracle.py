@@ -20,8 +20,10 @@ from orderbound import (
     pointwise_bound_oracle,
     refined_support,
 )
+from orderbound import kernels
 from orderbound.dist import full_support, restrict_to
 from orderbound.harness import OracleCache, value_tolerance
+from orderbound.oracle import _neighborhood, _Reducer, _zero_sum_offsets
 from orderbound.orders import CustomTable, enumerate_omega
 
 
@@ -161,3 +163,90 @@ def test_oracle_cache_dedupes_by_upper_set(unit3):
     b = cache.value(Sample(unit3, (0, 2)), Quantile(1), 0.25)
     assert a == b
     assert len(cache._values) == 1
+
+
+# Full-grid k=5 calls at alpha 0.25 on the unit m=5 grid, all coarse-to-fine:
+# (name, sample, value.hex(), witness.mass.tobytes().hex(), final_step.hex()).
+# Any change to enumeration order, kernel arithmetic, neighbourhoods or beam
+# selection that moves a bit of a result shows up here.
+GOLDEN = [
+    ("lexi-high-homog-n2", (2, 2), "0x1.9ba9386822b64p-4",
+     "1a4eeabe3cb6eb3f0000000000000000000000000000000098c756040d27c13f0000000000000000",
+     "0x1.15b1e5f75270dp-14"),
+    ("lexi-high-mixed-n2", (1, 3), "0x1.1270d0456c798p-3",
+     "1a4eeabe3cb6eb3f00000000000000000000000000000000000000000000000098c756040d27c13f",
+     "0x1.15b1e5f75270dp-14"),
+    ("quantile-full-n2", (1, 3), "0x1.0000000000000p-3",
+     "000000000000e03f000000000000e03f000000000000000000000000000000000000000000000000",
+     "0x1.15b1e5f75270dp-14"),
+    ("lexi-low-full-n2", (1, 3), "0x1.0000000000000p-2",
+     "000000000000e03f0000000000000000000000000000e03f00000000000000000000000000000000",
+     "0x1.15b1e5f75270dp-14"),
+    ("lexi-high-homog-n3", (2, 2, 2), "0x1.1915b1e5f7527p-4",
+     "796c45d07012ed3f00000000000000000000000000000000349cd47d796cb73f0000000000000000",
+     "0x1.15b1e5f75270dp-14"),
+    ("lexi-high-mixed-n3", (0, 2, 4), "0x1.23eea4e1a08aep-2",
+     "e6b11541c309e43f00000000000000001a4eeabe3cb6c63f00000000000000004eeabe3cb622c93f",
+     "0x1.15b1e5f75270dp-14"),
+    ("quantile-full-n3", (0, 2, 4), "0x1.4e3cbeea4e1a1p-3",
+     "308fad081a8ee53f0000000000000000a1e1a4eecbe3d43f00000000000000000000000000000000",
+     "0x1.15b1e5f75270dp-14"),
+    ("lexi-low-full-n3", (0, 2, 4), "0x1.428ad8f2fba94p-3",
+     "d98aa0e1a4aed73f94ba2f8fad28e43f000000000000000000000000000000000000000000000000",
+     "0x1.15b1e5f75270dp-14"),
+]
+
+
+@pytest.mark.parametrize("name,idx,value,mass,step", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_full_grid_results_are_pinned(unit5, name, idx, value, mass, step):
+    x = Sample(unit5, idx)
+    if name.startswith("lexi-high"):
+        order, cfg = LexiHigh(), None
+    else:  # these orders reach the full grid only by override
+        order = Quantile(x.n - 1) if name.startswith("quantile") else LexiLow()
+        cfg = OracleConfig(support_override=full_support(unit5))
+    res = pessimal_bound_oracle(x, order, 0.25, cfg)
+    assert res.mode == "coarse-to-fine"
+    assert res.value == float.fromhex(value)
+    assert res.witness.mass.tobytes() == bytes.fromhex(mass)
+    assert res.final_step == float.fromhex(step)
+
+
+class TestSearchInternals:
+    @pytest.mark.parametrize("n_cur", [96, 15104, 1 << 17])
+    def test_neighborhood_equals_unique(self, n_cur):
+        # k=5 rows with 8-, 16- and 32-bit entries; at the last coarse-to-fine
+        # step (15104) and beyond, a mixed-radix int64 key over all five
+        # columns would need 69 bits or more and wrap
+        rng = np.random.default_rng(5)
+        k = 5
+        half = np.array([rng.multinomial(n_cur // 2, p) for p in rng.dirichlet(np.ones(k), 20)])
+        half[:4, 3:] = 0  # centres on the boundary lose negative neighbours
+        half[:4, 0] = n_cur // 2 - half[:4, 1:].sum(axis=1)
+        # overlapping neighbourhoods, and a repeated centre as when the
+        # incumbent is also the first beam row
+        near = half[:3] + [[1, -1, 0, 0, 0]]
+        centers = np.concatenate([half, near, half[:1]]) * 2
+        got = _neighborhood(centers, k)
+        cands = (centers[:, None, :] + _zero_sum_offsets(k, 3)[None]).reshape(-1, k)
+        want = np.unique(cands[(cands >= 0).all(axis=1)], axis=0)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("beam_width", [1, 5, 24, 60])
+    def test_beam_equals_full_lexsort_under_ties(self, beam_width):
+        rng = np.random.default_rng(beam_width)
+        rows = np.concatenate(list(kernels.iter_composition_blocks(10, 4)))
+        # four distinct scores over 286 rows: every cutoff falls in a tie
+        scores = rng.integers(0, 4, size=rows.shape[0]).astype(np.float64)
+        probs = rng.random(rows.shape[0])
+        red = _Reducer(0.3, beam_width)
+        for lo in range(0, rows.shape[0], 50):
+            red.consume(rows[lo:lo + 50], scores[lo:lo + 50], probs[lo:lo + 50])
+        feas = probs >= 0.3
+        rows_f, scores_f = rows[feas], scores[feas]
+        keys = tuple(rows_f[:, c] for c in range(3, -1, -1)) + (scores_f,)
+        order = np.lexsort(keys)
+        assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
+        assert np.array_equal(red.best_row, rows_f[order[0]])
+        assert np.array_equal(red.top_row, rows[np.argmax(probs)])
