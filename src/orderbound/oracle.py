@@ -240,13 +240,18 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
     n_cur = n0
     for _ in range(stages):
         centers = red.beam()
-        extra = [c for c in (red.best_row, red.top_row) if c is not None]
-        if centers.size == 0 and not extra:
+        # the incumbent and the most probable row join the beam as centres
+        # unless already there (the incumbent nearly always is): a repeated
+        # centre would only repeat its neighbourhood
+        for c in (red.best_row, red.top_row):
+            if c is None:
+                continue
+            if centers.size == 0:
+                centers = c[None]
+            elif not (centers == c).all(axis=1).any():
+                centers = np.concatenate([centers, c[None]])
+        if centers.size == 0:
             break
-        if extra:
-            stack = [centers] if centers.size else []
-            stack.append(np.asarray(extra, dtype=np.int64))
-            centers = np.concatenate(stack, axis=0)
         n_cur *= 2
         cands = _neighborhood(centers * 2, k)
         table = kernels.pow_table(n_cur, max_exp)

@@ -1,9 +1,13 @@
-"""Fast approximation of quantile-preorder bounds via binary search.
+"""Fast approximation of quantile-preorder bounds in closed form.
 
 The bound for sample x under the i-th quantile preorder reduces, up to one
 grid step, to a two-atom family: mass p at x's i-th order statistic and
 1 - p at the grid minimum. The constraint probability is a binomial tail
-that is monotone in p, so the critical mass is found by bisection.
+that is monotone in p. It equals the regularized incomplete beta function
+``I_p(k + 1, n - k)`` (DLMF 8.17.5), so the critical mass where it reaches
+alpha is one ``betaincinv`` call. That mass is snapped to the dyadic grid a
+bisection on [0, 1] would stop on, and the grid point is certified by
+evaluating the tail at its two ends.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from .support import Sample
 
@@ -50,13 +54,27 @@ def tail_prob(i: int, n: int, p: float, *, paper_literal: bool = False) -> float
     return 1.0 - binom_cdf(k, n, p)
 
 
+# a double holds j * 2**-t exactly for every integer j up to 2**53
+_EXACT_STEPS = 2**53
+
+
+def _too_fine(epsilon: float, p_star: float) -> ValueError:
+    return ValueError(
+        f"epsilon {epsilon!r} is too small: the search grid near p = {p_star!r}"
+        " is finer than double precision"
+    )
+
+
 @dataclass(frozen=True)
 class QuantileBoundResult:
-    """Outcome of the bisection for the critical mass.
+    """Outcome of the search for the critical mass.
 
     bound = s_min * (1 - p_hat) + x_(i) * p_hat; c is the grid spacing
     (the support-reduction part of the approximation error) and delta the
-    bisection threshold actually used.
+    requested width of the interval holding the critical mass. p_hat sits
+    on the dyadic grid of step ``2**-iterations``, the coarsest one no wider
+    than delta; iterations is therefore the number of steps a bisection of
+    [0, 1] takes to reach width delta, and p_hat the left end it stops on.
     """
 
     p_hat: float
@@ -77,16 +95,26 @@ def quantile_bound(
 ) -> QuantileBoundResult:
     """Approximate the i-th quantile-preorder bound at sample x.
 
-    Bisection on [0, 1] for the smallest mass p whose tail probability
-    exceeds alpha: while the interval is wider than delta, keep the upper
-    half iff the tail at the midpoint is strictly below alpha, else the
-    lower half; return the interval's left end. The threshold is
-    ``delta = epsilon / max(x_(i) - s_min, epsilon)`` so the mean error
-    contributed by the bisection is at most epsilon on any grid.
+    p_hat is the largest point q of the dyadic grid of step ``h = 2**-t``
+    below the critical mass: the tail probability is strictly below alpha
+    at q (or q = 0) and at least alpha at q + h (or q + h = 1). t is the
+    smallest integer with ``h <= delta``, where ``delta = epsilon /
+    max(x_(i) - s_min, epsilon)``, so the mean error contributed by the
+    search is at most epsilon on any grid. This is exactly the left end a
+    bisection of [0, 1] stops on (keep the upper half iff the tail at the
+    midpoint is strictly below alpha, until the width is at most delta),
+    after t halvings.
+
+    The critical mass ``betaincinv(k + 1, n - k, alpha)`` (``k = n - i``)
+    is rounded down to the grid, and the two conditions above are checked
+    with two tail evaluations. If rounding put the point on the wrong side
+    of a test, the search steps by h toward the test that failed, doubling
+    the step until it passes, and bisects the grid points in between.
 
     Against the exact bound the result is within one grid step plus
-    epsilon plus the bisection slack; with alpha = 0 the search collapses
-    to p_hat ~ 0 and the bound to the grid minimum.
+    epsilon plus h; with alpha = 0 the search collapses to p_hat = 0 and
+    the bound to the grid minimum. Raises ValueError when epsilon is so
+    small that the grid points near the critical mass are not doubles.
     """
     n = x.n
     if not 1 <= i <= n:
@@ -99,25 +127,52 @@ def quantile_bound(
     grid = x.grid
     value = grid.point(x.order_stat(i))
     delta = epsilon / max(value - grid.s_min, epsilon)
+    # delta = f * 2**e with f in [0.5, 1), so 2**-t <= delta iff t >= 1 - e
+    t = 1 - math.frexp(delta)[1]
+    k = (n - i - 1) if paper_literal_tail else (n - i)
+    p_star = 0.0 if k < 0 or alpha == 0.0 else float(betaincinv(k + 1, n - k, alpha))
+    if not math.isfinite(p_star):
+        raise FloatingPointError(f"betaincinv({k + 1}, {n - k}, {alpha!r}) returned {p_star}")
+    # p_hat = lo * 2**-t with lo < 2**t, and both ends of its grid cell are
+    # doubles only for lo < 2**53
+    if delta == 0.0 or (t > 53 and p_star >= math.ldexp(1.0, 53 - t)):
+        raise _too_fine(epsilon, p_star)
+    top = 2**t
 
-    a, b = 0.0, 1.0
-    iterations = 0
-    while b - a > delta:
-        mid = a + (b - a) / 2.0
-        if tail_prob(i, n, mid, paper_literal=paper_literal_tail) < alpha:
-            a = mid
+    def below(m: int) -> bool:
+        return tail_prob(i, n, math.ldexp(m, -t), paper_literal=paper_literal_tail) < alpha
+
+    # Certify the grid cell [lo, hi] * 2**-t: lo == 0 or below(lo), and
+    # hi == top or not below(hi). When rounding put p_star in a neighbouring
+    # cell, gallop toward the failed test and bisect the bracket it finds;
+    # with a monotone tail exactly one cell passes, the one the bisection
+    # of [0, 1] ends in.
+    lo = min(max(math.floor(math.ldexp(p_star, t)), 0), top - 1)
+    hi = lo + 1
+    step = 1
+    while lo > 0 and not below(lo):
+        lo, hi = max(lo - step, 0), lo
+        step *= 2
+    while hi < top and below(hi):
+        if hi == _EXACT_STEPS:
+            raise _too_fine(epsilon, p_star)
+        lo, hi = hi, min(hi + step, top, _EXACT_STEPS)
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
         else:
-            b = mid
-        iterations += 1
+            hi = mid
 
-    p_hat = a
+    p_hat = math.ldexp(lo, -t)
     bound = grid.s_min * (1.0 - p_hat) + value * p_hat
     return QuantileBoundResult(
         p_hat=p_hat,
         bound=bound,
         epsilon=epsilon,
         c=grid.spacing,
-        iterations=iterations,
+        iterations=t,
         delta=delta,
     )
 

@@ -58,6 +58,15 @@ class TestBound:
         assert payload["bound"] == pytest.approx(0.5, abs=1e-3)
         assert payload["iterations"] >= 10
 
+    def test_quantile_epsilon_finer_than_doubles_fails(self, capsys):
+        code, out = _run(
+            capsys, "bound", "--method", "quantile",
+            "--m", "2", "--sample", "1,1", "--i", "1",
+            "--alpha", "0.25", "--epsilon", "1e-18",
+        )
+        assert code == 2
+        assert out == ""
+
     def test_quantile_literal_tail_differs(self, capsys):
         _, default = _run_json(
             capsys, "bound", "--method", "quantile",

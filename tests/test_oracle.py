@@ -20,7 +20,7 @@ from orderbound import (
     pointwise_bound_oracle,
     refined_support,
 )
-from orderbound import kernels
+from orderbound import kernels, oracle
 from orderbound.dist import full_support, restrict_to
 from orderbound.harness import OracleCache, value_tolerance
 from orderbound.oracle import _neighborhood, _Reducer, _zero_sum_offsets
@@ -232,6 +232,23 @@ class TestSearchInternals:
         want = np.unique(cands[(cands >= 0).all(axis=1)], axis=0)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    def test_refinement_centres_are_distinct(self, monkeypatch, unit5):
+        # the incumbent and the most probable row are added to the beam's
+        # centres only when the beam does not already hold them
+        seen = []
+        real = oracle._neighborhood
+
+        def spy(centers, k):
+            seen.append(centers.copy())
+            return real(centers, k)
+
+        monkeypatch.setattr(oracle, "_neighborhood", spy)
+        res = pessimal_bound_oracle(Sample(unit5, (0, 2, 4)), LexiHigh(), 0.25)
+        assert res.mode == "coarse-to-fine"
+        assert len(seen) >= 2
+        for centers in seen:
+            assert np.unique(centers, axis=0).shape[0] == centers.shape[0]
 
     @pytest.mark.parametrize("beam_width", [1, 5, 24, 60])
     def test_beam_equals_full_lexsort_under_ties(self, beam_width):

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderbound import binom_cdf, homogeneous_sample, make_sample, quantile_bound, tail_prob
-from orderbound.quantile import max_iterations
+import orderbound.quantile
+from orderbound import (
+    Sample,
+    SupportGrid,
+    binom_cdf,
+    enumerate_omega,
+    homogeneous_sample,
+    make_sample,
+    quantile_bound,
+    tail_prob,
+)
+from orderbound.quantile import QuantileBoundResult, max_iterations
 
 from conftest import binom_cdf_by_summation
 
@@ -165,3 +175,172 @@ class TestQuantileBound:
             quantile_bound(x, 1, 1.0, 1e-4)
         with pytest.raises(ValueError):
             quantile_bound(x, 1, 0.25, 0.0)
+
+
+def _bisect_reference(
+    x: Sample,
+    i: int,
+    alpha: float,
+    epsilon: float,
+    *,
+    paper_literal_tail: bool = False,
+) -> QuantileBoundResult:
+    """The bisection quantile_bound used to run, kept verbatim as the
+    reference its closed form must reproduce bit for bit."""
+    n = x.n
+    if not 1 <= i <= n:
+        raise ValueError(f"order statistic index {i} outside [1, {n}]")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+    grid = x.grid
+    value = grid.point(x.order_stat(i))
+    delta = epsilon / max(value - grid.s_min, epsilon)
+
+    a, b = 0.0, 1.0
+    iterations = 0
+    while b - a > delta:
+        mid = a + (b - a) / 2.0
+        if tail_prob(i, n, mid, paper_literal=paper_literal_tail) < alpha:
+            a = mid
+        else:
+            b = mid
+        iterations += 1
+
+    p_hat = a
+    bound = grid.s_min * (1.0 - p_hat) + value * p_hat
+    return QuantileBoundResult(
+        p_hat=p_hat,
+        bound=bound,
+        epsilon=epsilon,
+        c=grid.spacing,
+        iterations=iterations,
+        delta=delta,
+    )
+
+
+SWEEP_ALPHAS = (0.0, 1e-9, 0.05, 0.25, 0.5, 0.95, 0.999999)
+SWEEP_EPSILONS = (1e-2, 1e-4, 1e-8, 1e-12)
+
+
+def _same(res: QuantileBoundResult, ref: QuantileBoundResult) -> bool:
+    """Field-wise equality that also tells -0.0 from 0.0."""
+    return (
+        res == ref
+        and res.p_hat.hex() == ref.p_hat.hex()
+        and res.bound.hex() == ref.bound.hex()
+        and res.delta.hex() == ref.delta.hex()
+    )
+
+
+class TestClosedFormEqualsBisection:
+    def test_every_small_sample(self, unit5):
+        """Every m=5 sample with n <= 6, every i, alpha, epsilon and tail
+        variant. The bisection reads x only through n and the grid index of
+        its i-th order statistic, so one reference call serves every sample
+        sharing them."""
+        refs = {}
+        checked = 0
+        for n in range(1, 7):
+            for x in enumerate_omega(unit5, n):
+                for i in range(1, n + 1):
+                    for alpha, eps, literal in itertools.product(
+                        SWEEP_ALPHAS, SWEEP_EPSILONS, (False, True)
+                    ):
+                        key = (n, i, x.order_stat(i), alpha, eps, literal)
+                        if key not in refs:
+                            refs[key] = _bisect_reference(
+                                x, i, alpha, eps, paper_literal_tail=literal
+                            )
+                        res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
+                        assert _same(res, refs[key]), (x.idx, i, alpha, eps, literal)
+                        checked += 1
+        assert checked == 2310 * 7 * 4 * 2
+
+    @pytest.mark.parametrize("n", [50, 1000, 10_000])
+    def test_large_samples_on_shifted_grid(self, n):
+        grid = SupportGrid(-0.75, 0.25, 11)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            idx = np.sort(rng.choice(grid.m, size=n, p=rng.dirichlet(np.ones(grid.m))))
+            x = Sample(grid, tuple(int(v) for v in idx))
+            for i in sorted({1, max(1, n // 10), n // 2, (9 * n) // 10, n}):
+                for alpha, eps, literal in itertools.product(
+                    SWEEP_ALPHAS, SWEEP_EPSILONS, (False, True)
+                ):
+                    res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
+                    ref = _bisect_reference(x, i, alpha, eps, paper_literal_tail=literal)
+                    assert _same(res, ref), (n, i, alpha, eps, literal)
+
+
+def _walk_cases(unit5):
+    """(x, i, alpha) cases with the critical mass inside (0, 1), on a
+    dyadic point (alpha = 0.5 at n = 1), and near either end."""
+    grid = SupportGrid(-0.75, 0.25, 11)
+    big = Sample(grid, tuple(sorted(j % grid.m for j in range(50))))
+    return [
+        (homogeneous_sample(unit5, 3, 3), 2, 0.25),
+        (make_sample(unit5, [0.25, 0.5, 1.0]), 3, 0.05),
+        (make_sample(unit5, [1.0]), 1, 0.5),
+        (homogeneous_sample(unit5, 4, 6), 6, 0.95),
+        (big, 1, 1e-9),
+        (big, 25, 0.25),
+        (big, 50, 0.999999),
+    ]
+
+
+class TestCertificationWalk:
+    @pytest.mark.parametrize("shift", [-3, -1, 1, 3])
+    def test_misplaced_critical_mass_walks_back(self, monkeypatch, unit5, shift):
+        real = orderbound.quantile.betaincinv
+        offset = 0.0
+        monkeypatch.setattr(
+            orderbound.quantile, "betaincinv", lambda a, b, y: real(a, b, y) + offset
+        )
+        for x, i, alpha in _walk_cases(unit5):
+            for eps in SWEEP_EPSILONS:
+                for literal in (False, True):
+                    ref = _bisect_reference(x, i, alpha, eps, paper_literal_tail=literal)
+                    offset = shift * math.ldexp(1.0, -ref.iterations)
+                    res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
+                    assert _same(res, ref), (x.idx, i, alpha, eps, literal)
+
+    @pytest.mark.parametrize("p_star", [0.0, 1.0 - 1e-15])
+    def test_critical_mass_at_either_end_walks_across(self, monkeypatch, unit5, p_star):
+        monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: p_star)
+        for x, i, alpha in _walk_cases(unit5):
+            for eps in SWEEP_EPSILONS:
+                for literal in (False, True):
+                    res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
+                    ref = _bisect_reference(x, i, alpha, eps, paper_literal_tail=literal)
+                    assert _same(res, ref), (x.idx, i, alpha, eps, literal)
+
+    def test_nan_critical_mass_raises(self, monkeypatch, unit5):
+        monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: math.nan)
+        x = homogeneous_sample(unit5, 3, 3)
+        with pytest.raises(FloatingPointError, match="betaincinv"):
+            quantile_bound(x, 2, 0.25, 1e-4)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-12, 1e-18])
+    @pytest.mark.parametrize("alpha", [1e-30, 1e-20])
+    def test_cancelled_tail_far_from_critical_mass(self, unit5, alpha, eps):
+        # the computed tail 1 - betainc(...) of p**2 cancels to 0 below
+        # p ~ 7e-9, far above betaincinv's 1e-15 or 1e-10: the search
+        # gallops thousands of grid steps (billions at 2**-60, where the
+        # grid is still exact this close to 0) to the bisection's cell
+        x = homogeneous_sample(unit5, 3, 2)
+        assert _same(quantile_bound(x, 1, alpha, eps), _bisect_reference(x, 1, alpha, eps))
+
+    def test_epsilon_finer_than_doubles_raises(self, unit5):
+        # the grid step 2**-60 is below the spacing of doubles near p = 0.5,
+        # where the bisection never terminates
+        x = homogeneous_sample(unit5, 3, 2)
+        with pytest.raises(ValueError, match="too small"):
+            quantile_bound(x, 1, 0.25, 1e-18)
+
+    def test_underflowing_delta_raises(self):
+        x = homogeneous_sample(SupportGrid(0.0, 4.0, 5), 4, 2)
+        with pytest.raises(ValueError, match="too small"):
+            quantile_bound(x, 1, 0.25, 5e-324)
