@@ -133,6 +133,16 @@ class OracleCache:
         return self._values[key]
 
 
+def _campaign_cache(cfg: OracleConfig | None, cache: OracleCache | None) -> OracleCache:
+    """The cache a campaign runs on: ``cache`` when given (its config
+    governs; a different ``cfg`` is an error), else a fresh one."""
+    if cache is None:
+        return OracleCache(cfg)
+    if cfg is not None and cfg != cache.cfg:
+        raise ValueError("cfg conflicts with cache.cfg; pass one or the other")
+    return cache
+
+
 def value_tolerance(grid: SupportGrid, cfg: OracleConfig) -> float:
     """Default slack for oracle-value comparisons: twice the grid step
     the search was asked for, scaled by the support range."""
@@ -185,7 +195,8 @@ def make_oracle_bound(order: Preorder, alpha: float,
 
 def verify_sandwich(grid: SupportGrid, n: int, alpha: float,
                     cfg: OracleConfig | None = None,
-                    orders: list[Preorder] | None = None) -> VerifyReport:
+                    orders: list[Preorder] | None = None, *,
+                    cache: OracleCache | None = None) -> VerifyReport:
     """Extremality of the lexicographic orders among monotone orders.
 
     For every monotone total order T and homogeneous sample: the
@@ -194,15 +205,15 @@ def verify_sandwich(grid: SupportGrid, n: int, alpha: float,
     for every x sitting between consecutive homogeneous samples under T
     the bound values form the matching chain (checked with slack twice
     the value tolerance). Non-monotone orders passed in are filtered out,
-    not asserted on.
+    not asserted on. Oracle values come from ``cache`` when given, whose
+    config then governs.
     """
-    cfg = cfg or OracleConfig()
-    cache = OracleCache(cfg)
+    cache = _campaign_cache(cfg, cache)
     omega = cache.omega(grid, n)
     if orders is None:
         orders = monotone_linear_extensions(omega)
     orders = [T for T in orders if is_monotone(T, omega)]
-    tol = value_tolerance(grid, cfg)
+    tol = value_tolerance(grid, cache.cfg)
     lexi_low, lexi_high = LexiLow(), LexiHigh()
     report = VerifyReport("sandwich", 0, tolerance=tol)
 
@@ -264,12 +275,13 @@ def verify_consistency(order: Preorder, bound_values: dict[Sample, float],
 
 
 def consistency_campaign(grid: SupportGrid, n: int, alpha: float,
-                         cfg: OracleConfig | None = None) -> list[VerifyReport]:
-    """Oracle-value consistency for the built-in preorders."""
-    cfg = cfg or OracleConfig()
-    cache = OracleCache(cfg)
+                         cfg: OracleConfig | None = None, *,
+                         cache: OracleCache | None = None) -> list[VerifyReport]:
+    """Oracle-value consistency for the built-in preorders, with values
+    from ``cache`` when given."""
+    cache = _campaign_cache(cfg, cache)
     omega = cache.omega(grid, n)
-    tol = value_tolerance(grid, cfg)
+    tol = value_tolerance(grid, cache.cfg)
     orders: list[Preorder] = [LexiLow(), LexiHigh()] + [Quantile(i) for i in range(1, n + 1)]
     reports = []
     for order in orders:
@@ -324,13 +336,14 @@ def agreement_campaign(grid: SupportGrid, trials: int, seed: int) -> list[Verify
 
 
 def verify_refinement(grid: SupportGrid, n: int, alpha: float,
-                      cfg: OracleConfig | None = None) -> VerifyReport:
+                      cfg: OracleConfig | None = None, *,
+                      cache: OracleCache | None = None) -> VerifyReport:
     """Support restriction does not change oracle values for quantile and
-    low-lexicographic preorders (within twice the value tolerance)."""
-    cfg = cfg or OracleConfig()
-    cache = OracleCache(cfg)
+    low-lexicographic preorders (within twice the value tolerance), with
+    values from ``cache`` when given."""
+    cache = _campaign_cache(cfg, cache)
     omega = cache.omega(grid, n)
-    tol = value_tolerance(grid, cfg)
+    tol = value_tolerance(grid, cache.cfg)
     report = VerifyReport("refinement", 0, tolerance=2 * tol)
     orders: list[Preorder] = [LexiLow()] + [Quantile(i) for i in range(1, n + 1)]
     for order in orders:
@@ -351,10 +364,10 @@ def verify_lipschitz(ms: tuple[int, ...] = (2, 5, 10), pairs: int = 1000,
     report = VerifyReport("mean-lipschitz", 0, tolerance=1e-12)
     for m in ms:
         grid = SupportGrid(0.0, 1.0, m)
-        rng = make_rng(seed + m)
-        for _ in range(pairs):
-            u = random_distribution(grid, rng)
-            v = random_distribution(grid, rng)
+        # one call draws the same stream as 2 * pairs random_distribution calls
+        masses = make_rng(seed + m).dirichlet(np.ones(m), size=2 * pairs)
+        for a, b in zip(masses[0::2], masses[1::2]):
+            u, v = Distribution(grid, a), Distribution(grid, b)
             report.instances_checked += 1
             if not mean_lipschitz_check(u, v):
                 report.failures.append(f"violated at m={m}")
@@ -365,12 +378,16 @@ def run_all(grid: SupportGrid | None = None, n: int = 2, alpha: float = 0.25,
             cfg: OracleConfig | None = None, trials: int = 200,
             seed: int = 20260810) -> list[VerifyReport]:
     """The shipped default campaign: sandwich, consistency, agreement,
-    refinement, and the mean-Lipschitz sweep."""
+    refinement, and the mean-Lipschitz sweep.
+
+    The three oracle campaigns share one ``OracleCache``, so each distinct
+    (sample, upper set, support) is searched once per run; every report is
+    the same as with a cache per campaign."""
     grid = grid or SupportGrid(0.0, 1.0, 3)
-    cfg = cfg or OracleConfig()
-    reports = [verify_sandwich(grid, n, alpha, cfg)]
-    reports.extend(consistency_campaign(grid, n, alpha, cfg))
+    cache = OracleCache(cfg)
+    reports = [verify_sandwich(grid, n, alpha, cache=cache)]
+    reports.extend(consistency_campaign(grid, n, alpha, cache=cache))
     reports.extend(agreement_campaign(grid, trials, seed))
-    reports.append(verify_refinement(grid, n, alpha, cfg))
+    reports.append(verify_refinement(grid, n, alpha, cache=cache))
     reports.append(verify_lipschitz(seed=seed))
     return reports

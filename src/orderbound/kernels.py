@@ -4,13 +4,16 @@ The constraint-probability evaluation over candidate mass vectors is the
 inner loop of the search oracle. Around it sit the power tables,
 composition enumeration and N-scaled scores that the oracle's scans share.
 
-Enumeration streams blocks of at most ``chunk`` rows (16,384 by
-default): it groups runs of sibling subtrees of the composition tree into
-one block and expands each run level by level with numpy, so no Python
-loop runs per row or per short prefix. The kernel gathers each
-(atom, exponent) factor column once per block. Neither changes a bit of
-the results: rows come out in the same lexicographic order and every
-probability is the same product of the same factors in the same order.
+Enumeration yields blocks of at most ``chunk`` rows (16,384 by default):
+it groups runs of sibling subtrees of the composition tree into one block
+and expands each run level by level with numpy, so no Python loop runs per
+row or per short prefix. A simplex depends only on (N, k), so its blocks
+are enumerated once per process and kept, read-only and in the smallest
+unsigned dtype that holds N, for the next scan of the same simplex. The
+kernel gathers each (atom, exponent) factor column once per block. None of
+this changes a bit of the results: rows come out in the same lexicographic
+order and every probability is the same product of the same factors in
+the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ def eval_probs(counts: np.ndarray, table: np.ndarray, coefs: np.ndarray,
                expts: np.ndarray) -> np.ndarray:
     """Constraint probability for each candidate count vector.
 
-    counts : int64 (B, k) occupation numbers summing to N
+    counts : integer (B, k) occupation numbers summing to N
     table  : float64 (N+1, E+1) with table[c, e] = (c / N) ** e
     coefs  : float64 (T,) multinomial coefficients per upper-set member
     expts  : int64 (T, k) per-atom occurrence counts per member
@@ -70,9 +73,41 @@ def scaled_scores(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
+# Enumerated simplices, most recently used last. Each holds the blocks of
+# one (N, k, chunk) as read-only arrays, so repeated scans share them.
+_BLOCKS: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
+_BLOCKS_KEPT = 4
+# Larger simplices are streamed block by block and not kept.
+_BLOCKS_MAX_ROWS = 1 << 22
+
+
 def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
-    """Yield all compositions of N into k parts as int64 blocks of at most
+    """Yield all compositions of N into k parts as blocks of at most
     ``chunk`` rows, in lexicographic order of the count vectors.
+
+    Blocks are read-only, Fortran-order arrays of dtype
+    ``np.min_scalar_type(N)`` (uint16 at N = 1000), so ``eval_probs`` reads
+    their columns without a copy. The blocks of the last four (N, k, chunk)
+    keys with at most 2**22 rows are kept, and a repeated call yields the
+    same array objects without enumerating again.
+    """
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    if math.comb(N + k - 1, k - 1) > _BLOCKS_MAX_ROWS:
+        yield from _composition_blocks(N, k, chunk)
+        return
+    key = (N, k, chunk)
+    blocks = _BLOCKS.pop(key, None)
+    if blocks is None:
+        blocks = tuple(_composition_blocks(N, k, chunk))
+    _BLOCKS[key] = blocks
+    if len(_BLOCKS) > _BLOCKS_KEPT:
+        del _BLOCKS[next(iter(_BLOCKS))]
+    yield from blocks
+
+
+def _composition_blocks(N: int, k: int, chunk: int) -> Iterator[np.ndarray]:
+    """Enumerate the blocks ``iter_composition_blocks`` yields.
 
     The compositions form a tree whose level-i nodes fix the first i
     coordinates. At a node, consecutive children whose subtree sizes sum
@@ -80,10 +115,11 @@ def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 14) -> Iterator[np
     expanded into a single block level by level with numpy; only a child
     whose own subtree exceeds ``chunk`` is descended into.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
+    dtype = np.min_scalar_type(N)
     if k == 1:
-        yield np.array([[N]], dtype=np.int64)
+        block = np.array([[N]], dtype=dtype)
+        block.flags.writeable = False
+        yield block
         return
 
     def _subtree(rem: int, free: int) -> int:
@@ -94,7 +130,7 @@ def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 14) -> Iterator[np
         # rows whose coordinate len(prefix) runs over lo..hi, all later
         # coordinates free, in lexicographic order
         level = len(prefix)
-        block = np.empty((size, k), dtype=np.int64)
+        block = np.empty((size, k), dtype=dtype, order="F")
         block[:, :level] = prefix
         col = np.arange(lo, hi + 1, dtype=np.int64)
         left = rem - col
@@ -110,6 +146,7 @@ def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 14) -> Iterator[np
         cols.append(left)
         for j, c in enumerate(cols):
             block[:, level + j] = c
+        block.flags.writeable = False
         return block
 
     def _walk(prefix: tuple[int, ...], rem: int) -> Iterator[np.ndarray]:

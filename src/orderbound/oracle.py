@@ -142,7 +142,11 @@ class _Reducer:
     """Deterministic reduction over candidate blocks processed in
     lexicographic order: tracks the feasible minimum (first-wins on exact
     ties, which is the lex-smallest), a beam of runners-up, and the
-    highest-probability point for infeasibility rescue."""
+    highest-probability point for infeasibility rescue.
+
+    Rows may arrive in any integer dtype (enumerated blocks are uint8 or
+    uint16); every kept row is int64, so refinement can double it without
+    wrapping."""
 
     def __init__(self, alpha: float, beam_width: int):
         self.alpha = alpha
@@ -158,7 +162,7 @@ class _Reducer:
         i = int(np.argmax(probs))
         if probs[i] > self.top_prob:
             self.top_prob = float(probs[i])
-            self.top_row = rows[i].copy()
+            self.top_row = rows[i].astype(np.int64)
         feas = np.flatnonzero(probs >= self.alpha)
         if feas.size == 0:
             return
@@ -166,7 +170,7 @@ class _Reducer:
         j = int(np.argmin(scores_f))
         if scores_f[j] < self.best_score:
             self.best_score = float(scores_f[j])
-            self.best_row = rows[feas[j]].copy()
+            self.best_row = rows[feas[j]].astype(np.int64)
         take = min(self.beam_width, feas.size)
         if take < feas.size:
             # every row scoring at or below the take-th score, ties included,
@@ -176,7 +180,7 @@ class _Reducer:
             feas, scores_f = feas[keep], scores_f[keep]
         rows_f = rows[feas]
         order = _lex_order(rows_f, scores_f)[:take]
-        self._pool_rows.append(rows_f[order])
+        self._pool_rows.append(rows_f[order].astype(np.int64))
         self._pool_scores.append(scores_f[order])
 
     def beam(self) -> np.ndarray:

@@ -41,17 +41,26 @@ def tail_prob(i: int, n: int, p: float, *, paper_literal: bool = False) -> float
     """Probability that the i-th smallest of n two-atom draws is the high atom.
 
     With X counting draws on the high atom, the i-th order statistic
-    reaches it iff at most i - 1 draws land below, i.e. X >= n - i + 1,
-    giving ``1 - binom_cdf(n - i, n, p)``. The ``paper_literal`` variant
-    evaluates ``1 - binom_cdf(n - i - 1, n, p)`` instead and is kept only
-    for inspection; it is off by one draw.
+    reaches it iff at most i - 1 draws land below, i.e. X > k with
+    ``k = n - i``. The ``paper_literal`` variant takes ``k = n - i - 1``
+    instead and is kept only for inspection; it is off by one draw.
+
+    The tail ``P[X > k] = I_p(k + 1, n - k)`` is evaluated directly:
+    ``1 - binom_cdf(k, n, p)`` cancels to 0 once the tail falls below about
+    1e-16. k < 0 gives 1 and k >= n gives 0.
 
     Non-decreasing in p for every fixed (i, n).
     """
     if not 1 <= i <= n:
         raise ValueError(f"order statistic index {i} outside [1, {n}]")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
     k = (n - i - 1) if paper_literal else (n - i)
-    return 1.0 - binom_cdf(k, n, p)
+    if k < 0:
+        return 1.0
+    if k >= n:
+        return 0.0
+    return float(betainc(k + 1, n - k, p))
 
 
 # a double holds j * 2**-t exactly for every integer j up to 2**53

@@ -8,6 +8,7 @@ the multiset of draws: the i-th order statistic is literally ``idx[i - 1]``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -57,8 +58,10 @@ class SupportGrid:
         t = i / (self.m - 1)
         return self.s_min * (1.0 - t) + self.s_max * t
 
-    @property
+    @functools.cached_property
     def points(self) -> tuple[float, ...]:
+        # kept in the instance dict; dataclass equality and hashing read
+        # only the fields
         return tuple(self.point(i) for i in range(self.m))
 
 

@@ -13,15 +13,19 @@ from orderbound import (
     SupportGrid,
     enumerate_omega,
 )
+from orderbound import harness
 from orderbound.dist import point_mass, uniform
 from orderbound.harness import (
     OracleCache,
+    agreement_campaign,
     consistency_campaign,
     exact_coverage,
     make_oracle_bound,
     make_rng,
     mc_coverage,
     random_distribution,
+    run_all,
+    value_tolerance,
     verify_agreement,
     verify_consistency,
     verify_lipschitz,
@@ -160,6 +164,69 @@ def test_lipschitz_quick():
     report = verify_lipschitz(ms=(2, 4), pairs=100, seed=1)
     assert report.passed
     assert report.instances_checked == 200
+
+
+@pytest.mark.parametrize("m", [2, 5, 10])
+def test_batched_dirichlet_equals_sequential_draws(m):
+    # verify_lipschitz draws all of an m's pairs in one call
+    grid = SupportGrid(0.0, 1.0, m)
+    rng = make_rng(20260810 + m)
+    sequential = np.stack([random_distribution(grid, rng).mass for _ in range(2000)])
+    batched = make_rng(20260810 + m).dirichlet(np.ones(m), size=2000)
+    assert sequential.tobytes() == batched.tobytes()
+
+
+def test_lipschitz_checks_every_pair(monkeypatch):
+    pairs = []
+    real = harness.mean_lipschitz_check
+
+    def spy(u, v):
+        pairs.append((u.mass, v.mass))
+        return real(u, v)
+
+    monkeypatch.setattr(harness, "mean_lipschitz_check", spy)
+    report = verify_lipschitz(ms=(3,), pairs=7, seed=2)
+    assert report.passed and report.instances_checked == len(pairs) == 7
+    grid, rng = SupportGrid(0.0, 1.0, 3), make_rng(2 + 3)
+    for u, v in pairs:
+        assert np.array_equal(u, random_distribution(grid, rng).mass)
+        assert np.array_equal(v, random_distribution(grid, rng).mass)
+
+
+class TestSharedCache:
+    def test_run_all_searches_each_key_once(self, monkeypatch):
+        calls = []
+        real = harness.pessimal_bound_oracle
+
+        def spy(x, order, alpha, cfg=None):
+            calls.append((x, order.name, alpha))
+            return real(x, order, alpha, cfg)
+
+        monkeypatch.setattr(harness, "pessimal_bound_oracle", spy)
+        run_all(SupportGrid(0, 1, 3), 2, 0.25)
+        assert len(calls) == 10
+
+    def test_reports_equal_separate_caches(self, unit3):
+        shared = [r.to_dict() for r in run_all(unit3, 2, 0.25, CFG, trials=20, seed=4)]
+        separate = [verify_sandwich(unit3, 2, 0.25, CFG)]
+        separate += consistency_campaign(unit3, 2, 0.25, CFG)
+        separate += agreement_campaign(unit3, 20, 4)
+        separate.append(verify_refinement(unit3, 2, 0.25, CFG))
+        separate.append(verify_lipschitz(seed=4))
+        assert shared == [r.to_dict() for r in separate]
+
+    def test_cache_config_governs(self, unit2):
+        cache = OracleCache(OracleConfig(resolution=1e-2))
+        report = verify_refinement(unit2, 2, 0.25, cache=cache)
+        assert report.tolerance == 2 * value_tolerance(unit2, cache.cfg)
+        same = verify_refinement(unit2, 2, 0.25, OracleConfig(resolution=1e-2), cache=cache)
+        assert same.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("campaign", [verify_sandwich, consistency_campaign, verify_refinement])
+    def test_conflicting_cfg_raises(self, unit2, campaign):
+        cache = OracleCache(CFG)
+        with pytest.raises(ValueError, match="conflicts"):
+            campaign(unit2, 2, 0.25, OracleConfig(resolution=1e-2), cache=cache)
 
 
 def test_reports_serialize(unit2):

@@ -126,6 +126,47 @@ class TestCompositionBlocks:
             next(kernels.iter_composition_blocks(3, 2, chunk=0))
 
 
+class TestBlockMemo:
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCKS", {})
+
+    def test_second_call_yields_the_same_arrays(self):
+        first = list(kernels.iter_composition_blocks(100, 3, chunk=1000))
+        second = list(kernels.iter_composition_blocks(100, 3, chunk=1000))
+        assert len(first) == len(second) > 1
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("N,k", [(0, 1), (9, 1), (59, 5), (200, 2), (1000, 3)])
+    def test_blocks_are_read_only_narrow_and_column_major(self, N, k):
+        for block in kernels.iter_composition_blocks(N, k):
+            assert block.dtype == np.min_scalar_type(N)
+            assert block.flags.f_contiguous
+            # eval_probs reads the columns in place
+            assert np.shares_memory(np.ascontiguousarray(block.T), block)
+            with pytest.raises(ValueError):
+                block[0, 0] = 1
+
+    def test_keeps_the_four_most_recent_keys(self):
+        for N in range(6):
+            list(kernels.iter_composition_blocks(N, 3))
+        first_kept = list(kernels.iter_composition_blocks(2, 3))  # now most recent
+        list(kernels.iter_composition_blocks(6, 3))
+        assert list(kernels._BLOCKS) == [(4, 3, 1 << 14), (5, 3, 1 << 14),
+                                         (2, 3, 1 << 14), (6, 3, 1 << 14)]
+        again = list(kernels.iter_composition_blocks(2, 3))
+        assert all(a is b for a, b in zip(first_kept, again))
+
+    def test_large_simplex_is_streamed_not_kept(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCKS_MAX_ROWS", 50)
+        first = list(kernels.iter_composition_blocks(10, 3, chunk=7))  # 66 rows
+        second = list(kernels.iter_composition_blocks(10, 3, chunk=7))
+        assert kernels._BLOCKS == {}
+        assert not any(a is b for a, b in zip(first, second))
+        assert np.array_equal(np.concatenate(first), np.concatenate(second))
+        assert np.array_equal(np.concatenate(first), np.array(list(_compositions(10, 3))))
+
+
 def _compositions(N, k):
     """Compositions of N into k parts in lexicographic order, by stars and
     bars: increasing bar positions give increasing count vectors."""

@@ -267,3 +267,33 @@ class TestSearchInternals:
         assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
         assert np.array_equal(red.best_row, rows_f[order[0]])
         assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+
+    def test_kept_rows_are_int64_for_narrow_blocks(self):
+        rows = np.concatenate(list(kernels.iter_composition_blocks(200, 2)))
+        assert rows.dtype == np.uint8
+        probs = rows[:, 1] / 200.0
+        red = _Reducer(0.5, 4)
+        red.consume(rows, rows[:, 0].astype(np.float64), probs)
+        for kept in (red.best_row, red.top_row, red.beam()):
+            assert kept.dtype == np.int64
+        assert red.best_row.tolist() == [0, 200]
+        # doubling a kept row for the next refinement stage must not wrap
+        assert (red.beam() * 2).max() == 400
+
+    def test_narrow_blocks_give_the_int64_result(self, monkeypatch, unit3):
+        # N = 200 at this resolution: uint8 blocks, and the witnesses put
+        # more than 127/200 of the mass on one atom, so a kept row doubled
+        # in its block's dtype would wrap in the first refinement pass
+        cfg = OracleConfig(resolution=1 / 200)
+        cases = [(Sample(unit3, (2, 2)), Quantile(1)), (Sample(unit3, (0, 1)), LexiLow())]
+        narrow = [pessimal_bound_oracle(x, order, 0.9, cfg) for x, order in cases]
+        real = kernels.iter_composition_blocks
+        monkeypatch.setattr(
+            kernels, "iter_composition_blocks",
+            lambda N, k, *a: (b.astype(np.int64) for b in real(N, k, *a)),
+        )
+        for (x, order), got in zip(cases, narrow):
+            want = pessimal_bound_oracle(x, order, 0.9, cfg)
+            assert got.value.hex() == want.value.hex()
+            assert got.witness.mass.tobytes() == want.witness.mass.tobytes()
+            assert got.final_step == want.final_step == 1 / 1600

@@ -99,6 +99,16 @@ class TestTailProb:
             for p in (0.0, 0.2, 0.5, 0.9, 1.0):
                 assert abs(tail_prob(i, n, p) - _tail_by_enumeration(i, n, p)) < 1e-12
 
+    @pytest.mark.parametrize("p", [1e-5, 1e-12, 1e-100])
+    def test_small_tail_does_not_cancel(self, p):
+        # 1 - P[X <= k] read 0 here for every p below 7.45e-9
+        assert tail_prob(1, 2, p) == pytest.approx(p**2, rel=1e-14, abs=0.0)
+
+    def test_probability_validation(self):
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                tail_prob(1, 2, p)
+
     def test_paper_literal_variant_differs(self):
         # the literal variant is off by one draw and saturates here
         assert tail_prob(2, 2, 0.5, paper_literal=True) == 1.0
@@ -326,12 +336,17 @@ class TestCertificationWalk:
     @pytest.mark.parametrize("eps", [1e-4, 1e-12, 1e-18])
     @pytest.mark.parametrize("alpha", [1e-30, 1e-20])
     def test_cancelled_tail_far_from_critical_mass(self, unit5, alpha, eps):
-        # the computed tail 1 - betainc(...) of p**2 cancels to 0 below
-        # p ~ 7e-9, far above betaincinv's 1e-15 or 1e-10: the search
-        # gallops thousands of grid steps (billions at 2**-60, where the
-        # grid is still exact this close to 0) to the bisection's cell
+        # the tail p**2 is below 1e-16 here; computed as 1 - P[X <= k] it
+        # cancelled to 0 below p ~ 7e-9, far above betaincinv's 1e-15 or
+        # 1e-10, and the search galloped thousands of grid steps (billions
+        # at 2**-60) to a cell above the critical mass
         x = homogeneous_sample(unit5, 3, 2)
         assert _same(quantile_bound(x, 1, alpha, eps), _bisect_reference(x, 1, alpha, eps))
+
+    def test_tiny_alpha_certifies_below_critical_mass(self, unit5):
+        # the critical mass is 1e-15, inside the first cell of step 2**-40
+        res = quantile_bound(homogeneous_sample(unit5, 3, 2), 1, 1e-30, 1e-12)
+        assert res.p_hat == 0.0
 
     def test_epsilon_finer_than_doubles_raises(self, unit5):
         # the grid step 2**-60 is below the spacing of doubles near p = 0.5,

@@ -37,6 +37,15 @@ class TestGrid:
             pts = SupportGrid(s_min, s_max, m).points
             assert all(a < b for a, b in zip(pts, pts[1:]))
 
+    def test_points_computed_once_and_invisible_to_equality(self):
+        g, fresh = SupportGrid(-2.5, 7.5, 17), SupportGrid(-2.5, 7.5, 17)
+        h = hash(g)
+        assert g.points is g.points
+        assert g.points == tuple(g.point(i) for i in range(17))
+        assert g == fresh and hash(g) == h == hash(fresh)
+        assert repr(g) == repr(fresh)
+        assert len({g, fresh}) == 1
+
     def test_invalid(self):
         with pytest.raises(GridError):
             SupportGrid(0, 1, 1)
