@@ -20,6 +20,7 @@ from .orders import (
     CustomTable,
     LexiLow,
     LexiHigh,
+    Omega,
     Pointwise,
     Quantile,
     UpperSet,
@@ -39,6 +40,7 @@ __all__ = [
     "InfeasibleError",
     "LexiHigh",
     "LexiLow",
+    "Omega",
     "OracleConfig",
     "OracleResult",
     "Pointwise",

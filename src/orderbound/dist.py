@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .orders import UpperSet
+from .orders import Omega, UpperSet
 from .support import Sample, SupportGrid
 
 MASS_SUM_TOL = 1e-12
@@ -103,26 +102,36 @@ def mean(F: Distribution) -> float:
     return float(np.dot(F.mass, np.asarray(F.grid.points)))
 
 
-def sample_prob(F: Distribution, x: Sample) -> float:
-    """Probability that n i.i.d. draws from F form the multiset x.
+def omega_pmf(F: Distribution, omega: Omega) -> np.ndarray:
+    """Probability of each sample of omega under F, in omega's row order.
 
-    Multinomial form: n! / prod(c_j!) * prod(F(S_j)^c_j), where c_j counts
-    occurrences of grid index j in x.
+    Multinomial form, one product over count rows: the coefficient times
+    prod_j F(S_j)^c_j, multiplied in ascending grid order. The powers are
+    taken with Python's float ``**`` per (grid point, count) pair, because
+    numpy's vectorized power can differ from it in the last bit.
     """
-    if x.grid != F.grid:
+    if omega.grid != F.grid:
         raise ValueError("sample and distribution live on different grids")
-    counts = Counter(x.idx)
-    coef = math.factorial(x.n)
-    prob = 1.0
-    for j, c in counts.items():
-        coef //= math.factorial(c)
-        prob *= float(F.mass[j]) ** c
-    return coef * prob
+    counts = omega.counts
+    powers = np.unique(counts)
+    table = np.array([[float(p) ** int(c) for c in powers.tolist()] for p in F.mass])
+    factors = table[np.arange(F.grid.m), np.searchsorted(powers, counts)]
+    prob = factors[:, 0].copy()
+    for col in factors.T[1:]:
+        prob *= col
+    return omega.coefs * prob
+
+
+def sample_prob(F: Distribution, x: Sample) -> float:
+    """Probability that n i.i.d. draws from F form the multiset x."""
+    return float(omega_pmf(F, Omega(x.grid, x.n, (x,)))[0])
 
 
 def prob_upper_set(F: Distribution, U: UpperSet) -> float:
-    """Total probability of drawing a sample in the upper set."""
-    return sum(sample_prob(F, y) for y in U.members)
+    """Total probability of drawing a sample in the upper set, summed in
+    member order."""
+    probs = omega_pmf(F, U.omega)[U.mask]
+    return float(np.cumsum(probs)[-1]) if probs.size else 0.0
 
 
 def augment(C: SupportSet, grid: SupportGrid) -> SupportSet:

@@ -9,6 +9,7 @@ distribution (bound <= mean counts as covered).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,21 +18,23 @@ from .closedform import lexi_low_homogeneous
 from .dist import (
     Distribution,
     SupportSet,
+    agree_on,
+    augment,
     full_support,
     mean,
     mean_lipschitz_check,
+    omega_pmf,
     prob_upper_set,
-    sample_prob,
+    restrict_to,
     transfer_to_augmented,
 )
 from .oracle import OracleConfig, pessimal_bound_oracle, refined_support
 from .orders import (
     LexiLow,
     LexiHigh,
+    Omega,
     Preorder,
     Quantile,
-    EQUIVALENT,
-    LESS,
     enumerate_omega,
     is_monotone,
     monotone_linear_extensions,
@@ -44,7 +47,7 @@ COVERED_SLACK = 1e-12
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based Philox generator keyed by the seed.
+    """A counter-based Philox generator keyed by the seed.
 
     Trial t of a Monte Carlo run consumes row t of one stream, so chunked
     or parallel evaluation that preserves row indices reproduces serial
@@ -108,15 +111,16 @@ class VerifyReport:
 
 class OracleCache:
     """Memoizes oracle values by everything they depend on: grid, n,
-    alpha, search support, and the upper set itself. Distinct samples
-    sharing an upper set (e.g. under a quantile preorder) hit one entry."""
+    alpha, search support, and the upper set itself (its mask bytes over
+    the sample space of grid and n). Distinct samples sharing an upper set
+    (e.g. under a quantile preorder) hit one entry."""
 
     def __init__(self, cfg: OracleConfig | None = None):
         self.cfg = cfg or OracleConfig()
-        self._omega: dict[tuple, list[Sample]] = {}
+        self._omega: dict[tuple, Omega] = {}
         self._values: dict[tuple, float] = {}
 
-    def omega(self, grid: SupportGrid, n: int) -> list[Sample]:
+    def omega(self, grid: SupportGrid, n: int) -> Omega:
         key = (grid, n)
         if key not in self._omega:
             self._omega[key] = enumerate_omega(grid, n)
@@ -125,8 +129,8 @@ class OracleCache:
     def value(self, x: Sample, order: Preorder, alpha: float,
               support: SupportSet | None = None) -> float:
         sup = support or self.cfg.support_override or refined_support(x, order)
-        members = upper_set(x, order, self.omega(x.grid, x.n)).member_set()
-        key = (x.grid, x.n, alpha, sup.indices, members, self.cfg.resolution)
+        mask = upper_set(x, order, self.omega(x.grid, x.n)).mask
+        key = (x.grid, x.n, alpha, sup.indices, mask.tobytes(), self.cfg.resolution)
         if key not in self._values:
             cfg = replace(self.cfg, support_override=sup)
             self._values[key] = pessimal_bound_oracle(x, order, alpha, cfg).value
@@ -151,13 +155,14 @@ def value_tolerance(grid: SupportGrid, cfg: OracleConfig) -> float:
 
 def exact_coverage(F: Distribution, bound_fn, n: int, alpha: float,
                    method: str = "custom") -> CoverageReport:
-    """Coverage by full enumeration of the sample space."""
+    """Coverage by full enumeration of the sample space: the covered pmf
+    summed exactly (``math.fsum``) and clamped to [0, 1], since the rounded
+    pmf terms themselves can add up to just over 1."""
     omega = enumerate_omega(F.grid, n)
     mu = mean(F)
-    cov = sum(
-        sample_prob(F, x) for x in omega if bound_fn(x) <= mu + COVERED_SLACK
-    )
-    return CoverageReport(method, alpha, n, F, float(cov), "EXACT")
+    covered = np.array([bound_fn(x) <= mu + COVERED_SLACK for x in omega], dtype=bool)
+    cov = math.fsum(omega_pmf(F, omega)[covered].tolist())
+    return CoverageReport(method, alpha, n, F, min(1.0, max(0.0, cov)), "EXACT")
 
 
 def mc_coverage(F: Distribution, bound_fn, n: int, trials: int, seed: int,
@@ -218,26 +223,29 @@ def verify_sandwich(grid: SupportGrid, n: int, alpha: float,
     report = VerifyReport("sandwich", 0, tolerance=tol)
 
     homs = [homogeneous_sample(grid, i, n) for i in range(grid.m)]
+    rows = [omega.position(s) for s in homs]
+    lows = [upper_set(s, lexi_low, omega).mask for s in homs]
+    highs = [upper_set(s, lexi_high, omega).mask for s in homs]
     for T in orders:
-        for i, si in enumerate(homs):
-            u_low = upper_set(si, lexi_low, omega).member_set()
-            u_t = upper_set(si, T, omega).member_set()
-            u_high = upper_set(si, lexi_high, omega).member_set()
+        rank = T.rank(omega.idx)
+        for i in range(grid.m):
+            u_t = rank >= rank[rows[i]]
             report.instances_checked += 1
-            if not (u_low <= u_t <= u_high):
+            if (lows[i] & ~u_t).any() or (u_t & ~highs[i]).any():
                 report.failures.append(f"upper-set inclusion broken at S_{i}")
         for i in range(grid.m - 1):
             lo = cache.value(homs[i], lexi_high, alpha)
             hi = cache.value(homs[i + 1], lexi_low, alpha)
-            for x in omega:
-                if T.leq(homs[i], x) and T.leq(x, homs[i + 1]):
-                    v = cache.value(x, T, alpha)
-                    report.instances_checked += 1
-                    if not (lo - 2 * tol <= v <= hi + 2 * tol):
-                        report.failures.append(
-                            f"value chain broken at x={x.idx}, i={i}: "
-                            f"{lo:.6f} <= {v:.6f} <= {hi:.6f} fails at 2*tol={2 * tol:.2e}"
-                        )
+            between = (rank >= rank[rows[i]]) & (rank <= rank[rows[i + 1]])
+            for r in np.flatnonzero(between):
+                x = omega[r]
+                v = cache.value(x, T, alpha)
+                report.instances_checked += 1
+                if not (lo - 2 * tol <= v <= hi + 2 * tol):
+                    report.failures.append(
+                        f"value chain broken at x={x.idx}, i={i}: "
+                        f"{lo:.6f} <= {v:.6f} <= {hi:.6f} fails at 2*tol={2 * tol:.2e}"
+                    )
         for i, si in enumerate(homs):
             v = cache.value(si, T, alpha)
             lo = cache.value(si, lexi_high, alpha)
@@ -261,16 +269,17 @@ def verify_consistency(order: Preorder, bound_values: dict[Sample, float],
     missing = [x.idx for x in omega if x not in bound_values]
     if missing:
         raise ValueError(f"bound table missing samples: {missing}")
-    report = VerifyReport(f"consistency[{order.name}]", 0, tolerance=tolerance)
-    for x in omega:
-        for y in omega:
-            rel = order.compare(x, y)
-            report.instances_checked += 1
-            bx, by = bound_values[x], bound_values[y]
-            if rel == LESS and bx > by + tolerance:
-                report.failures.append(f"{x.idx} < {y.idx} but B rises {bx:.6f} -> {by:.6f}")
-            if rel == EQUIVALENT and abs(bx - by) > tolerance:
-                report.failures.append(f"{x.idx} ~ {y.idx} but B differs {bx:.6f} vs {by:.6f}")
+    report = VerifyReport(f"consistency[{order.name}]", len(omega) ** 2, tolerance=tolerance)
+    rank = order.rank(omega.idx)
+    b = np.array([bound_values[x] for x in omega], dtype=float)
+    rises = (rank[:, None] < rank[None, :]) & (b[:, None] > b[None, :] + tolerance)
+    differs = (rank[:, None] == rank[None, :]) & (np.abs(b[:, None] - b[None, :]) > tolerance)
+    for r, c in zip(*np.nonzero(rises | differs)):
+        x, y, bx, by = omega[r], omega[c], float(b[r]), float(b[c])
+        if rises[r, c]:
+            report.failures.append(f"{x.idx} < {y.idx} but B rises {bx:.6f} -> {by:.6f}")
+        else:
+            report.failures.append(f"{x.idx} ~ {y.idx} but B differs {bx:.6f} vs {by:.6f}")
     return report
 
 
@@ -303,14 +312,16 @@ def verify_agreement(x: Sample, order: Preorder, trials: int, seed: int) -> Veri
     relevant support values.
 
     For random G, move sub-threshold mass to the grid minimum and
-    inter-gap mass to successor points; the transfer agrees with G
-    pointwise and cumulatively on those values, and the upper-set
-    probability must be unchanged to within 1e-12.
+    inter-gap mass to successor points. Each trial checks that the
+    transfer H agrees with G pointwise and cumulatively on those values
+    C, that H lives on the augmentation of C, and that the upper-set
+    probability is unchanged to within 1e-12.
     """
     grid = x.grid
     omega = enumerate_omega(grid, x.n)
     U = upper_set(x, order, omega)
     C = _agreement_set(x, order)
+    C_aug = augment(C, grid)
     rng = make_rng(seed)
     report = VerifyReport(f"agreement[{order.name}]", 0, tolerance=1e-12)
     for _ in range(trials):
@@ -318,6 +329,14 @@ def verify_agreement(x: Sample, order: Preorder, trials: int, seed: int) -> Veri
         H = transfer_to_augmented(G, C, grid)
         delta = abs(prob_upper_set(G, U) - prob_upper_set(H, U))
         report.instances_checked += 1
+        if not agree_on(G, H, C):
+            report.failures.append(
+                f"x={x.idx}, order={order.name}: transfer does not agree with G on {C.indices}"
+            )
+        if not restrict_to(H, C_aug):
+            report.failures.append(
+                f"x={x.idx}, order={order.name}: transfer puts mass off the augmented set"
+            )
         if delta > 1e-12:
             report.failures.append(
                 f"x={x.idx}, order={order.name}: probability moved by {delta:.3e}"

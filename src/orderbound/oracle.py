@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,25 +89,15 @@ def refined_support(x: Sample, order: Preorder) -> SupportSet:
     return full_support(x.grid)
 
 
-def _member_terms(U: UpperSet, atoms: tuple[int, ...], n: int):
-    """Multinomial coefficients and exponent rows for upper-set members
-    expressible on the given atoms; everything else has probability zero."""
-    pos = {a: j for j, a in enumerate(atoms)}
-    coefs: list[float] = []
-    rows: list[list[int]] = []
-    for y in U.members:
-        if any(i not in pos for i in y.idx):
-            continue
-        row = [0] * len(atoms)
-        coef = math.factorial(n)
-        for i, c in Counter(y.idx).items():
-            row[pos[i]] = c
-            coef //= math.factorial(c)
-        coefs.append(float(coef))
-        rows.append(row)
-    if not coefs:
-        return np.zeros(0), np.zeros((0, len(atoms)), dtype=np.int64)
-    return np.asarray(coefs), np.asarray(rows, dtype=np.int64)
+def _member_terms(U: UpperSet, atoms: tuple[int, ...]):
+    """Multinomial coefficients and exponent rows, in member order, for
+    upper-set members expressible on the given atoms; everything else has
+    probability zero."""
+    counts = U.omega.counts[U.mask]
+    off_atoms = np.ones(counts.shape[1], dtype=bool)
+    off_atoms[list(atoms)] = False
+    keep = ~counts[:, off_atoms].any(axis=1)
+    return U.omega.coefs[U.mask][keep], counts[keep][:, list(atoms)].astype(np.int64)
 
 
 _OFFSETS_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -294,7 +283,7 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     U = upper_set(x, order, omega)
     atoms = support.indices
     values = np.array([grid.point(a) for a in atoms])
-    coefs, expts = _member_terms(U, atoms, x.n)
+    coefs, expts = _member_terms(U, atoms)
 
     try:
         counts, n_final, mode = _minimize(values, coefs, expts, alpha, cfg)

@@ -1,18 +1,24 @@
-"""Total orders and preorders on samples.
+"""Total orders and preorders on one array-native sample space.
 
-A comparator returns one of ``LESS``, ``EQUIVALENT``, ``GREATER``. All
-built-in comparators work on the canonical sorted index vectors, so the
-i-th order statistic is read off directly and nothing is re-sorted at
-comparison time.
+``enumerate_omega`` returns an :class:`Omega`: the size-n multisets of grid
+indices in lexicographic order, with their index matrix, count matrix and
+multinomial coefficients built once. A preorder is defined by one method,
+``rank``, which maps index rows to integers: equal rank means equivalent,
+lower rank means below. Comparisons, upper sets and monotonicity are array
+comparisons of rank vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .support import Sample, SupportGrid, check_compatible, leq_componentwise, lt_componentwise
+import numpy as np
+
+from .support import Sample, SupportGrid, check_compatible
 
 LESS = -1
 EQUIVALENT = 0
@@ -23,17 +29,124 @@ class EnumerationGuardError(ValueError):
     """The requested enumeration exceeds the desk-scale guard."""
 
 
+def _lex_rank(rows: np.ndarray) -> np.ndarray:
+    """Dense rank of each row in lexicographic order; equal rows share one."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    fresh = np.ones(rows.shape[0], dtype=np.int64)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rank = np.empty(rows.shape[0], dtype=np.int64)
+    rank[order] = np.cumsum(fresh) - 1
+    return rank
+
+
+def _count_matrix(idx: np.ndarray, m: int) -> np.ndarray:
+    # the smallest unsigned type holding n holds every count
+    counts = np.zeros((idx.shape[0], m), dtype=np.min_scalar_type(idx.shape[1]))
+    rows = np.arange(idx.shape[0])
+    for col in idx.T:
+        counts[rows, col] += 1
+    return counts
+
+
+def _multinomial_coefs(idx: np.ndarray) -> np.ndarray:
+    """n! / prod_j c_j! for each sorted index row, where the c_j are the
+    row's run lengths: exact in integers and rounded once to float. Rows
+    with the same run lengths share one computation."""
+    rows, n = idx.shape
+    if rows == 0:
+        return np.zeros(0)
+    fresh = np.ones((rows, n), dtype=bool)
+    fresh[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    starts = np.flatnonzero(fresh)  # every row starts a run, so runs stay in one row
+    lengths = np.diff(starts, append=rows * n)
+    row_of = starts // n
+    slot = np.arange(starts.size) - np.searchsorted(row_of, row_of)
+    parts = np.zeros((rows, int(slot.max()) + 1), dtype=np.int64)
+    parts[row_of, slot] = lengths
+    group = _lex_rank(parts)
+    first = np.empty(int(group.max()) + 1, dtype=np.int64)
+    first[group] = np.arange(rows)
+    exact = [math.factorial(n) // math.prod(math.factorial(c) for c in parts[r].tolist())
+             for r in first.tolist()]
+    if max(exact) > sys.float_info.max:
+        raise EnumerationGuardError(
+            f"multinomial coefficients of size-{n} samples exceed the double range"
+        )
+    return np.array([float(c) for c in exact])[group]
+
+
+class Omega(Sequence):
+    """A lexicographically ordered sequence of distinct size-n samples on
+    one grid, plus three read-only arrays built once:
+
+    - ``idx``: the (|Omega|, n) int64 index matrix, row r is sample r's
+      index vector;
+    - ``counts``: the (|Omega|, m) count matrix, ``counts[r, j]`` is how
+      often grid index j occurs in sample r (smallest unsigned dtype
+      holding n);
+    - ``coefs``: float multinomial coefficients n! / prod_j counts[r, j]!.
+
+    This is the only place a sample's counts and coefficient are
+    computed. Iteration, ``len``, indexing and ``in`` behave as on a list
+    of the samples; a slice is the Omega of the sliced samples.
+    """
+
+    def __init__(self, grid: SupportGrid, n: int, samples: Iterable[Sample]):
+        samples = tuple(samples)
+        if {s.grid for s in samples} - {grid} or {s.n for s in samples} - {n}:
+            raise ValueError(f"every sample must be a size-{n} sample on {grid}")
+        idx = np.array([s.idx for s in samples], dtype=np.int64).reshape(len(samples), n)
+        if len(samples) and not np.array_equal(_lex_rank(idx), np.arange(len(samples))):
+            raise ValueError("samples must be distinct and in lexicographic order")
+        counts = _count_matrix(idx, grid.m)
+        coefs = _multinomial_coefs(idx)
+        for arr in (idx, counts, coefs):
+            arr.flags.writeable = False
+        self.grid, self.n, self._samples = grid, n, samples
+        self.idx, self.counts, self.coefs = idx, counts, coefs
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Omega(self.grid, self.n, self._samples[key])
+        return self._samples[key]
+
+    def position(self, x: Sample) -> int:
+        """Row of sample x; ValueError if omega does not contain it."""
+        if x.grid == self.grid and x.n == self.n:
+            hit = np.flatnonzero((self.idx == np.asarray(x.idx)).all(axis=1))
+            if hit.size:
+                return int(hit[0])
+        raise ValueError("omega does not contain the base sample")
+
+    def componentwise_leq(self) -> np.ndarray:
+        """(|Omega|, |Omega|) bool matrix: entry (a, b) is true iff every
+        order statistic of sample a is at most the one of sample b."""
+        leq = np.ones((len(self), len(self)), dtype=bool)
+        for col in self.idx.T:
+            leq &= col[:, None] <= col[None, :]
+        return leq
+
+
 class Preorder:
-    """Base comparator. Subclasses implement ``_cmp`` on index tuples."""
+    """Base preorder. Subclasses implement ``rank``; ``compare`` and
+    ``leq`` derive from it."""
 
     name = "preorder"
 
+    def rank(self, idx: np.ndarray) -> np.ndarray:
+        """int64 rank of each row of an (R, n) index matrix. Rows of equal
+        rank are equivalent and lower rank is below; ranks are comparable
+        only within one call."""
+        raise NotImplementedError
+
     def compare(self, x: Sample, y: Sample) -> int:
         check_compatible(x, y)
-        return self._cmp(x, y)
-
-    def _cmp(self, x: Sample, y: Sample) -> int:
-        raise NotImplementedError
+        a, b = self.rank(np.array([x.idx, y.idx], dtype=np.int64)).tolist()
+        return (a > b) - (a < b)
 
     def leq(self, x: Sample, y: Sample) -> bool:
         """x is below-or-equivalent-to y."""
@@ -45,10 +158,8 @@ class LexiLow(Preorder):
 
     name = "lexi-low"
 
-    def _cmp(self, x, y):
-        if x.idx == y.idx:
-            return EQUIVALENT
-        return LESS if x.idx < y.idx else GREATER
+    def rank(self, idx):
+        return _lex_rank(idx)
 
 
 class LexiHigh(Preorder):
@@ -56,10 +167,8 @@ class LexiHigh(Preorder):
 
     name = "lexi-high"
 
-    def _cmp(self, x, y):
-        if x.idx == y.idx:
-            return EQUIVALENT
-        return LESS if x.idx[::-1] < y.idx[::-1] else GREATER
+    def rank(self, idx):
+        return _lex_rank(idx[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -76,13 +185,10 @@ class Quantile(Preorder):
     def name(self):
         return f"quantile:{self.i}"
 
-    def _cmp(self, x, y):
-        if not 1 <= self.i <= x.n:
-            raise ValueError(f"quantile index {self.i} outside [1, {x.n}]")
-        a, b = x.order_stat(self.i), y.order_stat(self.i)
-        if a == b:
-            return EQUIVALENT
-        return LESS if a < b else GREATER
+    def rank(self, idx):
+        if not 1 <= self.i <= idx.shape[1]:
+            raise ValueError(f"quantile index {self.i} outside [1, {idx.shape[1]}]")
+        return idx[:, self.i - 1].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -99,36 +205,35 @@ class Pointwise(Preorder):
     def name(self):
         return "pointwise"
 
-    def _cmp(self, x, y):
-        xt = x.idx == self.top.idx
-        yt = y.idx == self.top.idx
-        if xt == yt:
-            return EQUIVALENT
-        return GREATER if xt else LESS
+    def rank(self, idx):
+        if idx.shape[1] != self.top.n:
+            return np.zeros(idx.shape[0], dtype=np.int64)
+        return (idx == np.asarray(self.top.idx)).all(axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class CustomTable(Preorder):
-    """Comparator backed by an explicit rank table.
+    """Preorder backed by an explicit rank table.
 
     Samples with equal rank are equivalent; lower rank means earlier in
-    the order. Every sample compared must appear in the table.
+    the order. Every sample ranked must appear in the table.
     """
 
     ranks: dict[Sample, int] = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_idx", {s.idx: r for s, r in self.ranks.items()})
 
     @property
     def name(self):
         return "custom-table"
 
-    def _cmp(self, x, y):
+    def rank(self, idx):
         try:
-            a, b = self.ranks[x], self.ranks[y]
+            return np.array([self._by_idx[row] for row in map(tuple, idx.tolist())],
+                            dtype=np.int64).reshape(idx.shape[0])
         except KeyError as exc:
-            raise ValueError(f"sample {exc.args[0].idx} missing from rank table") from None
-        if a == b:
-            return EQUIVALENT
-        return LESS if a < b else GREATER
+            raise ValueError(f"sample {exc.args[0]} missing from rank table") from None
 
     @classmethod
     def from_ranking(cls, ordered: list[Sample]) -> "CustomTable":
@@ -136,7 +241,7 @@ class CustomTable(Preorder):
         return cls({s: r for r, s in enumerate(ordered)})
 
 
-def enumerate_omega(grid: SupportGrid, n: int, max_size: int = 10**6) -> list[Sample]:
+def enumerate_omega(grid: SupportGrid, n: int, max_size: int = 10**6) -> Omega:
     """All size-n multisets of grid indices, in lexicographic order.
 
     The count is exactly C(m + n - 1, n); anything above ``max_size``
@@ -149,78 +254,104 @@ def enumerate_omega(grid: SupportGrid, n: int, max_size: int = 10**6) -> list[Sa
         raise EnumerationGuardError(
             f"sample space has {total} elements, above the guard of {max_size}"
         )
-    return [
+    return Omega(grid, n, (
         Sample(grid, idx)
         for idx in itertools.combinations_with_replacement(range(grid.m), n)
-    ]
+    ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpperSet:
-    """All samples ranked at or above a base sample under a preorder."""
+    """All samples of omega ranked at or above a base sample under a
+    preorder, held as a bool mask over omega's rows."""
 
     base: Sample
     order: Preorder
-    members: tuple[Sample, ...]
+    omega: Omega
+    mask: np.ndarray
+
+    def __post_init__(self):
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != (len(self.omega),):
+            raise ValueError(f"mask must have one entry per sample, got shape {mask.shape}")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def members(self) -> tuple[Sample, ...]:
+        """The member samples in lexicographic order."""
+        return tuple(self.omega[r] for r in np.flatnonzero(self.mask))
 
     def __contains__(self, y: Sample) -> bool:
-        return any(y.idx == s.idx for s in self.members)
+        try:
+            return bool(self.mask[self.omega.position(y)])
+        except ValueError:
+            return False
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(self.mask.sum())
 
     def member_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(s.idx for s in self.members)
 
 
-def upper_set(x: Sample, order: Preorder, omega: list[Sample]) -> UpperSet:
-    """Filter omega down to {y : x is below-or-equivalent-to y}."""
-    if not any(s.idx == x.idx for s in omega):
-        raise ValueError("omega does not contain the base sample")
-    members = tuple(sorted((y for y in omega if order.leq(x, y)), key=lambda s: s.idx))
-    return UpperSet(x, order, members)
+def upper_set(x: Sample, order: Preorder, omega: Omega) -> UpperSet:
+    """{y in omega : x is below-or-equivalent-to y}, as the mask
+    ``rank >= rank[x]``."""
+    rank = order.rank(omega.idx)
+    return UpperSet(x, order, omega, rank >= rank[omega.position(x)])
 
 
-def is_monotone(order: Preorder, omega: list[Sample]) -> bool:
+def is_monotone(order: Preorder, omega: Omega) -> bool:
     """Check x <= y componentwise implies x below-or-equivalent-to y."""
-    for x, y in itertools.permutations(omega, 2):
-        if leq_componentwise(x, y) and not order.leq(x, y):
-            return False
-    return True
+    rank = order.rank(omega.idx)
+    return bool((~omega.componentwise_leq() | (rank[:, None] <= rank[None, :])).all())
 
 
-def agrees(total: Preorder, pre: Preorder, omega: list[Sample]) -> bool:
-    """Check a total order respects every strict comparison of a preorder."""
-    for x, y in itertools.combinations(omega, 2):
-        if total.compare(x, y) == EQUIVALENT:
-            raise ValueError("first argument is not a total order on omega")
-    for x, y in itertools.permutations(omega, 2):
-        if pre.compare(x, y) == LESS and total.compare(x, y) != LESS:
-            return False
-    return True
+def monotone_linear_extensions(omega: Omega, max_extensions: int = 1000) -> list[CustomTable]:
+    """All total orders on omega that extend the componentwise order, as
+    rank tables, in lexicographic order of their rankings.
 
-
-def monotone_linear_extensions(omega: list[Sample], max_elements: int = 8) -> list[CustomTable]:
-    """All total orders on omega that extend the componentwise order.
-
-    Brute force over permutations, so omega is capped at ``max_elements``.
+    Minimal-element recursion (Knuth & Szwarcfiter, IPL 1974): each
+    position takes, in ascending row order, every unplaced sample with no
+    unplaced sample strictly below it, and the rest is extended
+    recursively. The work grows with the number of extensions, so that is
+    what the guard counts: passing ``max_extensions`` raises
+    EnumerationGuardError.
     """
-    if len(omega) > max_elements:
-        raise EnumerationGuardError(
-            f"{len(omega)} samples means {len(omega)}! permutations; guard is {max_elements}"
-        )
-    strict_pairs = [
-        (i, j)
-        for i, x in enumerate(omega)
-        for j, y in enumerate(omega)
-        if i != j and lt_componentwise(x, y)
-    ]
-    extensions = []
-    for perm in itertools.permutations(range(len(omega))):
-        pos = {elem: where for where, elem in enumerate(perm)}
-        if all(pos[i] < pos[j] for i, j in strict_pairs):
-            extensions.append(CustomTable.from_ranking([omega[e] for e in perm]))
-    return extensions
+    size = len(omega)
+    strict = omega.componentwise_leq()
+    np.fill_diagonal(strict, False)  # samples are distinct, so this leaves <
+    above = [np.flatnonzero(row).tolist() for row in strict]
+    waiting = strict.sum(axis=0).tolist()  # unplaced samples strictly below each
+    free = [True] * size
+    prefix: list[int] = []
+    extensions: list[CustomTable] = []
+    start = 0  # first row to try at the current depth
+    while True:
+        e = next((e for e in range(start, size) if free[e] and not waiting[e]), None)
+        if e is not None:
+            free[e] = False
+            for a in above[e]:
+                waiting[a] -= 1
+            prefix.append(e)
+            start = 0
+            if len(prefix) < size:
+                continue
+            if len(extensions) == max_extensions:
+                raise EnumerationGuardError(
+                    f"more than {max_extensions} monotone linear extensions on "
+                    f"{size} samples; guard is {max_extensions}"
+                )
+            extensions.append(CustomTable.from_ranking([omega[r] for r in prefix]))
+        if not prefix:
+            return extensions
+        # undo the last placement and try the next row at its depth
+        e = prefix.pop()
+        free[e] = True
+        for a in above[e]:
+            waiting[a] += 1
+        start = e + 1
 
 
 def order_from_string(text: str, *, pointwise_base: Sample | None = None) -> Preorder:

@@ -157,6 +157,15 @@ class TestVerify:
         assert [r["theorem"] for r in reports] == ["agreement[lexi-low]", "agreement[quantile:2]"]
         assert all(r["passed"] and r["instances_checked"] == 20 for r in reports)
 
+    @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
+    def test_all_with_twelve_extensions(self, capsys, m, n):
+        code, reports = _run_json(capsys, "verify", "all", "--m", str(m), "--n", str(n),
+                                  "--trials", "20")
+        assert code == 0
+        assert all(r["passed"] for r in reports)
+        # 12 extensions, each checked at the m homogeneous samples and more
+        assert reports[0]["theorem"] == "sandwich" and reports[0]["instances_checked"] > 24 * m
+
     def test_csv_format(self, capsys):
         code, out = _run(capsys, "verify", "sandwich", "--m", "2", "--n", "2",
                          "--alpha", "0.25", "--format", "csv")

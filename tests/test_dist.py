@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from orderbound import (
     Distribution,
+    LexiHigh,
     LexiLow,
     Quantile,
     Sample,
@@ -114,7 +115,33 @@ class TestSampleProb:
         assert abs(total - 1.0) < 1e-9
 
 
+def _reference_sample_prob(F, x):
+    # per-sample multinomial: Python ** per distinct index in ascending
+    # order, then times the exact integer coefficient
+    coef, prob = math.factorial(x.n), 1.0
+    for j in sorted(set(x.idx)):
+        c = x.idx.count(j)
+        coef //= math.factorial(c)
+        prob *= float(F.mass[j]) ** c
+    return coef * prob
+
+
 class TestProbUpperSet:
+    @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (5, 2), (5, 4)])
+    def test_bit_identical_to_per_sample_reference(self, m, n):
+        grid = SupportGrid(0, 1, m)
+        omega = enumerate_omega(grid, n)
+        rng = np.random.default_rng(m * 10 + n)
+        for F in [Distribution(grid, rng.dirichlet(np.ones(m))) for _ in range(5)]:
+            for x in omega:
+                assert sample_prob(F, x).hex() == _reference_sample_prob(F, x).hex()
+                for order in (LexiLow(), LexiHigh(), Quantile(n)):
+                    u = upper_set(x, order, omega)
+                    want = 0.0
+                    for y in u.members:
+                        want += _reference_sample_prob(F, y)
+                    assert prob_upper_set(F, u).hex() == want.hex()
+
     def test_full_omega_is_one(self, unit3):
         omega = enumerate_omega(unit3, 2)
         F = _dist(unit3, 0.2, 0.3, 0.5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from orderbound import (
     enumerate_omega,
 )
 from orderbound import harness
-from orderbound.dist import point_mass, uniform
+from orderbound.dist import point_mass, sample_prob, uniform
 from orderbound.harness import (
     OracleCache,
     agreement_campaign,
@@ -54,6 +55,28 @@ class TestExactCoverage:
         bound = make_oracle_bound(LexiLow(), 0.25, OracleCache(CFG))
         report = exact_coverage(uniform(unit2), bound, 2, 0.25)
         assert report.coverage == pytest.approx(1.0, abs=1e-12)
+
+    def test_never_above_one_over_simplex_sweep(self):
+        # a bound at s_min covers every sample, so coverage is the whole pmf
+        # summed; among these, the uniform m=5, n=3 case once read
+        # 1.0000000000000007 (as in `coverage --exact --m 5 --n 3
+        # --order lexi-high`, which covers every sample too)
+        for m in (2, 3, 4, 5):
+            grid = SupportGrid(0.0, 1.0, m)
+            weights = [w for w in itertools.product(range(3), repeat=m) if sum(w)]
+            for w in weights + [(1,) * m]:
+                F = Distribution(grid, np.asarray(w) / sum(w))
+                for n in (1, 2, 3, 4):
+                    cov = exact_coverage(F, lambda x: grid.s_min, n, 0.05).coverage
+                    assert 0.0 <= cov <= 1.0, (m, w, n, cov)
+
+    def test_covered_pmf_summed_exactly(self, unit3):
+        # covered iff the sample mean is at most 0.5: a left-to-right sum
+        # of these pmf terms reads 0.6666666666666667
+        F = uniform(unit3)
+        report = exact_coverage(F, lambda x: sum(x.values) / x.n, 2, 0.1)
+        covered = [sample_prob(F, x) for x in enumerate_omega(unit3, 2) if sum(x.values) <= 1.0]
+        assert report.coverage == math.fsum(covered) == 0.6666666666666666
 
     def test_partial_coverage_case(self, unit2):
         # mean 0.2 sits below the bound at (1,1), which has probability 0.04
@@ -98,6 +121,21 @@ class TestSandwich:
         assert report.passed
         assert report.instances_checked >= 3
 
+    @pytest.mark.parametrize("m,n,want", [(2, 2, 7), (3, 2, 26), (2, 3, 8)])
+    def test_instances_counted(self, m, n, want):
+        # per extension: m inclusions, the samples between consecutive
+        # homogeneous samples, m extremality checks
+        report = verify_sandwich(SupportGrid(0, 1, m), n, 0.25, CFG)
+        assert report.passed and report.instances_checked == want
+
+    @pytest.mark.parametrize("patched,source", [(LexiHigh, LexiLow), (LexiLow, LexiHigh)])
+    def test_inclusion_check_detects_a_wrong_extreme(self, unit3, monkeypatch, patched, source):
+        # with one lexicographic order ranking like the other, an extension's
+        # upper sets escape the wrong extreme
+        monkeypatch.setattr(patched, "rank", source.rank)
+        report = verify_sandwich(unit3, 2, 0.25, CFG)
+        assert "upper-set inclusion broken at S_1" in report.failures
+
     def test_non_monotone_order_is_filtered(self, unit2):
         omega = enumerate_omega(unit2, 2)
         corrupted = CustomTable.from_ranking([omega[2], omega[1], omega[0]])
@@ -131,6 +169,18 @@ class TestConsistency:
         report = verify_consistency(LexiLow(), table)
         assert not report.passed
 
+    def test_failures_in_pair_order(self, unit2):
+        omega = enumerate_omega(unit2, 2)
+        table = dict(zip(omega, (0.5, 0.2, 0.1)))
+        report = verify_consistency(Quantile(1), table)
+        assert report.instances_checked == 9
+        assert report.failures == [
+            "(0, 0) ~ (0, 1) but B differs 0.500000 vs 0.200000",
+            "(0, 0) < (1, 1) but B rises 0.500000 -> 0.100000",
+            "(0, 1) ~ (0, 0) but B differs 0.200000 vs 0.500000",
+            "(0, 1) < (1, 1) but B rises 0.200000 -> 0.100000",
+        ]
+
     def test_missing_samples_error(self, unit3):
         omega = enumerate_omega(unit3, 2)
         with pytest.raises(ValueError):
@@ -148,6 +198,28 @@ class TestAgreement:
             report = verify_agreement(x, order, trials=25, seed=9)
             assert report.passed
             assert report.instances_checked == 25
+
+    def test_transfer_breaking_agreement_fails(self, unit5, monkeypatch):
+        real = harness.transfer_to_augmented
+
+        def lopsided(G, C, grid):
+            # the real transfer with mass moved between two points of C
+            H = real(G, C, grid).mass.copy()
+            lo, hi = C.indices[0], C.indices[-1]
+            H[hi] += H[lo] / 2
+            H[lo] /= 2
+            return Distribution(grid, H)
+
+        monkeypatch.setattr(harness, "transfer_to_augmented", lopsided)
+        report = verify_agreement(Sample(unit5, (1, 1, 3)), LexiLow(), trials=5, seed=9)
+        assert not report.passed
+        assert report.instances_checked == 5
+        assert any("does not agree" in f for f in report.failures)
+
+    def test_transfer_off_augmented_set_fails(self, unit5, monkeypatch):
+        monkeypatch.setattr(harness, "transfer_to_augmented", lambda G, C, grid: G)
+        report = verify_agreement(Sample(unit5, (1, 1, 3)), Quantile(2), trials=5, seed=9)
+        assert report.failures and all("off the augmented set" in f for f in report.failures)
 
     def test_rejects_unsupported_order(self, unit5):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from orderbound import (
     CustomTable,
     LexiHigh,
     LexiLow,
+    Omega,
     Pointwise,
     Quantile,
     Sample,
@@ -21,7 +23,6 @@ from orderbound.orders import (
     GREATER,
     LESS,
     EnumerationGuardError,
-    agrees,
     is_monotone,
     order_from_string,
 )
@@ -64,6 +65,21 @@ class TestCompare:
         order = CustomTable({Sample(unit2, (0, 0)): 0})
         with pytest.raises(ValueError):
             order.compare(Sample(unit2, (0, 0)), Sample(unit2, (1, 1)))
+
+    def test_quantile_less_implies_lexi_low_less(self, unit2):
+        for x, y in itertools.permutations(enumerate_omega(unit2, 2), 2):
+            if Quantile(1).compare(x, y) == LESS:
+                assert LexiLow().compare(x, y) == LESS
+
+    def test_large_n_without_enumerating(self):
+        grid = SupportGrid(0, 1, 3)
+        x = Sample(grid, (0,) * 999 + (2,))
+        y = Sample(grid, (0,) * 998 + (1, 1))
+        assert LexiLow().compare(x, y) == LESS
+        assert LexiHigh().compare(x, y) == GREATER
+        assert Quantile(1000).compare(x, y) == GREATER
+        assert Quantile(999).compare(x, y) == LESS
+        assert Quantile(1).compare(x, y) == EQUIVALENT
 
 
 def _builtin_orders(n):
@@ -110,6 +126,75 @@ class TestEnumerate:
         with pytest.raises(EnumerationGuardError):
             enumerate_omega(SupportGrid(0, 1, 100), 5)
 
+    def test_arrays(self):
+        omega = _omega(3, 2)
+        assert isinstance(omega, Omega)
+        assert omega.idx.tolist() == [list(s.idx) for s in omega]
+        assert omega.counts.tolist() == [
+            [2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2],
+        ]
+        assert omega.coefs.tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]
+        for arr in (omega.idx, omega.counts, omega.coefs):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("m,n", [(2, 5), (3, 3), (4, 4)])
+    def test_coefs_are_exact_multinomials(self, m, n):
+        for x, coef in zip(_omega(m, n), _omega(m, n).coefs.tolist()):
+            want = math.factorial(n)
+            for j in set(x.idx):
+                want //= math.factorial(x.idx.count(j))
+            assert coef == float(want)
+
+    def test_sequence_behaviour(self):
+        omega = _omega(3, 2)
+        assert len(omega) == 6
+        assert omega[1] == Sample(SupportGrid(0, 1, 3), (0, 1))
+        assert omega[-1].idx == (2, 2)
+        head = omega[:2]
+        assert isinstance(head, Omega)
+        assert [s.idx for s in head] == [(0, 0), (0, 1)]
+        assert head.counts.tolist() == omega.counts[:2].tolist()
+        assert omega[1] in omega and omega[1] not in head[:1]
+        assert omega.position(omega[4]) == 4
+
+    def test_rejects_unordered_samples(self, unit2):
+        with pytest.raises(ValueError, match="lexicographic"):
+            Omega(unit2, 2, [Sample(unit2, (1, 1)), Sample(unit2, (0, 0))])
+        with pytest.raises(ValueError, match="lexicographic"):
+            Omega(unit2, 1, [Sample(unit2, (0,)), Sample(unit2, (0,))])
+
+    def test_coefficient_overflow_is_a_guard_error(self):
+        with pytest.raises(EnumerationGuardError, match="double range"):
+            enumerate_omega(SupportGrid(0, 1, 2), 1100)
+
+
+class TestRank:
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (4, 3)])
+    def test_rank_matches_compare(self, m, n):
+        omega = _omega(m, n)
+        for order in _builtin_orders(n) + [Pointwise(omega[1])]:
+            rank = order.rank(omega.idx)
+            assert rank.dtype == np.int64 and rank.shape == (len(omega),)
+            rank = rank.tolist()
+            for (a, x), (b, y) in itertools.product(enumerate(omega), repeat=2):
+                assert order.compare(x, y) == (rank[a] > rank[b]) - (rank[a] < rank[b])
+
+    def test_lexi_ranks_on_omega(self):
+        omega = _omega(3, 2)
+        assert LexiLow().rank(omega.idx).tolist() == list(range(6))
+        # rows read from the largest statistic: 00, 10, 20, 11, 21, 22
+        assert LexiHigh().rank(omega.idx).tolist() == [0, 1, 3, 2, 4, 5]
+
+    def test_quantile_and_pointwise(self):
+        omega = _omega(3, 2)
+        assert Quantile(2).rank(omega.idx).tolist() == [0, 1, 2, 1, 2, 2]
+        assert Pointwise(omega[3]).rank(omega.idx).tolist() == [0, 0, 0, 1, 0, 0]
+
+    def test_custom_table_lookup(self):
+        omega = _omega(2, 2)
+        order = CustomTable.from_ranking([omega[2], omega[0], omega[1]])
+        assert order.rank(omega.idx).tolist() == [1, 2, 0]
+
 
 class TestUpperSet:
     def test_pointwise_singleton(self, unit2):
@@ -132,6 +217,16 @@ class TestUpperSet:
         omega = enumerate_omega(unit3, 2)
         with pytest.raises(ValueError):
             upper_set(Sample(unit3, (1, 2)), LexiLow(), omega[:2])
+
+    def test_mask_members_and_containment(self, unit3):
+        omega = enumerate_omega(unit3, 2)
+        u = upper_set(omega[2], LexiHigh(), omega)
+        assert u.mask.tolist() == [False, False, True, False, True, True]
+        assert u.omega is omega and not u.mask.flags.writeable
+        assert [s.idx for s in u.members] == [(0, 2), (1, 2), (2, 2)]
+        assert len(u) == 3
+        assert omega[4] in u and omega[3] not in u
+        assert Sample(SupportGrid(0, 1, 4), (0, 2)) not in u
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_lexi_low_equiv_at_homogeneous(self, m, n):
@@ -174,8 +269,6 @@ def test_sandwich_inclusions(m, n):
     the two lexicographic ones."""
     grid = SupportGrid(0, 1, m)
     omega = enumerate_omega(grid, n)
-    if len(omega) > 8:
-        pytest.skip("extension enumeration guard")
     for T in monotone_linear_extensions(omega):
         for i in range(m):
             si = homogeneous_sample(grid, i, n)
@@ -198,29 +291,6 @@ class TestMonotone:
         assert not is_monotone(CustomTable.from_ranking(ranking), omega)
 
 
-class TestAgrees:
-    def test_lexi_low_agrees_with_first_quantile(self, unit2):
-        omega = enumerate_omega(unit2, 2)
-        assert agrees(LexiLow(), Quantile(1), omega)
-        # brute-force re-check of the definition
-        for x, y in itertools.permutations(omega, 2):
-            if Quantile(1).compare(x, y) == LESS:
-                assert LexiLow().compare(x, y) == LESS
-
-    def test_self_agreement(self, unit3):
-        omega = enumerate_omega(unit3, 2)
-        assert agrees(LexiHigh(), LexiHigh(), omega)
-
-    def test_lexi_high_disagrees_with_pointwise_bottom(self, unit2):
-        omega = enumerate_omega(unit2, 2)
-        assert not agrees(LexiHigh(), Pointwise(Sample(unit2, (0, 0))), omega)
-
-    def test_requires_total_first_argument(self, unit3):
-        omega = enumerate_omega(unit3, 2)
-        with pytest.raises(ValueError):
-            agrees(Quantile(1), LexiLow(), omega)
-
-
 class TestExtensions:
     def test_chain_has_one_extension(self):
         assert len(monotone_linear_extensions(_omega(2, 2))) == 1
@@ -240,8 +310,40 @@ class TestExtensions:
         assert all(is_monotone(T, omega) for T in got)
 
     def test_guard(self):
+        # 41,526 extensions on 20 samples
+        with pytest.raises(EnumerationGuardError, match="1000"):
+            monotone_linear_extensions(_omega(4, 3))
+
+    def test_guard_counts_extensions_not_samples(self):
+        # 301 samples forming one chain have a single extension
+        omega = _omega(2, 300)
+        (only,) = monotone_linear_extensions(omega)
+        assert only.rank(omega.idx).tolist() == list(range(len(omega)))
         with pytest.raises(EnumerationGuardError):
-            monotone_linear_extensions(_omega(3, 3))
+            monotone_linear_extensions(_omega(4, 2), max_extensions=11)
+        assert len(monotone_linear_extensions(_omega(4, 2), max_extensions=12)) == 12
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 9) for n in range(1, 8)
+                                     if math.comb(m + n - 1, n) <= 8])
+    def test_recursion_equals_permutation_filter(self, m, n):
+        omega = _omega(m, n)
+        strict = [(i, j) for i, x in enumerate(omega) for j, y in enumerate(omega)
+                  if i != j and leq_componentwise(x, y)]
+        want = []
+        for perm in itertools.permutations(range(len(omega))):
+            pos = {elem: where for where, elem in enumerate(perm)}
+            if all(pos[i] < pos[j] for i, j in strict):
+                want.append([omega[e].idx for e in perm])
+        got = [[s.idx for s in sorted(T.ranks, key=T.ranks.get)]
+               for T in monotone_linear_extensions(omega)]
+        assert got == want
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
+    def test_twelve_extensions(self, m, n):
+        omega = _omega(m, n)
+        got = monotone_linear_extensions(omega)
+        assert len(got) == 12
+        assert all(is_monotone(T, omega) for T in got)
 
 
 def test_order_from_string(unit2):
