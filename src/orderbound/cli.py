@@ -173,15 +173,15 @@ def _cmd_coverage(args) -> dict:
 
 def _cmd_verify(args):
     grid = _grid(args)
-    cfg = OracleConfig(resolution=args.resolution)
+    cache = OracleCache(OracleConfig(resolution=args.resolution))
     if args.campaign == "sandwich":
-        reports = [harness.verify_sandwich(grid, args.n, args.alpha, cfg)]
+        reports = [harness.verify_sandwich(grid, args.n, args.alpha, cache)]
     elif args.campaign == "consistency":
-        reports = harness.consistency_campaign(grid, args.n, args.alpha, cfg)
+        reports = harness.consistency_campaign(grid, args.n, args.alpha, cache)
     elif args.campaign == "agreement":
         reports = harness.agreement_campaign(grid, args.trials, args.seed)
     else:
-        reports = harness.run_all(grid, args.n, args.alpha, cfg,
+        reports = harness.run_all(grid, args.n, args.alpha, cache,
                                   trials=args.trials, seed=args.seed)
     return [r.to_dict() for r in reports]
 

@@ -21,6 +21,26 @@ PMF_CDF_TOL = 1e-12
 ZERO_MASS_TOL = 1e-15
 
 
+def _checked_masses(mass, m: int, ndim: int = 1) -> np.ndarray:
+    """A float copy of ``mass``, one mass vector (ndim 1) or one per row
+    (ndim 2), after the checks every mass vector gets: length m, finite
+    and non-negative entries, and each summing to 1 within MASS_SUM_TOL."""
+    arr = np.array(mass, dtype=float)
+    if arr.ndim != ndim or arr.shape[-1] != m:
+        raise ValueError(f"mass vector must have length m={m}")
+    if not np.isfinite(arr).all():
+        raise ValueError("mass vector has non-finite entries")
+    if np.any(arr < 0):
+        raise ValueError("mass vector has negative entries")
+    sums = arr.sum(axis=-1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > MASS_SUM_TOL)
+    if off.size:
+        raise ValueError(
+            f"mass must sum to 1 within {MASS_SUM_TOL}, got {sums.flat[off[0]]!r}"
+        )
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability mass vector over the grid points."""
@@ -29,16 +49,7 @@ class Distribution:
     mass: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.mass, dtype=float)
-        if arr.shape != (self.grid.m,):
-            raise ValueError(f"mass vector must have length m={self.grid.m}")
-        if not np.isfinite(arr).all():
-            raise ValueError("mass vector has non-finite entries")
-        if np.any(arr < 0):
-            raise ValueError("mass vector has negative entries")
-        if abs(float(arr.sum()) - 1.0) > MASS_SUM_TOL:
-            raise ValueError(f"mass must sum to 1 within {MASS_SUM_TOL}, got {arr.sum()!r}")
-        arr = arr.copy()
+        arr = _checked_masses(self.mass, self.grid.m)
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
 
@@ -198,17 +209,18 @@ def transfer_to_augmented(F: Distribution, C: SupportSet, grid: SupportGrid) -> 
     return Distribution(grid, out)
 
 
-def mean_lipschitz_check(u: Distribution, v: Distribution) -> bool:
-    """Mean difference bounded by sqrt(m) * max|S_i| * l2 mass distance.
+def mean_lipschitz_check(grid: SupportGrid, a, b) -> np.ndarray:
+    """For each row pair of two (P, m) mass arrays on the grid: the mean
+    difference is bounded by sqrt(m) * max|S_i| * l2 mass distance.
 
-    The constant uses max|S_i| rather than S_max so the inequality also
-    holds on grids with negative support values.
+    Every row gets a Distribution's mass checks. The constant uses
+    max|S_i| rather than S_max so the inequality also holds on grids with
+    negative support values. Returns one bool per row.
     """
-    if u.grid != v.grid:
-        raise ValueError("distributions live on different grids")
-    pts = np.asarray(u.grid.points)
-    lhs = abs(mean(u) - mean(v))
-    rhs = math.sqrt(u.grid.m) * float(np.max(np.abs(pts))) * float(
-        np.linalg.norm(u.mass - v.mass)
-    )
+    a, b = _checked_masses(a, grid.m, ndim=2), _checked_masses(b, grid.m, ndim=2)
+    if a.shape != b.shape:
+        raise ValueError(f"need equally many mass vectors, got {a.shape[0]} and {b.shape[0]}")
+    pts = np.asarray(grid.points)
+    lhs = np.abs(a @ pts - b @ pts)
+    rhs = math.sqrt(grid.m) * float(np.max(np.abs(pts))) * np.linalg.norm(a - b, axis=1)
     return lhs <= rhs + 1e-12

@@ -28,11 +28,10 @@ from .dist import (
     restrict_to,
     transfer_to_augmented,
 )
-from .oracle import OracleConfig, pessimal_bound_oracle, refined_support
+from .oracle import OracleConfig, pessimal_bound_oracle, refined_support, relevant_values
 from .orders import (
     LexiLow,
     LexiHigh,
-    Omega,
     Preorder,
     Quantile,
     enumerate_omega,
@@ -113,38 +112,23 @@ class OracleCache:
     """Memoizes oracle values by everything they depend on: grid, n,
     alpha, search support, and the upper set itself (its mask bytes over
     the sample space of grid and n). Distinct samples sharing an upper set
-    (e.g. under a quantile preorder) hit one entry."""
+    (e.g. under a quantile preorder) hit one entry. Its config is the one
+    every search through it runs with; the sample space comes from
+    ``enumerate_omega``, the same object the oracle reads."""
 
     def __init__(self, cfg: OracleConfig | None = None):
         self.cfg = cfg or OracleConfig()
-        self._omega: dict[tuple, Omega] = {}
         self._values: dict[tuple, float] = {}
-
-    def omega(self, grid: SupportGrid, n: int) -> Omega:
-        key = (grid, n)
-        if key not in self._omega:
-            self._omega[key] = enumerate_omega(grid, n)
-        return self._omega[key]
 
     def value(self, x: Sample, order: Preorder, alpha: float,
               support: SupportSet | None = None) -> float:
         sup = support or self.cfg.support_override or refined_support(x, order)
-        mask = upper_set(x, order, self.omega(x.grid, x.n)).mask
+        mask = upper_set(x, order, enumerate_omega(x.grid, x.n)).mask
         key = (x.grid, x.n, alpha, sup.indices, mask.tobytes(), self.cfg.resolution)
         if key not in self._values:
             cfg = replace(self.cfg, support_override=sup)
             self._values[key] = pessimal_bound_oracle(x, order, alpha, cfg).value
         return self._values[key]
-
-
-def _campaign_cache(cfg: OracleConfig | None, cache: OracleCache | None) -> OracleCache:
-    """The cache a campaign runs on: ``cache`` when given (its config
-    governs; a different ``cfg`` is an error), else a fresh one."""
-    if cache is None:
-        return OracleCache(cfg)
-    if cfg is not None and cfg != cache.cfg:
-        raise ValueError("cfg conflicts with cache.cfg; pass one or the other")
-    return cache
 
 
 def value_tolerance(grid: SupportGrid, cfg: OracleConfig) -> float:
@@ -199,9 +183,8 @@ def make_oracle_bound(order: Preorder, alpha: float,
 
 
 def verify_sandwich(grid: SupportGrid, n: int, alpha: float,
-                    cfg: OracleConfig | None = None,
-                    orders: list[Preorder] | None = None, *,
-                    cache: OracleCache | None = None) -> VerifyReport:
+                    cache: OracleCache | None = None,
+                    orders: list[Preorder] | None = None) -> VerifyReport:
     """Extremality of the lexicographic orders among monotone orders.
 
     For every monotone total order T and homogeneous sample: the
@@ -210,11 +193,11 @@ def verify_sandwich(grid: SupportGrid, n: int, alpha: float,
     for every x sitting between consecutive homogeneous samples under T
     the bound values form the matching chain (checked with slack twice
     the value tolerance). Non-monotone orders passed in are filtered out,
-    not asserted on. Oracle values come from ``cache`` when given, whose
-    config then governs.
+    not asserted on. Oracle values come from ``cache`` (a fresh default
+    one when omitted), whose config sets the search and the tolerance.
     """
-    cache = _campaign_cache(cfg, cache)
-    omega = cache.omega(grid, n)
+    cache = cache or OracleCache()
+    omega = enumerate_omega(grid, n)
     if orders is None:
         orders = monotone_linear_extensions(omega)
     orders = [T for T in orders if is_monotone(T, omega)]
@@ -284,12 +267,11 @@ def verify_consistency(order: Preorder, bound_values: dict[Sample, float],
 
 
 def consistency_campaign(grid: SupportGrid, n: int, alpha: float,
-                         cfg: OracleConfig | None = None, *,
                          cache: OracleCache | None = None) -> list[VerifyReport]:
     """Oracle-value consistency for the built-in preorders, with values
-    from ``cache`` when given."""
-    cache = _campaign_cache(cfg, cache)
-    omega = cache.omega(grid, n)
+    from ``cache`` (a fresh default one when omitted)."""
+    cache = cache or OracleCache()
+    omega = enumerate_omega(grid, n)
     tol = value_tolerance(grid, cache.cfg)
     orders: list[Preorder] = [LexiLow(), LexiHigh()] + [Quantile(i) for i in range(1, n + 1)]
     reports = []
@@ -299,28 +281,23 @@ def consistency_campaign(grid: SupportGrid, n: int, alpha: float,
     return reports
 
 
-def _agreement_set(x: Sample, order: Preorder) -> SupportSet:
-    if isinstance(order, Quantile):
-        return SupportSet.of([x.order_stat(order.i)])
-    if isinstance(order, LexiLow):
-        return SupportSet.of(x.distinct_indices)
-    raise ValueError(f"no agreement construction for order {order.name}")
-
-
 def verify_agreement(x: Sample, order: Preorder, trials: int, seed: int) -> VerifyReport:
     """Upper-set probabilities are blind to mass arrangements off the
     relevant support values.
 
-    For random G, move sub-threshold mass to the grid minimum and
-    inter-gap mass to successor points. Each trial checks that the
-    transfer H agrees with G pointwise and cumulatively on those values
-    C, that H lives on the augmentation of C, and that the upper-set
-    probability is unchanged to within 1e-12.
+    The relevant values C are ``oracle.relevant_values``, the set the
+    oracle's support refinement rests on. For random G, move
+    sub-threshold mass to the grid minimum and inter-gap mass to successor
+    points. Each trial checks that the transfer H agrees with G pointwise
+    and cumulatively on C, that H lives on the augmentation of C, and that
+    the upper-set probability is unchanged to within 1e-12.
     """
     grid = x.grid
+    C = relevant_values(x, order)
+    if C is None:
+        raise ValueError(f"no agreement construction for order {order.name}")
     omega = enumerate_omega(grid, x.n)
     U = upper_set(x, order, omega)
-    C = _agreement_set(x, order)
     C_aug = augment(C, grid)
     rng = make_rng(seed)
     report = VerifyReport(f"agreement[{order.name}]", 0, tolerance=1e-12)
@@ -355,13 +332,12 @@ def agreement_campaign(grid: SupportGrid, trials: int, seed: int) -> list[Verify
 
 
 def verify_refinement(grid: SupportGrid, n: int, alpha: float,
-                      cfg: OracleConfig | None = None, *,
                       cache: OracleCache | None = None) -> VerifyReport:
     """Support restriction does not change oracle values for quantile and
     low-lexicographic preorders (within twice the value tolerance), with
-    values from ``cache`` when given."""
-    cache = _campaign_cache(cfg, cache)
-    omega = cache.omega(grid, n)
+    values from ``cache`` (a fresh default one when omitted)."""
+    cache = cache or OracleCache()
+    omega = enumerate_omega(grid, n)
     tol = value_tolerance(grid, cache.cfg)
     report = VerifyReport("refinement", 0, tolerance=2 * tol)
     orders: list[Preorder] = [LexiLow()] + [Quantile(i) for i in range(1, n + 1)]
@@ -385,28 +361,26 @@ def verify_lipschitz(ms: tuple[int, ...] = (2, 5, 10), pairs: int = 1000,
         grid = SupportGrid(0.0, 1.0, m)
         # one call draws the same stream as 2 * pairs random_distribution calls
         masses = make_rng(seed + m).dirichlet(np.ones(m), size=2 * pairs)
-        for a, b in zip(masses[0::2], masses[1::2]):
-            u, v = Distribution(grid, a), Distribution(grid, b)
-            report.instances_checked += 1
-            if not mean_lipschitz_check(u, v):
-                report.failures.append(f"violated at m={m}")
+        holds = mean_lipschitz_check(grid, masses[0::2], masses[1::2])
+        report.instances_checked += holds.size
+        report.failures.extend(f"violated at m={m}" for _ in np.flatnonzero(~holds))
     return report
 
 
 def run_all(grid: SupportGrid | None = None, n: int = 2, alpha: float = 0.25,
-            cfg: OracleConfig | None = None, trials: int = 200,
+            cache: OracleCache | None = None, trials: int = 200,
             seed: int = 20260810) -> list[VerifyReport]:
     """The shipped default campaign: sandwich, consistency, agreement,
     refinement, and the mean-Lipschitz sweep.
 
-    The three oracle campaigns share one ``OracleCache``, so each distinct
-    (sample, upper set, support) is searched once per run; every report is
-    the same as with a cache per campaign."""
+    The three oracle campaigns share ``cache`` (a fresh default one when
+    omitted), so each distinct (sample, upper set, support) is searched
+    once per run; every report is the same as with a cache per campaign."""
     grid = grid or SupportGrid(0.0, 1.0, 3)
-    cache = OracleCache(cfg)
-    reports = [verify_sandwich(grid, n, alpha, cache=cache)]
-    reports.extend(consistency_campaign(grid, n, alpha, cache=cache))
+    cache = cache or OracleCache()
+    reports = [verify_sandwich(grid, n, alpha, cache)]
+    reports.extend(consistency_campaign(grid, n, alpha, cache))
     reports.extend(agreement_campaign(grid, trials, seed))
-    reports.append(verify_refinement(grid, n, alpha, cache=cache))
+    reports.append(verify_refinement(grid, n, alpha, cache))
     reports.append(verify_lipschitz(seed=seed))
     return reports

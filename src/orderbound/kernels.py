@@ -7,17 +7,19 @@ composition enumeration and N-scaled scores that the oracle's scans share.
 Enumeration yields blocks of at most ``chunk`` rows (16,384 by default):
 it groups runs of sibling subtrees of the composition tree into one block
 and expands each run level by level with numpy, so no Python loop runs per
-row or per short prefix. A simplex depends only on (N, k), so its blocks
-are enumerated once per process and kept, read-only and in the smallest
-unsigned dtype that holds N, for the next scan of the same simplex. The
-kernel gathers each (atom, exponent) factor column once per block. None of
-this changes a bit of the results: rows come out in the same lexicographic
-order and every probability is the same product of the same factors in
-the same order.
+row or per short prefix. A simplex depends only on (N, k), so the blocks
+of the four most recent simplices are kept, read-only and in the smallest
+unsigned dtype that holds N, for the next scan of the same simplex; the
+oracle's fixed cell budget bounds each one. The kernel gathers each
+(atom, exponent) factor column once per block. None of this changes a
+bit of the results: rows come out in the same lexicographic order and
+every probability is the same product of the same factors in the same
+order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 
@@ -73,37 +75,25 @@ def scaled_scores(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
-# Enumerated simplices, most recently used last. Each holds the blocks of
-# one (N, k, chunk) as read-only arrays, so repeated scans share them.
-_BLOCKS: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
-_BLOCKS_KEPT = 4
-# Larger simplices are streamed block by block and not kept.
-_BLOCKS_MAX_ROWS = 1 << 22
-
-
 def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
     """Yield all compositions of N into k parts as blocks of at most
     ``chunk`` rows, in lexicographic order of the count vectors.
 
     Blocks are read-only, Fortran-order arrays of dtype
     ``np.min_scalar_type(N)`` (uint16 at N = 1000), so ``eval_probs`` reads
-    their columns without a copy. The blocks of the last four (N, k, chunk)
-    keys with at most 2**22 rows are kept, and a repeated call yields the
-    same array objects without enumerating again.
+    their columns without a copy. The blocks of the four most recent
+    (N, k, chunk) keys are kept whatever their size, and a repeated call
+    yields the same array objects without enumerating again; callers keep
+    the simplex small (the oracle scans at most its cell budget).
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    if math.comb(N + k - 1, k - 1) > _BLOCKS_MAX_ROWS:
-        yield from _composition_blocks(N, k, chunk)
-        return
-    key = (N, k, chunk)
-    blocks = _BLOCKS.pop(key, None)
-    if blocks is None:
-        blocks = tuple(_composition_blocks(N, k, chunk))
-    _BLOCKS[key] = blocks
-    if len(_BLOCKS) > _BLOCKS_KEPT:
-        del _BLOCKS[next(iter(_BLOCKS))]
-    yield from blocks
+    yield from _kept_blocks(N, k, chunk)
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_blocks(N: int, k: int, chunk: int) -> tuple[np.ndarray, ...]:
+    return tuple(_composition_blocks(N, k, chunk))
 
 
 def _composition_blocks(N: int, k: int, chunk: int) -> Iterator[np.ndarray]:

@@ -17,6 +17,7 @@ mass vector, so results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,8 +26,26 @@ import numpy as np
 
 from . import kernels
 from .dist import Distribution, SupportSet, augment, full_support, prob_upper_set
-from .orders import LexiLow, Pointwise, Preorder, Quantile, UpperSet, enumerate_omega, upper_set
+from .orders import (
+    EnumerationGuardError,
+    LexiLow,
+    Pointwise,
+    Preorder,
+    Quantile,
+    UpperSet,
+    enumerate_omega,
+    upper_set,
+)
 from .support import Sample
+
+
+#: Most cells one enumerated scan may hold; above it the coarse-to-fine
+#: schedule engages.
+CELL_BUDGET = 600_000
+#: Candidates that survive each coarse-to-fine or refinement stage.
+BEAM_WIDTH = 24
+#: Most rows one refinement neighbourhood may materialize before dedup.
+NEIGHBORHOOD_MAX_ROWS = 1 << 24
 
 
 class InfeasibleError(RuntimeError):
@@ -35,30 +54,23 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search knobs.
+    """Search settings a caller chooses.
 
     resolution is the simplex grid step; refine_passes the number of
-    step-halving polish rounds around the incumbent. cell_budget caps the
-    number of cells enumerated in one pass (above it the coarse-to-fine
-    schedule engages), and beam_width is how many candidates survive each
-    coarse-to-fine stage.
+    step-halving polish rounds around the incumbent; support_override
+    replaces ``refined_support`` as the search support. The scan budget
+    and the beam width are fixed (``CELL_BUDGET``, ``BEAM_WIDTH``).
     """
 
     resolution: float = 1e-3
     refine_passes: int = 3
     support_override: SupportSet | None = None
-    cell_budget: int = 600_000
-    beam_width: int = 24
 
     def __post_init__(self):
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
         if self.refine_passes < 0:
             raise ValueError("refine_passes must be >= 0")
-        if self.cell_budget < 100:
-            raise ValueError("cell_budget unreasonably small")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,22 +83,31 @@ class OracleResult:
     mode: str
 
 
+def relevant_values(x: Sample, order: Preorder) -> SupportSet | None:
+    """Grid indices through whose pmf and cdf alone a distribution sets
+    the probability of x's upper set, or None when no such set is claimed.
+
+    Under a quantile preorder that is the relevant order statistic; under
+    the low-lexicographic order, and for the singleton upper set of the
+    pointwise preorder, it is x's distinct values. Other orders read the
+    whole distribution.
+    """
+    if isinstance(order, Quantile):
+        return SupportSet.of([x.order_stat(order.i)])
+    if isinstance(order, (LexiLow, Pointwise)):
+        return SupportSet.of(x.distinct_indices)
+    return None
+
+
 def refined_support(x: Sample, order: Preorder) -> SupportSet:
     """Support subset that suffices for the oracle under this preorder.
 
-    The upper-set probability under a quantile preorder depends on a
-    distribution only through its pmf and cdf at the relevant order
-    statistic, and under the low-lexicographic order only through pmf and
-    cdf at x's values; in both cases mass can be shifted onto the
-    augmented set without changing the constraint or raising the mean.
-    The same holds for the singleton upper set of the pointwise preorder.
-    No such reduction is claimed for other orders, which keep the full grid.
+    Mass can be shifted onto the augmentation of ``relevant_values``
+    without changing the constraint or raising the mean. Orders without
+    relevant values keep the full grid.
     """
-    if isinstance(order, Quantile):
-        return augment(SupportSet.of([x.order_stat(order.i)]), x.grid)
-    if isinstance(order, (LexiLow, Pointwise)):
-        return augment(SupportSet.of(x.distinct_indices), x.grid)
-    return full_support(x.grid)
+    values = relevant_values(x, order)
+    return full_support(x.grid) if values is None else augment(values, x.grid)
 
 
 def _member_terms(U: UpperSet, atoms: tuple[int, ...]):
@@ -100,16 +121,21 @@ def _member_terms(U: UpperSet, atoms: tuple[int, ...]):
     return U.omega.coefs[U.mask][keep], counts[keep][:, list(atoms)].astype(np.int64)
 
 
-_OFFSETS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _zero_sum_offsets(k: int, radius: int) -> np.ndarray:
-    key = (k, radius)
-    if key not in _OFFSETS_CACHE:
-        grid = itertools.product(range(-radius, radius + 1), repeat=k)
-        offs = np.array([o for o in grid if sum(o) == 0], dtype=np.int64)
-        _OFFSETS_CACHE[key] = offs
-    return _OFFSETS_CACHE[key]
+    grid = itertools.product(range(-radius, radius + 1), repeat=k)
+    offs = np.array([o for o in grid if sum(o) == 0], dtype=np.int64)
+    offs.flags.writeable = False
+    return offs
+
+
+def _count_zero_sum_offsets(k: int, radius: int) -> int:
+    """len(_zero_sum_offsets(k, radius)) without building them: the
+    central coefficient of (1 + x + ... + x**(2r))**k, by inclusion and
+    exclusion over the parts that exceed 2r."""
+    width, total = 2 * radius + 1, radius * k
+    return sum((-1) ** j * math.comb(k, j) * math.comb(total - j * width + k - 1, k - 1)
+               for j in range(total // width + 1))
 
 
 def _neighbor_radius(k: int) -> int:
@@ -180,8 +206,8 @@ class _Reducer:
         return rows[_lex_order(rows, scores)[: self.beam_width]]
 
 
-def _scan_blocks(blocks, table, coefs, expts, values, alpha, beam_width) -> _Reducer:
-    red = _Reducer(alpha, beam_width)
+def _scan_blocks(blocks, table, coefs, expts, values, alpha) -> _Reducer:
+    red = _Reducer(alpha, BEAM_WIDTH)
     for rows in blocks:
         probs = kernels.eval_probs(rows, table, coefs, expts)
         scores = kernels.scaled_scores(rows, values)
@@ -203,11 +229,11 @@ def _neighborhood(centers: np.ndarray, k: int) -> np.ndarray:
     return cands[order[fresh]]
 
 
-def _max_affordable_n(k: int, budget: int) -> int:
+def _max_affordable_n(k: int) -> int:
     n = 1
-    while math.comb(2 * n + k - 1, k - 1) <= budget:
+    while math.comb(2 * n + k - 1, k - 1) <= CELL_BUDGET:
         n *= 2
-    while math.comb(n + 1 + k - 1, k - 1) <= budget:
+    while math.comb(n + 1 + k - 1, k - 1) <= CELL_BUDGET:
         n += 1
     return n
 
@@ -219,17 +245,23 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
     k = values.shape[0]
     max_exp = int(expts.max()) if expts.size else 0
     n_target = max(1, math.ceil(1.0 / cfg.resolution))
-    dense = math.comb(n_target + k - 1, k - 1) <= cfg.cell_budget
-    n0 = n_target if dense else _max_affordable_n(k, cfg.cell_budget)
+    dense = math.comb(n_target + k - 1, k - 1) <= CELL_BUDGET
+    n0 = n_target if dense else _max_affordable_n(k)
     mode = "dense" if dense else "coarse-to-fine"
-
-    table = kernels.pow_table(n0, max_exp)
-    red = _scan_blocks(
-        kernels.iter_composition_blocks(n0, k), table, coefs, expts, values, alpha, cfg.beam_width
-    )
-
     stages = 0 if dense else max(0, math.ceil(math.log2(n_target / n0)))
     stages += cfg.refine_passes
+    if stages:
+        # every stage's centres are the beam plus at most two extra rows
+        rows = _count_zero_sum_offsets(k, _neighbor_radius(k)) * (BEAM_WIDTH + 2)
+        if rows > NEIGHBORHOOD_MAX_ROWS:
+            raise EnumerationGuardError(
+                f"refinement neighbourhoods on k={k} support atoms need up to {rows} rows,"
+                f" above the guard of {NEIGHBORHOOD_MAX_ROWS}"
+            )
+
+    table = kernels.pow_table(n0, max_exp)
+    red = _scan_blocks(kernels.iter_composition_blocks(n0, k), table, coefs, expts, values, alpha)
+
     n_cur = n0
     for _ in range(stages):
         centers = red.beam()
@@ -248,7 +280,7 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
         n_cur *= 2
         cands = _neighborhood(centers * 2, k)
         table = kernels.pow_table(n_cur, max_exp)
-        red = _scan_blocks([cands], table, coefs, expts, values, alpha, cfg.beam_width)
+        red = _scan_blocks([cands], table, coefs, expts, values, alpha)
 
     if red.best_row is None:
         raise InfeasibleError(
@@ -269,7 +301,9 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     forms in the test suite); the witness is the minimizing mass vector.
 
     Raises InfeasibleError when no distribution on the support meets the
-    constraint, which is reported rather than silently clamped.
+    constraint, which is reported rather than silently clamped, and
+    EnumerationGuardError before any scan when a refinement neighbourhood
+    would exceed ``NEIGHBORHOOD_MAX_ROWS`` rows (15 or more support atoms).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")

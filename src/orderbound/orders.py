@@ -10,6 +10,7 @@ comparisons of rank vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .support import Sample, SupportGrid, check_compatible
+from .support import DESK_SCALE_LIMIT, Sample, SupportGrid, check_compatible
 
 LESS = -1
 EQUIVALENT = 0
@@ -241,18 +242,21 @@ class CustomTable(Preorder):
         return cls({s: r for r, s in enumerate(ordered)})
 
 
-def enumerate_omega(grid: SupportGrid, n: int, max_size: int = 10**6) -> Omega:
+@functools.lru_cache(maxsize=4)
+def enumerate_omega(grid: SupportGrid, n: int) -> Omega:
     """All size-n multisets of grid indices, in lexicographic order.
 
-    The count is exactly C(m + n - 1, n); anything above ``max_size``
-    raises rather than grinding away.
+    The count is exactly C(m + n - 1, n); anything above
+    ``support.DESK_SCALE_LIMIT`` raises rather than grinding away. The
+    sample spaces of the four most recent (grid, n) are kept, so every
+    caller asking for the same one reads the same read-only ``Omega``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     total = math.comb(grid.m + n - 1, n)
-    if total > max_size:
+    if total > DESK_SCALE_LIMIT:
         raise EnumerationGuardError(
-            f"sample space has {total} elements, above the guard of {max_size}"
+            f"sample space has {total} elements, above the guard of {DESK_SCALE_LIMIT}"
         )
     return Omega(grid, n, (
         Sample(grid, idx)

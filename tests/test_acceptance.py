@@ -169,7 +169,7 @@ def test_criterion_5_analytic_quantile_family():
 
 def test_criterion_6_sandwich_campaign():
     grid = SupportGrid(0.0, 1.0, 3)
-    report = verify_sandwich(grid, 2, 0.25, CFG)
+    report = verify_sandwich(grid, 2, 0.25, OracleCache(CFG))
     _report(6, "sandwich campaign m=3 n=2", report.failures,
             f"({report.instances_checked} instances, tol {report.tolerance:.1e})")
 
@@ -179,7 +179,7 @@ def test_criterion_7_refinement_soundness():
     count = 0
     for m in (2, 3, 4):
         for n in (1, 2, 3):
-            report = verify_refinement(SupportGrid(0.0, 1.0, m), n, 0.25, CFG)
+            report = verify_refinement(SupportGrid(0.0, 1.0, m), n, 0.25, OracleCache(CFG))
             count += report.instances_checked
             failures += [f"m={m} n={n}: {f}" for f in report.failures]
     _report(7, "refinement soundness", failures, f"({count} instances)")

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,15 @@ class TestOracle:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unbuildable_neighbourhood_fails(self, capsys):
+        # full support of 16 atoms: a refinement stage would materialize
+        # 5,196,627 offsets x 26 centres, so the search refuses up front
+        code = main(["oracle", "--order", "lexi-high", "--m", "16",
+                     "--sample", "0.2,0.4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k=16" in err
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_sample_fails(self, capsys, value):
         code = main(["oracle", "--order", "lexi-low", "--m", "2",
@@ -181,3 +193,25 @@ def test_bound_csv_format(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert float(rows[0]["value"]) == pytest.approx(0.5)
+
+
+def _readme_cli_commands() -> list[str]:
+    """The commands of the sh block under "CLI equivalents" in README.md,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("CLI equivalents:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [cmd for cmd in re.sub(r"\s*\\\n\s*", " ", block).splitlines() if cmd.strip()]
+
+
+def test_readme_cli_commands_are_found():
+    commands = _readme_cli_commands()
+    assert len(commands) == 5
+    assert all(cmd.startswith("orderbound ") for cmd in commands)
+
+
+@pytest.mark.parametrize("cmd", _readme_cli_commands())
+def test_readme_cli_command_runs(capsys, cmd):
+    code = main(shlex.split(cmd)[1:])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)

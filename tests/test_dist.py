@@ -247,20 +247,34 @@ class TestTransfer:
 class TestLipschitz:
     def test_equal_distributions(self, unit3):
         F = uniform(unit3)
-        assert mean_lipschitz_check(F, F)
+        assert mean_lipschitz_check(unit3, F.mass[None], F.mass[None]).tolist() == [True]
 
     def test_endpoint_masses(self, unit2):
-        assert mean_lipschitz_check(point_mass(unit2, 0), point_mass(unit2, 1))
+        u, v = point_mass(unit2, 0), point_mass(unit2, 1)
+        assert mean_lipschitz_check(unit2, u.mass[None], v.mass[None]).tolist() == [True]
 
     def test_negative_support_needs_abs_constant(self):
         # |mean difference| = 4 here; a bound scaled by s_max = 1 alone
         # would give sqrt(2) * 1 * sqrt(2) = 2 and fail.
         grid = SupportGrid(-3.0, 1.0, 2)
-        assert mean_lipschitz_check(point_mass(grid, 0), point_mass(grid, 1))
+        u, v = point_mass(grid, 0), point_mass(grid, 1)
+        assert mean_lipschitz_check(grid, u.mass[None], v.mass[None]).tolist() == [True]
 
     def test_random_pairs(self, unit5):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             u = Distribution(unit5, rng.dirichlet(np.ones(5)))
             v = Distribution(unit5, rng.dirichlet(np.ones(5)))
-            assert mean_lipschitz_check(u, v)
+            assert mean_lipschitz_check(unit5, u.mass[None], v.mass[None]).tolist() == [True]
+
+    def test_every_row_gets_the_distribution_checks(self, unit3):
+        ok = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        assert mean_lipschitz_check(unit3, ok, ok[::-1]).tolist() == [True, True]
+        for bad, match in (([[0.2, 0.3, 0.5], [0.2, 0.3, 0.6]], "sum to 1"),
+                           ([[0.2, 0.3, 0.5], [1.5, -0.5, 0.0]], "negative"),
+                           ([[0.2, 0.3, 0.5], [np.nan, 0.5, 0.5]], "non-finite"),
+                           ([[0.5, 0.5], [0.5, 0.5]], "length"),
+                           ([0.2, 0.3, 0.5], "length"),
+                           ([[0.2, 0.3, 0.5]], "equally many")):
+            with pytest.raises(ValueError, match=match):
+                mean_lipschitz_check(unit3, ok, bad)

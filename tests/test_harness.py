@@ -8,13 +8,15 @@ from orderbound import (
     Distribution,
     LexiLow,
     LexiHigh,
+    Omega,
     OracleConfig,
+    Pointwise,
     Quantile,
     Sample,
     SupportGrid,
     enumerate_omega,
 )
-from orderbound import harness
+from orderbound import harness, oracle
 from orderbound.dist import point_mass, sample_prob, uniform
 from orderbound.harness import (
     OracleCache,
@@ -117,7 +119,7 @@ class TestMcCoverage:
 
 class TestSandwich:
     def test_two_point_grid_passes(self, unit2):
-        report = verify_sandwich(unit2, 2, 0.25, CFG)
+        report = verify_sandwich(unit2, 2, 0.25, OracleCache(CFG))
         assert report.passed
         assert report.instances_checked >= 3
 
@@ -125,7 +127,7 @@ class TestSandwich:
     def test_instances_counted(self, m, n, want):
         # per extension: m inclusions, the samples between consecutive
         # homogeneous samples, m extremality checks
-        report = verify_sandwich(SupportGrid(0, 1, m), n, 0.25, CFG)
+        report = verify_sandwich(SupportGrid(0, 1, m), n, 0.25, OracleCache(CFG))
         assert report.passed and report.instances_checked == want
 
     @pytest.mark.parametrize("patched,source", [(LexiHigh, LexiLow), (LexiLow, LexiHigh)])
@@ -133,13 +135,13 @@ class TestSandwich:
         # with one lexicographic order ranking like the other, an extension's
         # upper sets escape the wrong extreme
         monkeypatch.setattr(patched, "rank", source.rank)
-        report = verify_sandwich(unit3, 2, 0.25, CFG)
+        report = verify_sandwich(unit3, 2, 0.25, OracleCache(CFG))
         assert "upper-set inclusion broken at S_1" in report.failures
 
     def test_non_monotone_order_is_filtered(self, unit2):
         omega = enumerate_omega(unit2, 2)
         corrupted = CustomTable.from_ranking([omega[2], omega[1], omega[0]])
-        report = verify_sandwich(unit2, 2, 0.25, CFG, orders=[corrupted])
+        report = verify_sandwich(unit2, 2, 0.25, OracleCache(CFG), orders=[corrupted])
         assert report.instances_checked == 0
         assert report.passed
 
@@ -147,7 +149,7 @@ class TestSandwich:
 class TestConsistency:
     def test_oracle_values_consistent_for_quantile(self, unit3):
         cache = OracleCache(CFG)
-        omega = cache.omega(unit3, 2)
+        omega = enumerate_omega(unit3, 2)
         table = {x: cache.value(x, Quantile(1), 0.25) for x in omega}
         report = verify_consistency(Quantile(1), table, tolerance=2 * CFG.resolution)
         assert report.passed
@@ -187,7 +189,7 @@ class TestConsistency:
             verify_consistency(LexiLow(), {omega[0]: 0.0})
 
     def test_campaign_all_pass(self, unit3):
-        for report in consistency_campaign(unit3, 2, 0.25, CFG):
+        for report in consistency_campaign(unit3, 2, 0.25, OracleCache(CFG)):
             assert report.passed, report.failures
 
 
@@ -221,13 +223,21 @@ class TestAgreement:
         report = verify_agreement(Sample(unit5, (1, 1, 3)), Quantile(2), trials=5, seed=9)
         assert report.failures and all("off the augmented set" in f for f in report.failures)
 
+    def test_pointwise_reads_the_oracle_support_rule(self, unit5):
+        # the singleton upper set reads pmf values only, the same relevant
+        # values refined_support augments for the pointwise oracle
+        x = Sample(unit5, (1, 1, 3))
+        report = verify_agreement(x, Pointwise(x), trials=25, seed=9)
+        assert report.passed, report.failures
+        assert report.instances_checked == 25
+
     def test_rejects_unsupported_order(self, unit5):
         with pytest.raises(ValueError):
             verify_agreement(Sample(unit5, (1, 1, 3)), LexiHigh(), 5, 1)
 
 
 def test_refinement_small(unit3):
-    report = verify_refinement(unit3, 2, 0.25, CFG)
+    report = verify_refinement(unit3, 2, 0.25, OracleCache(CFG))
     assert report.passed, report.failures
     assert report.instances_checked == 6 * 3  # 6 samples x (lexi-low, q1, q2)
 
@@ -249,20 +259,32 @@ def test_batched_dirichlet_equals_sequential_draws(m):
 
 
 def test_lipschitz_checks_every_pair(monkeypatch):
-    pairs = []
+    calls = []
     real = harness.mean_lipschitz_check
 
-    def spy(u, v):
-        pairs.append((u.mass, v.mass))
-        return real(u, v)
+    def spy(grid, a, b):
+        calls.append((grid, a, b))
+        return real(grid, a, b)
 
     monkeypatch.setattr(harness, "mean_lipschitz_check", spy)
-    report = verify_lipschitz(ms=(3,), pairs=7, seed=2)
-    assert report.passed and report.instances_checked == len(pairs) == 7
-    grid, rng = SupportGrid(0.0, 1.0, 3), make_rng(2 + 3)
-    for u, v in pairs:
-        assert np.array_equal(u, random_distribution(grid, rng).mass)
-        assert np.array_equal(v, random_distribution(grid, rng).mass)
+    report = verify_lipschitz(ms=(3, 4), pairs=7, seed=2)
+    assert report.passed and report.instances_checked == 14
+    assert [(grid.m, a.shape, b.shape) for grid, a, b in calls] == [
+        (3, (7, 3), (7, 3)), (4, (7, 4), (7, 4))
+    ]
+    for grid, a, b in calls:
+        rng = make_rng(2 + grid.m)
+        for u, v in zip(a, b):
+            assert np.array_equal(u, random_distribution(grid, rng).mass)
+            assert np.array_equal(v, random_distribution(grid, rng).mass)
+
+
+def test_lipschitz_reports_each_violating_pair(monkeypatch):
+    monkeypatch.setattr(harness, "mean_lipschitz_check",
+                        lambda grid, a, b: np.arange(len(a)) % 3 != 0)
+    report = verify_lipschitz(ms=(2, 5), pairs=7, seed=2)
+    assert report.instances_checked == 14
+    assert report.failures == ["violated at m=2"] * 3 + ["violated at m=5"] * 3
 
 
 class TestSharedCache:
@@ -278,31 +300,51 @@ class TestSharedCache:
         run_all(SupportGrid(0, 1, 3), 2, 0.25)
         assert len(calls) == 10
 
+    def test_run_all_builds_each_sample_space_once(self, monkeypatch):
+        built = []
+        real = Omega.__init__
+
+        def spy(self, grid, n, samples):
+            built.append((grid.m, n))
+            real(self, grid, n, samples)
+
+        enumerate_omega.cache_clear()
+        monkeypatch.setattr(Omega, "__init__", spy)
+        run_all(SupportGrid(0, 1, 3), 2, 0.25)
+        # the campaigns' m=3, n=2 space and agreement's m=5, n=3 one
+        assert sorted(built) == [(3, 2), (5, 3)]
+
+    def test_cache_miss_and_oracle_read_one_omega(self, unit3, monkeypatch):
+        seen = []
+        real = harness.upper_set
+
+        def spy(x, order, omega):
+            seen.append(omega)
+            return real(x, order, omega)
+
+        monkeypatch.setattr(harness, "upper_set", spy)
+        monkeypatch.setattr(oracle, "upper_set", spy)
+        OracleCache(CFG).value(Sample(unit3, (0, 2)), LexiHigh(), 0.25)
+        assert len(seen) == 2
+        assert seen[0] is seen[1] is enumerate_omega(unit3, 2)
+
     def test_reports_equal_separate_caches(self, unit3):
-        shared = [r.to_dict() for r in run_all(unit3, 2, 0.25, CFG, trials=20, seed=4)]
-        separate = [verify_sandwich(unit3, 2, 0.25, CFG)]
-        separate += consistency_campaign(unit3, 2, 0.25, CFG)
+        shared = [r.to_dict() for r in run_all(unit3, 2, 0.25, OracleCache(CFG), trials=20, seed=4)]
+        separate = [verify_sandwich(unit3, 2, 0.25, OracleCache(CFG))]
+        separate += consistency_campaign(unit3, 2, 0.25, OracleCache(CFG))
         separate += agreement_campaign(unit3, 20, 4)
-        separate.append(verify_refinement(unit3, 2, 0.25, CFG))
+        separate.append(verify_refinement(unit3, 2, 0.25, OracleCache(CFG)))
         separate.append(verify_lipschitz(seed=4))
         assert shared == [r.to_dict() for r in separate]
 
     def test_cache_config_governs(self, unit2):
         cache = OracleCache(OracleConfig(resolution=1e-2))
-        report = verify_refinement(unit2, 2, 0.25, cache=cache)
+        report = verify_refinement(unit2, 2, 0.25, cache)
         assert report.tolerance == 2 * value_tolerance(unit2, cache.cfg)
-        same = verify_refinement(unit2, 2, 0.25, OracleConfig(resolution=1e-2), cache=cache)
-        assert same.to_dict() == report.to_dict()
-
-    @pytest.mark.parametrize("campaign", [verify_sandwich, consistency_campaign, verify_refinement])
-    def test_conflicting_cfg_raises(self, unit2, campaign):
-        cache = OracleCache(CFG)
-        with pytest.raises(ValueError, match="conflicts"):
-            campaign(unit2, 2, 0.25, OracleConfig(resolution=1e-2), cache=cache)
 
 
 def test_reports_serialize(unit2):
-    report = verify_sandwich(unit2, 1, 0.5, CFG)
+    report = verify_sandwich(unit2, 1, 0.5, OracleCache(CFG))
     payload = report.to_dict()
     assert payload["schema_version"] == 1
     assert payload["passed"] is True

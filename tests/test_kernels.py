@@ -128,8 +128,10 @@ class TestCompositionBlocks:
 
 class TestBlockMemo:
     @pytest.fixture(autouse=True)
-    def _empty_memo(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCKS", {})
+    def _empty_memo(self):
+        kernels._kept_blocks.cache_clear()
+        yield
+        kernels._kept_blocks.cache_clear()
 
     def test_second_call_yields_the_same_arrays(self):
         first = list(kernels.iter_composition_blocks(100, 3, chunk=1000))
@@ -148,23 +150,18 @@ class TestBlockMemo:
                 block[0, 0] = 1
 
     def test_keeps_the_four_most_recent_keys(self):
-        for N in range(6):
-            list(kernels.iter_composition_blocks(N, 3))
-        first_kept = list(kernels.iter_composition_blocks(2, 3))  # now most recent
-        list(kernels.iter_composition_blocks(6, 3))
-        assert list(kernels._BLOCKS) == [(4, 3, 1 << 14), (5, 3, 1 << 14),
-                                         (2, 3, 1 << 14), (6, 3, 1 << 14)]
-        again = list(kernels.iter_composition_blocks(2, 3))
-        assert all(a is b for a, b in zip(first_kept, again))
-
-    def test_large_simplex_is_streamed_not_kept(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCKS_MAX_ROWS", 50)
-        first = list(kernels.iter_composition_blocks(10, 3, chunk=7))  # 66 rows
-        second = list(kernels.iter_composition_blocks(10, 3, chunk=7))
-        assert kernels._BLOCKS == {}
-        assert not any(a is b for a, b in zip(first, second))
-        assert np.array_equal(np.concatenate(first), np.concatenate(second))
-        assert np.array_equal(np.concatenate(first), np.array(list(_compositions(10, 3))))
+        first = {N: list(kernels.iter_composition_blocks(N, 3)) for N in range(6)}
+        list(kernels.iter_composition_blocks(2, 3))  # now most recent
+        list(kernels.iter_composition_blocks(6, 3))  # evicts 3, the least recent
+        assert kernels._kept_blocks.cache_info().currsize == 4
+        # kept keys first: looking them up evicts nothing
+        for N in (4, 5, 2):
+            again = list(kernels.iter_composition_blocks(N, 3))
+            assert all(a is b for a, b in zip(first[N], again)), N
+        for N in (3, 0):
+            again = list(kernels.iter_composition_blocks(N, 3))
+            assert not any(a is b for a, b in zip(first[N], again)), N
+            assert np.array_equal(np.concatenate(first[N]), np.concatenate(again))
 
 
 def _compositions(N, k):

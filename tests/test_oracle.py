@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,16 +22,29 @@ from orderbound import (
     refined_support,
 )
 from orderbound import kernels, oracle
-from orderbound.dist import full_support, restrict_to
+from orderbound.dist import augment, full_support, restrict_to
 from orderbound.harness import OracleCache, value_tolerance
-from orderbound.oracle import _neighborhood, _Reducer, _zero_sum_offsets
-from orderbound.orders import CustomTable, enumerate_omega
+from orderbound.oracle import (
+    _count_zero_sum_offsets,
+    _neighborhood,
+    _Reducer,
+    _zero_sum_offsets,
+    relevant_values,
+)
+from orderbound.orders import CustomTable, EnumerationGuardError, enumerate_omega
 
 
 FAST = OracleConfig(resolution=1e-3)
 
 
 class TestRefinedSupport:
+    def test_is_the_augmented_relevant_values(self, unit5):
+        x = Sample(unit5, (1, 1, 3))
+        for order in (LexiLow(), Quantile(2), Quantile(3), Pointwise(x)):
+            assert refined_support(x, order) == augment(relevant_values(x, order), unit5)
+        assert relevant_values(x, LexiHigh()) is None
+        assert refined_support(x, LexiHigh()) == full_support(unit5)
+
     def test_quantile_augments_the_statistic(self, unit3):
         x = make_sample(unit3, [0.5])
         assert refined_support(x, Quantile(1)).indices == (0, 1, 2)
@@ -149,8 +163,11 @@ class TestConfig:
             OracleConfig(resolution=0.0)
         with pytest.raises(ValueError):
             OracleConfig(refine_passes=-1)
-        with pytest.raises(ValueError):
-            OracleConfig(beam_width=0)
+
+    def test_only_caller_settings_are_fields(self):
+        assert [f.name for f in dataclasses.fields(OracleConfig)] == [
+            "resolution", "refine_passes", "support_override"
+        ]
 
     def test_alpha_validation(self, unit2):
         with pytest.raises(ValueError):
@@ -267,6 +284,33 @@ class TestSearchInternals:
         assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
         assert np.array_equal(red.best_row, rows_f[order[0]])
         assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_offset_count_needs_no_offsets(self, radius):
+        for k in range(1, 8):
+            assert _count_zero_sum_offsets(k, radius) == len(_zero_sum_offsets(k, radius))
+        # central trinomial coefficients, the k >= 7 neighbourhoods
+        assert [_count_zero_sum_offsets(k, 1) for k in (14, 15, 16)] == [
+            616_227, 1_787_607, 5_196_627
+        ]
+
+    def test_neighbourhood_guard_fires_before_any_scan(self, monkeypatch):
+        # k=16 atoms, coarse-to-fine: 5,196,627 offsets x 26 centres
+        scans = []
+        monkeypatch.setattr(kernels, "iter_composition_blocks",
+                            lambda *a: scans.append(a) or iter(()))
+        x = make_sample(SupportGrid(0.0, 1.0, 16), [0.2, 0.4])
+        with pytest.raises(EnumerationGuardError, match="k=16"):
+            pessimal_bound_oracle(x, LexiHigh(), 0.05)
+        assert scans == []
+
+    def test_neighbourhood_guard_spares_scans_without_refinement(self):
+        # a coarse dense scan on 15 atoms builds no neighbourhood
+        x = make_sample(SupportGrid(0.0, 1.0, 15), [0.5, 1.0])
+        coarse = OracleConfig(resolution=0.5, refine_passes=0)
+        assert pessimal_bound_oracle(x, LexiHigh(), 0.25, coarse).mode == "dense"
+        with pytest.raises(EnumerationGuardError, match="k=15"):
+            pessimal_bound_oracle(x, LexiHigh(), 0.25, OracleConfig(resolution=0.5))
 
     def test_kept_rows_are_int64_for_narrow_blocks(self):
         rows = np.concatenate(list(kernels.iter_composition_blocks(200, 2)))
