@@ -29,7 +29,7 @@ from .orders import (
     upper_set,
 )
 from .quantile import QuantileBoundResult, binom_cdf, quantile_bound, tail_prob
-from .support import Sample, SupportGrid, grid_point, homogeneous_sample, make_sample
+from .support import Sample, SupportGrid, homogeneous_sample, make_sample
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "augment",
     "binom_cdf",
     "enumerate_omega",
-    "grid_point",
     "homogeneous_sample",
     "lexi_high_homogeneous_bracket",
     "lexi_low_homogeneous",

@@ -135,7 +135,7 @@ def omega_pmf(F: Distribution, omega: Omega) -> np.ndarray:
 
 def sample_prob(F: Distribution, x: Sample) -> float:
     """Probability that n i.i.d. draws from F form the multiset x."""
-    return float(omega_pmf(F, Omega(x.grid, x.n, (x,)))[0])
+    return float(omega_pmf(F, Omega(x.grid, x.n, [x.idx]))[0])
 
 
 def prob_upper_set(F: Distribution, U: UpperSet) -> float:

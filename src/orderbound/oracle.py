@@ -18,7 +18,6 @@ mass vector, so results do not depend on evaluation order.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,8 +122,21 @@ def _member_terms(U: UpperSet, atoms: tuple[int, ...]):
 
 @functools.cache
 def _zero_sum_offsets(k: int, radius: int) -> np.ndarray:
-    grid = itertools.product(range(-radius, radius + 1), repeat=k)
-    offs = np.array([o for o in grid if sum(o) == 0], dtype=np.int64)
+    """Every k-vector with entries in [-radius, radius] summing to zero, in
+    lexicographic order (read-only int64). Rows grow one coordinate at a
+    time, dropping those the coordinates left cannot bring back to zero;
+    each level keeps only the kept rows' (parent row, step) positions."""
+    steps = np.arange(-radius, radius + 1, dtype=np.int64)
+    sums, picks = np.zeros(1, dtype=np.int64), []
+    for left in range(k - 1, -1, -1):
+        sums = (sums[:, None] + steps).ravel()
+        picks.append(np.flatnonzero(np.abs(sums) <= radius * left))
+        sums = sums[picks[-1]]
+    offs = np.empty((sums.size, k), dtype=np.int64)
+    row = np.arange(sums.size)
+    for col in range(k - 1, -1, -1):
+        row, step = np.divmod(picks[col][row], steps.size)
+        offs[:, col] = steps[step]
     offs.flags.writeable = False
     return offs
 

@@ -1,11 +1,12 @@
 """Total orders and preorders on one array-native sample space.
 
 ``enumerate_omega`` returns an :class:`Omega`: the size-n multisets of grid
-indices in lexicographic order, with their index matrix, count matrix and
-multinomial coefficients built once. A preorder is defined by one method,
-``rank``, which maps index rows to integers: equal rank means equivalent,
-lower rank means below. Comparisons, upper sets and monotonicity are array
-comparisons of rank vectors.
+indices in lexicographic order, held only as their index matrix, count
+matrix and multinomial coefficients; a ``Sample`` is built when a row is
+read. A preorder is defined by one method, ``rank``, which maps index rows
+to integers: equal rank means equivalent, lower rank means below.
+Comparisons, upper sets and monotonicity are array comparisons of rank
+vectors.
 """
 
 from __future__ import annotations
@@ -13,17 +14,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .support import DESK_SCALE_LIMIT, Sample, SupportGrid, check_compatible
+from .support import DESK_SCALE_LIMIT, GridError, Sample, SupportGrid, check_compatible
 
 LESS = -1
 EQUIVALENT = 0
 GREATER = 1
+
+
+#: Most entries ``Omega.componentwise_leq`` may allocate (|Omega| <= 16,384).
+COMPONENTWISE_MAX_ENTRIES = 1 << 28
 
 
 class EnumerationGuardError(ValueError):
@@ -79,7 +85,7 @@ def _multinomial_coefs(idx: np.ndarray) -> np.ndarray:
 
 class Omega(Sequence):
     """A lexicographically ordered sequence of distinct size-n samples on
-    one grid, plus three read-only arrays built once:
+    one grid, held as three read-only arrays built once:
 
     - ``idx``: the (|Omega|, n) int64 index matrix, row r is sample r's
       index vector;
@@ -90,30 +96,42 @@ class Omega(Sequence):
 
     This is the only place a sample's counts and coefficient are
     computed. Iteration, ``len``, indexing and ``in`` behave as on a list
-    of the samples; a slice is the Omega of the sliced samples.
+    of the samples: reading row r builds its ``Sample``, and a slice is
+    the Omega of the sliced rows.
     """
 
-    def __init__(self, grid: SupportGrid, n: int, samples: Iterable[Sample]):
-        samples = tuple(samples)
-        if {s.grid for s in samples} - {grid} or {s.n for s in samples} - {n}:
+    def __init__(self, grid: SupportGrid, n: int, idx):
+        idx = np.asarray(idx)
+        if idx.ndim != 2 or idx.shape[1] != n:
             raise ValueError(f"every sample must be a size-{n} sample on {grid}")
-        idx = np.array([s.idx for s in samples], dtype=np.int64).reshape(len(samples), n)
-        if len(samples) and not np.array_equal(_lex_rank(idx), np.arange(len(samples))):
+        if idx.dtype.kind not in "iu":
+            raise GridError("sample indices must be integers")
+        idx = idx.astype(np.int64)
+        bad = np.flatnonzero(((idx < 0) | (idx > grid.m - 1)).any(axis=1))
+        if bad.size:
+            raise GridError(f"sample indices {tuple(idx[bad[0]].tolist())} outside grid range")
+        if (idx[:, 1:] < idx[:, :-1]).any():
+            raise GridError("sample indices must be non-decreasing")
+        if len(idx) and not np.array_equal(_lex_rank(idx), np.arange(len(idx))):
             raise ValueError("samples must be distinct and in lexicographic order")
         counts = _count_matrix(idx, grid.m)
         coefs = _multinomial_coefs(idx)
         for arr in (idx, counts, coefs):
             arr.flags.writeable = False
-        self.grid, self.n, self._samples = grid, n, samples
+        self.grid, self.n = grid, n
         self.idx, self.counts, self.coefs = idx, counts, coefs
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return self.idx.shape[0]
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return Omega(self.grid, self.n, self._samples[key])
-        return self._samples[key]
+            return Omega(self.grid, self.n, self.idx[key])
+        return Sample(self.grid, tuple(self.idx[operator.index(key)].tolist()))
+
+    def __iter__(self):
+        for row in self.idx.tolist():
+            yield Sample(self.grid, tuple(row))
 
     def position(self, x: Sample) -> int:
         """Row of sample x; ValueError if omega does not contain it."""
@@ -125,8 +143,13 @@ class Omega(Sequence):
 
     def componentwise_leq(self) -> np.ndarray:
         """(|Omega|, |Omega|) bool matrix: entry (a, b) is true iff every
-        order statistic of sample a is at most the one of sample b."""
-        leq = np.ones((len(self), len(self)), dtype=bool)
+        order statistic of sample a is at most the one of sample b; above
+        ``COMPONENTWISE_MAX_ENTRIES`` entries, EnumerationGuardError."""
+        size = len(self)
+        if size * size > COMPONENTWISE_MAX_ENTRIES:
+            raise EnumerationGuardError(f"the componentwise order on {size} samples is a {size}"
+                                        f" x {size} matrix, above {COMPONENTWISE_MAX_ENTRIES}")
+        leq = np.ones((size, size), dtype=bool)
         for col in self.idx.T:
             leq &= col[:, None] <= col[None, :]
         return leq
@@ -208,7 +231,7 @@ class Pointwise(Preorder):
 
     def rank(self, idx):
         if idx.shape[1] != self.top.n:
-            return np.zeros(idx.shape[0], dtype=np.int64)
+            raise ValueError(f"rows of size {idx.shape[1]}, top sample of size {self.top.n}")
         return (idx == np.asarray(self.top.idx)).all(axis=1).astype(np.int64)
 
 
@@ -258,10 +281,9 @@ def enumerate_omega(grid: SupportGrid, n: int) -> Omega:
         raise EnumerationGuardError(
             f"sample space has {total} elements, above the guard of {DESK_SCALE_LIMIT}"
         )
-    return Omega(grid, n, (
-        Sample(grid, idx)
-        for idx in itertools.combinations_with_replacement(range(grid.m), n)
-    ))
+    rows = itertools.combinations_with_replacement(range(grid.m), n)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=total * n)
+    return Omega(grid, n, flat.reshape(total, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +318,7 @@ class UpperSet:
         return int(self.mask.sum())
 
     def member_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(s.idx for s in self.members)
+        return frozenset(map(tuple, self.omega.idx[self.mask].tolist()))
 
 
 def upper_set(x: Sample, order: Preorder, omega: Omega) -> UpperSet:

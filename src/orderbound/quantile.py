@@ -185,7 +185,3 @@ def quantile_bound(
         delta=delta,
     )
 
-
-def max_iterations(delta: float) -> int:
-    """Bisection step cap for a threshold delta on the unit interval."""
-    return math.ceil(math.log2(1.0 / delta)) + 1

@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 #: Number of distinct samples above which exhaustive verification is hopeless.
@@ -21,10 +20,6 @@ DESK_SCALE_LIMIT = 10**6
 
 class GridError(ValueError):
     """Invalid grid parameters or a value that does not sit on the grid."""
-
-
-class DeskScaleWarning(UserWarning):
-    """The implied sample space is too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +58,6 @@ class SupportGrid:
         # kept in the instance dict; dataclass equality and hashing read
         # only the fields
         return tuple(self.point(i) for i in range(self.m))
-
-
-def grid_point(grid: SupportGrid, i: int) -> float:
-    """Value of the i-th support point."""
-    return grid.point(i)
 
 
 @dataclass(frozen=True)
@@ -111,16 +101,6 @@ class Sample:
         return self.idx[0] == self.idx[-1]
 
 
-def _warn_desk_scale(grid: SupportGrid, n: int) -> None:
-    if math.comb(grid.m + n - 1, n) > DESK_SCALE_LIMIT:
-        warnings.warn(
-            f"sample space for m={grid.m}, n={n} has more than "
-            f"{DESK_SCALE_LIMIT} multisets; exhaustive checks will not run",
-            DeskScaleWarning,
-            stacklevel=3,
-        )
-
-
 def make_sample(grid: SupportGrid, values: list[float]) -> Sample:
     """Resolve real values to grid indices and return the canonical sample.
 
@@ -140,7 +120,6 @@ def make_sample(grid: SupportGrid, values: list[float]) -> Sample:
         if not math.isclose(v, grid.point(i), rel_tol=1e-9, abs_tol=abs_tol):
             raise GridError(f"value {v} is not on the grid {grid}")
         idx.append(i)
-    _warn_desk_scale(grid, len(idx))
     return Sample(grid, tuple(sorted(idx)))
 
 
@@ -150,7 +129,6 @@ def homogeneous_sample(grid: SupportGrid, i: int, n: int) -> Sample:
         raise GridError(f"index {i} outside [0, {grid.m - 1}]")
     if n < 1:
         raise GridError(f"need n >= 1, got {n}")
-    _warn_desk_scale(grid, n)
     return Sample(grid, (i,) * n)
 
 
@@ -160,17 +138,6 @@ def check_compatible(x: Sample, y: Sample) -> None:
         raise GridError("samples live on different grids")
     if x.n != y.n:
         raise GridError(f"samples have different sizes ({x.n} vs {y.n})")
-
-
-def leq_componentwise(x: Sample, y: Sample) -> bool:
-    """True iff every order statistic of x is at most the one of y."""
-    check_compatible(x, y)
-    return all(a <= b for a, b in zip(x.idx, y.idx))
-
-
-def lt_componentwise(x: Sample, y: Sample) -> bool:
-    """Strict variant: x != y and x <= y componentwise."""
-    return x.idx != y.idx and leq_componentwise(x, y)
 
 
 def parse_sample_values(text: str) -> list[float]:

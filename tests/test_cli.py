@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from orderbound import enumerate_omega
 from orderbound.cli import main
 
 
@@ -163,6 +164,14 @@ class TestVerify:
         reports = json.loads(out)
         assert all(r["passed"] for r in reports)
 
+    def test_sandwich_refuses_a_componentwise_matrix_too_large(self, capsys):
+        # 80,200 samples: the componentwise order would take two 6.4 GB matrices
+        code = main(["verify", "sandwich", "--m", "400", "--n", "2"])
+        enumerate_omega.cache_clear()  # drop the 32 MB count matrix
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "80200 x 80200" in err
+
     def test_agreement_passes(self, capsys):
         code, reports = _run_json(capsys, "verify", "agreement", "--trials", "20")
         assert code == 0
@@ -195,11 +204,34 @@ def test_bound_csv_format(capsys):
     assert float(rows[0]["value"]) == pytest.approx(0.5)
 
 
+def _readme_block(heading: str, fence: str) -> str:
+    """The first code block with this fence after the heading in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return text.split(heading, 1)[1].split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_matches_its_comments():
+    """Every line of the Quick tour whose comment ends in a decimal
+    (optionally followed by "...") evaluates to that decimal when rounded
+    to its digits; the other lines set up the names they use."""
+    scope: dict = {}
+    checked = 0
+    for line in _readme_block("## Quick tour", "python").splitlines():
+        code, _, comment = line.partition("#")
+        shown = re.search(r"(\d+\.(\d+))(\.\.\.)?$", comment.strip())
+        if shown is None:
+            exec(code, scope)
+            continue
+        value = eval(code, scope)
+        assert f"{value:.{len(shown[2])}f}" == shown[1], line
+        checked += 1
+    assert checked == 4
+
+
 def _readme_cli_commands() -> list[str]:
     """The commands of the sh block under "CLI equivalents" in README.md,
     with backslash continuations joined."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = text.split("CLI equivalents:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("CLI equivalents:", "sh")
     return [cmd for cmd in re.sub(r"\s*\\\n\s*", " ", block).splitlines() if cmd.strip()]
 
 

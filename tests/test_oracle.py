@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from orderbound.dist import augment, full_support, restrict_to
 from orderbound.harness import OracleCache, value_tolerance
 from orderbound.oracle import (
     _count_zero_sum_offsets,
+    _neighbor_radius,
     _neighborhood,
     _Reducer,
     _zero_sum_offsets,
@@ -284,6 +286,15 @@ class TestSearchInternals:
         assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
         assert np.array_equal(red.best_row, rows_f[order[0]])
         assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_offsets_equal_the_product_filter(self, k):
+        radius = _neighbor_radius(k)
+        grid = itertools.product(range(-radius, radius + 1), repeat=k)
+        want = np.array([o for o in grid if sum(o) == 0], dtype=np.int64)
+        got = _zero_sum_offsets(k, radius)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_offset_count_needs_no_offsets(self, radius):

@@ -26,7 +26,8 @@ from orderbound.orders import (
     is_monotone,
     order_from_string,
 )
-from orderbound.support import GridError, leq_componentwise
+from orderbound import orders
+from orderbound.support import GridError
 
 from conftest import count_linear_extensions
 
@@ -159,9 +160,43 @@ class TestEnumerate:
 
     def test_rejects_unordered_samples(self, unit2):
         with pytest.raises(ValueError, match="lexicographic"):
-            Omega(unit2, 2, [Sample(unit2, (1, 1)), Sample(unit2, (0, 0))])
+            Omega(unit2, 2, [(1, 1), (0, 0)])
         with pytest.raises(ValueError, match="lexicographic"):
-            Omega(unit2, 1, [Sample(unit2, (0,)), Sample(unit2, (0,))])
+            Omega(unit2, 1, [(0,), (0,)])
+
+    def test_rejects_invalid_index_rows(self, unit3):
+        assert Omega(unit3, 2, [(0, 1), (0, 2)]).idx.tolist() == [[0, 1], [0, 2]]
+        with pytest.raises(GridError, match="outside grid range"):
+            Omega(unit3, 2, [(0, 1), (0, 3)])
+        with pytest.raises(GridError, match="outside grid range"):
+            Omega(unit3, 1, [(-1,)])
+        with pytest.raises(GridError, match="non-decreasing"):
+            Omega(unit3, 2, [(0, 1), (2, 1)])
+        with pytest.raises(ValueError, match="lexicographic"):
+            Omega(unit3, 2, [(0, 1), (0, 1)])
+        with pytest.raises(ValueError, match="size-2 sample"):
+            Omega(unit3, 2, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="size-2 sample"):
+            Omega(unit3, 2, [0, 1])
+        with pytest.raises(GridError, match="integers"):
+            Omega(unit3, 2, [(0.0, 1.0)])
+
+    def test_enumeration_builds_no_samples(self, monkeypatch):
+        built = []
+        check = Sample.__post_init__
+        monkeypatch.setattr(Sample, "__post_init__", lambda s: (built.append(s.idx), check(s))[1])
+        enumerate_omega.cache_clear()
+        omega = enumerate_omega(SupportGrid(0, 1, 20), 4)
+        assert len(omega) == 8855 and built == []
+        assert omega[19].idx == (0, 0, 0, 19) and built == [(0, 0, 0, 19)]
+
+    def test_componentwise_guard_fires_before_allocating(self, monkeypatch):
+        omega = _omega(3, 3)  # 10 samples
+        monkeypatch.setattr(orders, "COMPONENTWISE_MAX_ENTRIES", 99)
+        with pytest.raises(EnumerationGuardError, match="10 x 10"):
+            omega.componentwise_leq()
+        monkeypatch.setattr(orders, "COMPONENTWISE_MAX_ENTRIES", 100)
+        assert omega.componentwise_leq().shape == (10, 10)
 
     def test_coefficient_overflow_is_a_guard_error(self):
         with pytest.raises(EnumerationGuardError, match="double range"):
@@ -189,6 +224,11 @@ class TestRank:
         omega = _omega(3, 2)
         assert Quantile(2).rank(omega.idx).tolist() == [0, 1, 2, 1, 2, 2]
         assert Pointwise(omega[3]).rank(omega.idx).tolist() == [0, 0, 0, 1, 0, 0]
+
+    def test_pointwise_rejects_rows_of_another_size(self):
+        order = Pointwise(_omega(3, 2)[3])
+        with pytest.raises(ValueError, match="size 3"):
+            order.rank(_omega(3, 3).idx)
 
     def test_custom_table_lookup(self):
         omega = _omega(2, 2)
@@ -237,7 +277,7 @@ class TestUpperSet:
         for i in range(m):
             si = homogeneous_sample(grid, i, n)
             got = upper_set(si, LexiLow(), omega).member_set()
-            want = {y.idx for y in omega if leq_componentwise(si, y)}
+            want = {y.idx for y in omega if all(a <= b for a, b in zip(si.idx, y.idx))}
             assert got == want
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2)])
@@ -302,7 +342,7 @@ class TestExtensions:
             (i, j)
             for i, x in enumerate(omega)
             for j, y in enumerate(omega)
-            if i != j and leq_componentwise(x, y) and x.idx != y.idx
+            if i != j and all(a <= b for a, b in zip(x.idx, y.idx))
         }
         want = count_linear_extensions(len(omega), pairs)
         got = monotone_linear_extensions(omega)
@@ -328,7 +368,7 @@ class TestExtensions:
     def test_recursion_equals_permutation_filter(self, m, n):
         omega = _omega(m, n)
         strict = [(i, j) for i, x in enumerate(omega) for j, y in enumerate(omega)
-                  if i != j and leq_componentwise(x, y)]
+                  if i != j and all(a <= b for a, b in zip(x.idx, y.idx))]
         want = []
         for perm in itertools.permutations(range(len(omega))):
             pos = {elem: where for where, elem in enumerate(perm)}

@@ -17,7 +17,7 @@ from orderbound import (
     quantile_bound,
     tail_prob,
 )
-from orderbound.quantile import QuantileBoundResult, max_iterations
+from orderbound.quantile import QuantileBoundResult
 
 from conftest import binom_cdf_by_summation
 
@@ -169,7 +169,7 @@ class TestQuantileBound:
         for eps in (1e-3, 1e-4, 1e-6):
             x = homogeneous_sample(unit5, 4, 3)
             res = quantile_bound(x, 2, 0.25, eps)
-            assert res.iterations <= max_iterations(res.delta)
+            assert res.iterations == 1 - math.frexp(res.delta)[1]
 
     def test_alpha_zero_collapses(self, unit5):
         x = homogeneous_sample(unit5, 3, 2)

@@ -1,30 +1,25 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderbound import SupportGrid, Sample, grid_point, homogeneous_sample, make_sample
-from orderbound.support import (
-    DeskScaleWarning,
-    GridError,
-    leq_componentwise,
-    lt_componentwise,
-    parse_sample_values,
-)
+from orderbound import SupportGrid, Sample, enumerate_omega, homogeneous_sample, make_sample
+from orderbound.support import GridError, parse_sample_values
 
 
 class TestGrid:
     def test_midpoint(self):
-        assert grid_point(SupportGrid(0, 1, 5), 2) == 0.5
+        assert SupportGrid(0, 1, 5).point(2) == 0.5
 
     def test_endpoint(self):
-        assert grid_point(SupportGrid(0, 1, 2), 1) == 1.0
+        assert SupportGrid(0, 1, 2).point(1) == 1.0
 
     def test_negative_grid(self):
         # direct evaluation: -1 + 1 * (3 - (-1)) / 4 = 0
-        assert grid_point(SupportGrid(-1, 3, 5), 1) == 0.0
+        assert SupportGrid(-1, 3, 5).point(1) == 0.0
 
     def test_endpoints_exact_for_awkward_floats(self):
         g = SupportGrid(0.1, 0.3, 7)
@@ -108,47 +103,35 @@ def test_sample_validation(unit3):
         Sample(unit3, (0, 5))
 
 
-def test_desk_scale_warning():
-    grid = SupportGrid(0, 1, 200)
-    with pytest.warns(DeskScaleWarning):
-        homogeneous_sample(grid, 0, 5)
+def _leq(x, y):
+    """x <= y in the componentwise order of their sample space."""
+    omega = enumerate_omega(x.grid, x.n)
+    return bool(omega.componentwise_leq()[omega.position(x), omega.position(y)])
 
 
 class TestComponentwise:
     def test_reflexive(self, unit3):
-        x = Sample(unit3, (0, 2))
-        assert leq_componentwise(x, x)
-        assert not lt_componentwise(x, x)
+        assert _leq(Sample(unit3, (0, 2)), Sample(unit3, (0, 2)))
 
     def test_example(self, unit3):
-        assert leq_componentwise(Sample(unit3, (0, 1)), Sample(unit3, (0, 2)))
+        assert _leq(Sample(unit3, (0, 1)), Sample(unit3, (0, 2)))
 
     def test_incomparable_pair(self, unit3):
         x, y = Sample(unit3, (0, 2)), Sample(unit3, (1, 1))
-        assert not leq_componentwise(x, y)
-        assert not leq_componentwise(y, x)
-
-    def test_mismatch_errors(self, unit2, unit3):
-        with pytest.raises(GridError):
-            leq_componentwise(Sample(unit2, (0,)), Sample(unit3, (0,)))
-        with pytest.raises(GridError):
-            leq_componentwise(Sample(unit3, (0,)), Sample(unit3, (0, 1)))
+        assert not _leq(x, y)
+        assert not _leq(y, x)
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3) for n in (1, 2, 3)])
     def test_partial_order_axioms(self, m, n):
-        grid = SupportGrid(0, 1, m)
-        omega = [
-            Sample(grid, idx)
-            for idx in itertools.combinations_with_replacement(range(m), n)
-        ]
-        for x in omega:
-            assert leq_componentwise(x, x)
-        for x, y in itertools.permutations(omega, 2):
-            if leq_componentwise(x, y) and leq_componentwise(y, x):
-                assert x.idx == y.idx
-        for x, y, z in itertools.product(omega, repeat=3):
-            if leq_componentwise(x, y) and leq_componentwise(y, z):
-                assert leq_componentwise(x, z)
+        omega = enumerate_omega(SupportGrid(0, 1, m), n)
+        leq = omega.componentwise_leq()
+        for (a, x), (b, y) in itertools.product(enumerate(omega), repeat=2):
+            assert leq[a, b] == all(i <= j for i, j in zip(x.idx, y.idx))
+        assert leq.diagonal().all()
+        assert np.array_equal(leq & leq.T, np.eye(len(omega), dtype=bool))
+        # transitive: a <= c whenever some b has a <= b <= c
+        chained = leq.astype(np.int64) @ leq.astype(np.int64) > 0
+        assert not (chained & ~leq).any()
 
 
 def test_parse_sample_values():
