@@ -292,6 +292,8 @@ def verify_agreement(x: Sample, order: Preorder, trials: int, seed: int) -> Veri
     and cumulatively on C, that H lives on the augmentation of C, and that
     the upper-set probability is unchanged to within 1e-12.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     grid = x.grid
     C = relevant_values(x, order)
     if C is None:

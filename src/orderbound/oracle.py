@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,11 +159,10 @@ def _neighbor_radius(k: int) -> int:
     return 1
 
 
-def _lex_order(rows: np.ndarray, scores: np.ndarray | None = None) -> np.ndarray:
-    """Permutation sorting by (score, row) lexicographically, or by row
-    alone without scores."""
+def _lex_order(rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Permutation sorting by (score, row) lexicographically."""
     keys = tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1))
-    return np.lexsort(keys if scores is None else keys + (scores,))
+    return np.lexsort(keys + (scores,))
 
 
 class _Reducer:
@@ -170,6 +170,12 @@ class _Reducer:
     lexicographic order: tracks the feasible minimum (first-wins on exact
     ties, which is the lex-smallest), a beam of runners-up, and the
     highest-probability point for infeasibility rescue.
+
+    The beam holds the best ``beam_width`` feasible rows seen so far in
+    (score, row) order. Once it is full, a row scoring above its last
+    score can never enter it, so a block whose best feasible score lies
+    above that cut is dropped after the minimum and the top probability
+    are read, without a partition or a sort.
 
     Rows may arrive in any integer dtype (enumerated blocks are uint8 or
     uint16); every kept row is int64, so refinement can double it without
@@ -182,40 +188,46 @@ class _Reducer:
         self.best_score = math.inf
         self.top_row: np.ndarray | None = None
         self.top_prob = -math.inf
-        self._pool_rows: list[np.ndarray] = []
-        self._pool_scores: list[np.ndarray] = []
+        self._beam_rows: np.ndarray | None = None
+        self._beam_scores = np.zeros(0)
+        # largest finite double until the beam is full: every feasible
+        # score passes it, every infeasible (+inf) one fails it
+        self._cut = sys.float_info.max
 
     def consume(self, rows: np.ndarray, scores: np.ndarray, probs: np.ndarray) -> None:
         i = int(np.argmax(probs))
         if probs[i] > self.top_prob:
             self.top_prob = float(probs[i])
             self.top_row = rows[i].astype(np.int64)
-        feas = np.flatnonzero(probs >= self.alpha)
-        if feas.size == 0:
+        # infeasible rows score +inf, so no row is gathered to find the
+        # feasible minimum
+        masked = np.where(probs >= self.alpha, scores, math.inf)
+        j = int(np.argmin(masked))
+        if masked[j] > self._cut:  # no feasible row, or none that can enter the beam
             return
-        scores_f = scores[feas]
-        j = int(np.argmin(scores_f))
-        if scores_f[j] < self.best_score:
-            self.best_score = float(scores_f[j])
-            self.best_row = rows[feas[j]].astype(np.int64)
-        take = min(self.beam_width, feas.size)
-        if take < feas.size:
-            # every row scoring at or below the take-th score, ties included,
-            # so the (score, row) order of this slice starts with the beam
-            cut = np.partition(scores_f, take - 1)[take - 1]
-            keep = np.flatnonzero(scores_f <= cut)
-            feas, scores_f = feas[keep], scores_f[keep]
-        rows_f = rows[feas]
-        order = _lex_order(rows_f, scores_f)[:take]
-        self._pool_rows.append(rows_f[order].astype(np.int64))
-        self._pool_scores.append(scores_f[order])
+        if masked[j] < self.best_score:
+            self.best_score = float(masked[j])
+            self.best_row = rows[j].astype(np.int64)
+        keep = np.flatnonzero(masked <= self._cut)
+        if keep.size > self.beam_width:
+            # every row scoring at or below the beam_width-th score, ties
+            # included, so the (score, row) order of this slice starts with
+            # the block's share of the beam
+            kept = masked[keep]
+            keep = keep[kept <= np.partition(kept, self.beam_width - 1)[self.beam_width - 1]]
+        cand_rows = rows[keep].astype(np.int64)
+        if self._beam_rows is not None:
+            cand_rows = np.concatenate([self._beam_rows, cand_rows])
+        cand_scores = np.concatenate([self._beam_scores, masked[keep]])
+        order = _lex_order(cand_rows, cand_scores)[: self.beam_width]
+        self._beam_rows, self._beam_scores = cand_rows[order], cand_scores[order]
+        if order.size == self.beam_width:
+            self._cut = float(self._beam_scores[-1])
 
     def beam(self) -> np.ndarray:
-        if not self._pool_rows:
+        if self._beam_rows is None:
             return np.zeros((0, 0), dtype=np.int64)
-        rows = np.concatenate(self._pool_rows, axis=0)
-        scores = np.concatenate(self._pool_scores)
-        return rows[_lex_order(rows, scores)[: self.beam_width]]
+        return self._beam_rows
 
 
 def _scan_blocks(blocks, table, coefs, expts, values, alpha) -> _Reducer:
@@ -228,17 +240,57 @@ def _scan_blocks(blocks, table, coefs, expts, values, alpha) -> _Reducer:
 
 
 def _neighborhood(centers: np.ndarray, k: int) -> np.ndarray:
-    offs = _zero_sum_offsets(k, _neighbor_radius(k))
-    cands = (centers[:, None, :] + offs[None, :, :]).reshape(-1, k)
-    cands = cands[(cands >= 0).all(axis=1)]
-    # the smallest unsigned type holding every entry orders rows the same,
-    # and numpy radix-sorts 8- and 16-bit keys
-    keys = cands.astype(np.min_scalar_type(cands.max(initial=0)))
-    order = _lex_order(keys)
-    keys = keys[order]
-    fresh = np.ones(keys.shape[0], dtype=bool)
-    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return cands[order[fresh]]
+    """Distinct non-negative rows centre + offset, in lexicographic order.
+
+    The centres share one sum, so every candidate row is fixed by its
+    first k - 1 entries. Entry j less lo_j, the lowest value it can take,
+    is packed into the bits its range needs of one of a few int64 keys,
+    the first entries in the highest bits of the last key, so the keys
+    sort in the rows' order. Packing is linear while entries stay
+    non-negative: a candidate's keys are its centre's keys plus its
+    offset's keys, and no candidate row is built. Only a centre with an
+    entry below the radius can reach a negative entry, so only those
+    entries are checked.
+    """
+    radius = _neighbor_radius(k)
+    offs = _zero_sum_offsets(k, radius)
+    total = int(centers[0].sum())
+    heads = centers[:, :-1]
+    lo = np.maximum(heads.min(axis=0) - radius, 0)
+    widths = [int(w).bit_length() for w in (heads.max(axis=0) + radius - lo).tolist()]
+    # (key, bit) of each entry, filling the keys from the last entry up
+    place: list[tuple[int, int]] = [(0, 0)] * (k - 1)
+    key, used = 0, 0
+    for j in range(k - 2, -1, -1):
+        if used + widths[j] > 63:
+            key, used = key + 1, 0
+        place[j] = (key, used)
+        used += widths[j]
+
+    def pack(rows: np.ndarray) -> np.ndarray:
+        keys = np.zeros((key + 1, rows.shape[0]), dtype=np.int64)
+        for j, (w, bit) in enumerate(place):
+            keys[w] += rows[:, j] * (1 << bit)
+        return keys
+
+    keys = (pack(heads - lo)[:, :, None] + pack(offs)[:, None, :]).reshape(key + 1, -1)
+    # a candidate leaves the simplex only through a centre entry below the
+    # radius; those candidates' keys are dropped before the sort
+    ok = np.ones((centers.shape[0], offs.shape[0]), dtype=bool)
+    below = centers < radius
+    for j in np.flatnonzero(below.any(axis=0)).tolist():
+        low = np.flatnonzero(below[:, j])
+        ok[low] &= offs[:, j] >= -centers[low, j][:, None]
+    keys = keys[:, ok.ravel()]
+    keys = keys[:, np.lexsort(keys)]
+    fresh = np.ones(keys.shape[1], dtype=bool)
+    fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    keys = keys[:, fresh]
+    rows = np.empty((keys.shape[1], k), dtype=np.int64)
+    for j, (w, bit) in enumerate(place):
+        rows[:, j] = (keys[w] >> bit & (1 << widths[j]) - 1) + lo[j]
+    rows[:, -1] = total - rows[:, :-1].sum(axis=1)
+    return rows
 
 
 def _max_affordable_n(k: int) -> int:

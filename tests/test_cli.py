@@ -178,6 +178,13 @@ class TestVerify:
         assert [r["theorem"] for r in reports] == ["agreement[lexi-low]", "agreement[quantile:2]"]
         assert all(r["passed"] and r["instances_checked"] == 20 for r in reports)
 
+    @pytest.mark.parametrize("campaign", ["agreement", "all"])
+    def test_zero_trials_is_an_error(self, capsys, campaign):
+        code = main(["verify", campaign, "--m", "2", "--n", "2", "--trials", "0"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "at least one trial" in err
+
     @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
     def test_all_with_twelve_extensions(self, capsys, m, n):
         code, reports = _run_json(capsys, "verify", "all", "--m", str(m), "--n", str(n),

@@ -235,6 +235,11 @@ class TestAgreement:
         with pytest.raises(ValueError):
             verify_agreement(Sample(unit5, (1, 1, 3)), LexiHigh(), 5, 1)
 
+    def test_trials_validation(self, unit5):
+        # zero trials would check nothing and still report a pass
+        with pytest.raises(ValueError, match="at least one trial"):
+            verify_agreement(Sample(unit5, (1, 1, 3)), LexiLow(), 0, 1)
+
 
 def test_refinement_small(unit3):
     report = verify_refinement(unit3, 2, 0.25, OracleCache(CFG))

@@ -57,6 +57,29 @@ def test_eval_probs_bitwise_equals_per_term_loop(seed):
     assert np.array_equal(got, _eval_probs_per_term(counts, table, coefs, expts))
 
 
+@pytest.mark.parametrize("N,k", [(200, 3), (1000, 3), (59, 5)])
+def test_eval_probs_bitwise_on_scan_rows(N, k):
+    # enumerated blocks (uint8 at N <= 255, uint16 above) and the int64
+    # rows of a refinement neighbourhood, against a table whose max_exp
+    # exceeds every exponent
+    from orderbound.oracle import _neighborhood
+
+    rng = np.random.default_rng(N + k)
+    T = 12
+    expts = rng.integers(0, 4, size=(T, k)).astype(np.int64)
+    expts[0] = 0
+    coefs = rng.random(T) * 20
+    table = kernels.pow_table(N, 7)
+    block = next(iter(kernels.iter_composition_blocks(N, k)))
+    assert block.dtype == (np.uint8 if N <= 255 else np.uint16)
+    centres = np.array([rng.multinomial(N, np.ones(k) / k) for _ in range(5)])
+    near = _neighborhood(centres, k)
+    assert near.dtype == np.int64 and (near.sum(axis=1) == N).all()
+    for counts in (block, near):
+        got = kernels.eval_probs(counts, table, coefs, expts)
+        assert np.array_equal(got, _eval_probs_per_term(counts, table, coefs, expts))
+
+
 def test_eval_probs_no_terms_bitwise():
     rng = np.random.default_rng(11)
     counts, table, _, _ = _random_instance(rng)
@@ -116,7 +139,7 @@ class TestCompositionBlocks:
     @pytest.mark.parametrize("chunk", [7, 100, None])
     def test_blocks_never_exceed_chunk(self, N, k, chunk):
         kwargs = {} if chunk is None else {"chunk": chunk}
-        cap = chunk or 1 << 14
+        cap = chunk or 1 << 13
         sizes = [b.shape[0] for b in kernels.iter_composition_blocks(N, k, **kwargs)]
         assert max(sizes) <= cap
         assert sum(sizes) == math.comb(N + k - 1, k - 1)

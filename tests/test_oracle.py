@@ -231,25 +231,107 @@ def test_full_grid_results_are_pinned(unit5, name, idx, value, mass, step):
     assert res.final_step == float.fromhex(step)
 
 
+# Dense calls (k <= 3 support atoms) at the default resolution, step 1/8000
+# after the refinement passes: (grid size m, sample, order, alpha,
+# value.hex(), witness.mass.tobytes().hex()).
+DENSE_GOLDEN = [
+    (2, (0, 1), "lexi-high", 0.05, "0x1.9fbe76c8b4396p-6",
+     "e3a59bc42030ef3f96438b6ce7fb993f"),
+    (2, (0, 1), "lexi-high", 0.25, "0x1.126e978d4fdf4p-3",
+     "83c0caa145b6eb3ff4fdd478e926c13f"),
+    (3, (1, 2), "lexi-high", 0.05, "0x1.8cac083126e98p-3",
+     "0e2db29defa7e73f5eba490c022bc13f6891ed7c3f35c03f"),
+    (3, (1, 2), "lexi-high", 0.25, "0x1.bb74bc6a7ef9ep-2",
+     "f853e3a59bc4da3fd578e9263108d33f333333333333d23f"),
+    (2, (0, 1), "lexi-low", 0.05, "0x1.9fbe76c8b4396p-6",
+     "e3a59bc42030ef3f96438b6ce7fb993f"),
+    (2, (0, 1), "lexi-low", 0.25, "0x1.126e978d4fdf4p-3",
+     "83c0caa145b6eb3ff4fdd478e926c13f"),
+    (3, (1, 2), "lexi-low", 0.05, "0x1.8cac083126e98p-3",
+     "0e2db29defa7e73f5eba490c022bc13f6891ed7c3f35c03f"),
+    (3, (1, 2), "lexi-low", 0.25, "0x1.bb74bc6a7ef9ep-2",
+     "f853e3a59bc4da3fd578e9263108d33f333333333333d23f"),
+    (2, (0, 1), "pointwise", 0.05, "0x1.a5e353f7ced91p-6",
+     "931804560e2def3f91ed7c3f355e9a3f"),
+    (2, (0, 1), "pointwise", 0.25, "0x1.2c083126e978dp-3",
+     "1d5a643bdf4feb3f8d976e1283c0c23f"),
+    (3, (1, 2), "pointwise", 0.05, "0x1.c9fbe76c8b439p-3",
+     "d34d62105839e53ff6285c8fc2f5cc3f7d3f355eba49bc3f"),
+    (3, (1, 2), "pointwise", 0.25, "0x1.0000000000000p-1",
+     "000000000000d03f000000000000e03f000000000000d03f"),
+    (5, (2, 2, 2, 2), "pointwise", 0.05, "0x1.e4395810624ddp-3",
+     "91ed7c3f35dee03f0000000000000000dd2406819543de3f00000000000000000000000000000000"),
+    (5, (2, 2, 2, 2), "pointwise", 0.25, "0x1.6a0c49ba5e354p-2",
+     "5839b4c876bed23f000000000000000054e3a59bc4a0e63f00000000000000000000000000000000"),
+    (2, (0, 1), "quantile:2", 0.05, "0x1.9fbe76c8b4396p-6",
+     "e3a59bc42030ef3f96438b6ce7fb993f"),
+    (2, (0, 1), "quantile:2", 0.25, "0x1.126e978d4fdf4p-3",
+     "83c0caa145b6eb3ff4fdd478e926c13f"),
+    (3, (1, 2), "quantile:1", 0.05, "0x1.c9fbe76c8b439p-4",
+     "f2d24d6210d8e83f39b4c876be9fcc3f0000000000000000"),
+    (3, (1, 2), "quantile:1", 0.25, "0x1.0000000000000p-2",
+     "000000000000e03f000000000000e03f0000000000000000"),
+    (5, (0, 2, 3), "quantile:2", 0.05, "0x1.153f7ced91687p-4",
+     "5eba490c02abeb3f00000000000000008716d9cef753c13f00000000000000000000000000000000"),
+    (5, (0, 2, 3), "quantile:2", 0.25, "0x1.4e353f7ced917p-3",
+     "75931804568ee53f000000000000000017d9cef753e3d43f00000000000000000000000000000000"),
+    (5, (1, 2, 2, 4), "quantile:3", 0.05, "0x1.8fdf3b645a1cbp-5",
+     "c74b378941e0ec3f0000000000000000cba145b6f3fdb83f00000000000000000000000000000000"),
+    (5, (1, 2, 2, 4), "quantile:3", 0.25, "0x1.f1eb851eb851fp-4",
+     "b81e85eb5138e83f00000000000000001f85eb51b81ecf3f00000000000000000000000000000000"),
+]
+
+
+@pytest.mark.parametrize("m,idx,order,alpha,value,mass", DENSE_GOLDEN,
+                         ids=[f"{g[2]}-m{g[0]}-{g[3]}" for g in DENSE_GOLDEN])
+def test_dense_results_are_pinned(m, idx, order, alpha, value, mass):
+    x = Sample(SupportGrid(0.0, 1.0, m), idx)
+    if order.startswith("quantile:"):
+        order = Quantile(int(order.removeprefix("quantile:")))
+    else:
+        order = {"lexi-high": LexiHigh(), "lexi-low": LexiLow(), "pointwise": Pointwise(x)}[order]
+    assert len(refined_support(x, order).indices) in (2, 3)
+    res = pessimal_bound_oracle(x, order, alpha)
+    assert res.mode == "dense"
+    assert res.value == float.fromhex(value)
+    assert res.witness.mass.tobytes() == bytes.fromhex(mass)
+    assert res.final_step == float.fromhex("0x1.0624dd2f1a9fcp-13")
+
+
 class TestSearchInternals:
-    @pytest.mark.parametrize("n_cur", [96, 15104, 1 << 17])
+    @pytest.mark.parametrize("n_cur", [96, 15104, 1 << 16, 1 << 17])
     def test_neighborhood_equals_unique(self, n_cur):
-        # k=5 rows with 8-, 16- and 32-bit entries; at the last coarse-to-fine
-        # step (15104) and beyond, a mixed-radix int64 key over all five
-        # columns would need 69 bits or more and wrap
-        rng = np.random.default_rng(5)
-        k = 5
-        half = np.array([rng.multinomial(n_cur // 2, p) for p in rng.dirichlet(np.ones(k), 20)])
-        half[:4, 3:] = 0  # centres on the boundary lose negative neighbours
-        half[:4, 0] = n_cur // 2 - half[:4, 1:].sum(axis=1)
-        # overlapping neighbourhoods, and a repeated centre as when the
-        # incumbent is also the first beam row
-        near = half[:3] + [[1, -1, 0, 0, 0]]
-        centers = np.concatenate([half, near, half[:1]]) * 2
-        got = _neighborhood(centers, k)
-        cands = (centers[:, None, :] + _zero_sum_offsets(k, 3)[None]).reshape(-1, k)
+        # rows with 8-, 16- and 32-bit entries; from 1 << 16 on the spread-out
+        # centres need 16 or 17 bits an entry, so k >= 5 packs into two or
+        # more keys (four 16-bit entries would reach the sign bit), and a
+        # mixed-radix int64 key over all k columns would wrap
+        for k in range(1, 11):
+            rng = np.random.default_rng(k)
+            half = np.array([rng.multinomial(n_cur // 2, p)
+                             for p in rng.dirichlet(np.ones(k), 20)])
+            half[:4, k // 2 + 1:] = 0  # centres on the boundary lose negative neighbours
+            half[:4, 0] = n_cur // 2 - half[:4, 1:].sum(axis=1)
+            # overlapping neighbourhoods, and a repeated centre as when the
+            # incumbent is also the first beam row
+            near = half[:3].copy()
+            near[np.arange(3), near.argmax(axis=1)] -= 1
+            near[:, 0] += 1
+            centers = np.concatenate([half, near, half[:1]]) * 2
+            got = _neighborhood(centers, k)
+            offs = _zero_sum_offsets(k, _neighbor_radius(k))
+            cands = (centers[:, None, :] + offs[None]).reshape(-1, k)
+            want = np.unique(cands[(cands >= 0).all(axis=1)], axis=0)
+            assert got.dtype == want.dtype, k
+            assert np.array_equal(got, want), k
+
+    def test_neighborhood_keys_stay_below_the_sign_bit(self):
+        # four head entries spanning 16 bits each fill 64 bits, one more
+        # than a non-negative int64 holds, so they need two keys
+        centers = np.array([[0, 0, 0, 0, 100_000], [20_000] * 5,
+                            [20_000, 20_001, 19_999, 20_000, 20_000]]) * 2
+        got = _neighborhood(centers, 5)
+        cands = (centers[:, None, :] + _zero_sum_offsets(5, 3)[None]).reshape(-1, 5)
         want = np.unique(cands[(cands >= 0).all(axis=1)], axis=0)
-        assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
     def test_refinement_centres_are_distinct(self, monkeypatch, unit5):
@@ -286,6 +368,42 @@ class TestSearchInternals:
         assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
         assert np.array_equal(red.best_row, rows_f[order[0]])
         assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+
+    def test_block_partition_does_not_change_the_reducer(self):
+        # integer scores tie across rows and blocks, and probabilities tie
+        # at the maximum, so the lex-first rules decide every field; scores
+        # rise along the lexicographic order, so once the beam is full most
+        # blocks fall above its cut and are dropped unsorted
+        rows_all = np.concatenate(list(kernels.iter_composition_blocks(60, 3)))
+        values = np.array([1.0, 0.0, 1.0])
+        alpha = 0.5
+
+        def probs_of(rows):
+            return np.minimum(rows[:, 1] + 2 * rows[:, 2], 80) / 80.0
+
+        results = []
+        for chunk in (7, 100, None):
+            blocks = list(kernels.iter_composition_blocks(60, 3, *([chunk] if chunk else [])))
+            red = _Reducer(alpha, oracle.BEAM_WIDTH)
+            for rows in blocks:
+                red.consume(rows, kernels.scaled_scores(rows, values), probs_of(rows))
+            results.append(red)
+        first = results[0]
+        assert first.top_prob == 1.0 and first.best_score == 0.0
+        for red in results[1:]:
+            assert np.array_equal(red.best_row, first.best_row)
+            assert red.best_score == first.best_score
+            assert np.array_equal(red.beam(), first.beam())
+            assert np.array_equal(red.top_row, first.top_row)
+            assert red.top_prob == first.top_prob
+        # and every partition agrees with one full lexsort
+        probs = probs_of(rows_all)
+        scores = kernels.scaled_scores(rows_all, values)
+        feas = probs >= alpha
+        keys = tuple(rows_all[feas][:, c] for c in range(2, -1, -1)) + (scores[feas],)
+        order = np.lexsort(keys)
+        assert np.array_equal(first.beam(), rows_all[feas][order[:oracle.BEAM_WIDTH]])
+        assert np.array_equal(first.top_row, rows_all[np.argmax(probs)])
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_offsets_equal_the_product_filter(self, k):
