@@ -116,17 +116,17 @@ def mean(F: Distribution) -> float:
 def omega_pmf(F: Distribution, omega: Omega) -> np.ndarray:
     """Probability of each sample of omega under F, in omega's row order.
 
-    Multinomial form, one product over count rows: the coefficient times
-    prod_j F(S_j)^c_j, multiplied in ascending grid order. The powers are
-    taken with Python's float ``**`` per (grid point, count) pair, because
-    numpy's vectorized power can differ from it in the last bit.
+    Multinomial form, one product per row of ``(idx, runs)``: the
+    coefficient times F(S_j)^c for each run of c copies of index j, in
+    ascending grid order (a column where no run starts gives 1.0 exactly).
+    The powers are taken with Python's float ``**`` per (grid point, run
+    length) pair, because numpy's vectorized power can differ from it in
+    the last bit.
     """
     if omega.grid != F.grid:
         raise ValueError("sample and distribution live on different grids")
-    counts = omega.counts
-    powers = np.unique(counts)
-    table = np.array([[float(p) ** int(c) for c in powers.tolist()] for p in F.mass])
-    factors = table[np.arange(F.grid.m), np.searchsorted(powers, counts)]
+    table = np.array([[float(p) ** c for c in range(omega.n + 1)] for p in F.mass])
+    factors = table[omega.idx, omega.runs]
     prob = factors[:, 0].copy()
     for col in factors.T[1:]:
         prob *= col

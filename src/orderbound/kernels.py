@@ -4,20 +4,20 @@ The constraint-probability evaluation over candidate mass vectors is the
 inner loop of the search oracle. Around it sit the power tables,
 composition enumeration and N-scaled scores that the oracle's scans share.
 
-Enumeration yields blocks of at most ``chunk`` rows (8,192 by default, the
-fastest of 4,096, 8,192 and 16,384 for the kernel on 2-core x86: a block's
-factor arrays stay in cache): it groups runs of sibling subtrees of the
-composition tree into one block and expands each run level by level with
-numpy, so no Python loop runs per row or per short prefix. A simplex
-depends only on (N, k), so the blocks of the four most recent simplices
-are kept, read-only and in the smallest unsigned dtype that holds N, for
-the next scan of the same simplex; the oracle's fixed cell budget bounds
-each one. The kernel's table is a ``pow_table`` table, and the kernel
-forms each atom's powers from the base c / N by the same repeated
-multiplication, so it gathers nothing from the table. None of this
-changes a bit of the results: rows come out in the same lexicographic
-order and every probability is the same product of the same factors in
-the same order.
+Enumeration yields blocks of at most ``chunk`` rows (``BLOCK_ROWS`` = 8,192
+by default, the fastest of 4,096, 8,192 and 16,384 for the kernel on 2-core
+x86: a block's factor arrays stay in cache): it groups runs of sibling
+subtrees of the composition tree into one block and expands each run level
+by level with numpy, so no Python loop runs per row or per short prefix. A
+simplex depends only on (N, k), so the blocks of the four most recent
+simplices are kept, read-only and in the smallest unsigned dtype that holds
+N, for the next scan of the same simplex; the oracle's fixed cell budget
+bounds each one. The kernel's table is a ``pow_table`` table, and the
+kernel forms each atom's powers from the base c / N by the same repeated
+multiplication, so it gathers nothing from the table. None of this changes
+a bit of the results: rows come out in the same lexicographic order and
+every probability is the same product of the same factors in the same
+order.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
+
+#: Rows per kernel block: the enumeration default and the neighbourhood slice.
+BLOCK_ROWS = 1 << 13
 
 
 def eval_probs(counts: np.ndarray, table: np.ndarray, coefs: np.ndarray,
@@ -89,7 +92,7 @@ def scaled_scores(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def iter_composition_blocks(N: int, k: int, chunk: int = 1 << 13) -> Iterator[np.ndarray]:
+def iter_composition_blocks(N: int, k: int, chunk: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
     """Yield all compositions of N into k parts as blocks of at most
     ``chunk`` rows, in lexicographic order of the count vectors.
 

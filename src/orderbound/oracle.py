@@ -112,13 +112,16 @@ def refined_support(x: Sample, order: Preorder) -> SupportSet:
 
 def _member_terms(U: UpperSet, atoms: tuple[int, ...]):
     """Multinomial coefficients and exponent rows, in member order, for
-    upper-set members expressible on the given atoms; everything else has
-    probability zero."""
-    counts = U.omega.counts[U.mask]
-    off_atoms = np.ones(counts.shape[1], dtype=bool)
-    off_atoms[list(atoms)] = False
-    keep = ~counts[:, off_atoms].any(axis=1)
-    return U.omega.coefs[U.mask][keep], counts[keep][:, list(atoms)].astype(np.int64)
+    upper-set members whose indices all lie on the given atoms (every other
+    member has probability zero); an exponent counts an atom in the row."""
+    slot = np.full(U.omega.grid.m, -1)
+    slot[list(atoms)] = np.arange(len(atoms))
+    slots = slot[U.omega.idx[U.mask]]
+    keep = (slots >= 0).all(axis=1)
+    expts = np.zeros((int(keep.sum()), len(atoms)), dtype=np.int64)
+    for col in slots[keep].T:
+        expts[np.arange(col.size), col] += 1
+    return U.omega.coefs[U.mask][keep], expts
 
 
 @functools.cache
@@ -293,65 +296,61 @@ def _neighborhood(centers: np.ndarray, k: int) -> np.ndarray:
     return rows
 
 
-def _max_affordable_n(k: int) -> int:
-    n = 1
-    while math.comb(2 * n + k - 1, k - 1) <= CELL_BUDGET:
-        n *= 2
-    while math.comb(n + 1 + k - 1, k - 1) <= CELL_BUDGET:
-        n += 1
-    return n
+def _schedule(k: int, cfg: OracleConfig) -> tuple[int, int, str]:
+    """(n0, stages, mode) on k atoms: the first scan's step 1/n0 and the
+    refinement stages after it; EnumerationGuardError if a stage's
+    neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows."""
+    n_target = max(1, math.ceil(1.0 / cfg.resolution))
+    dense = math.comb(n_target + k - 1, k - 1) <= CELL_BUDGET
+    n0 = n_target
+    if not dense:  # the finest step whose simplex fits the budget
+        n0 = 1
+        while math.comb(2 * n0 + k - 1, k - 1) <= CELL_BUDGET:
+            n0 *= 2
+        while math.comb(n0 + 1 + k - 1, k - 1) <= CELL_BUDGET:
+            n0 += 1
+    stages = 0 if dense else max(0, math.ceil(math.log2(n_target / n0)))
+    stages += cfg.refine_passes
+    # every stage's centres are the beam plus at most two extra rows
+    if stages and (_count_zero_sum_offsets(k, _neighbor_radius(k)) * (BEAM_WIDTH + 2)
+                   > NEIGHBORHOOD_MAX_ROWS):
+        raise EnumerationGuardError(
+            f"refinement neighbourhoods on k={k} support atoms exceed the guard of"
+            f" {NEIGHBORHOOD_MAX_ROWS} rows"
+        )
+    return n0, stages, "dense" if dense else "coarse-to-fine"
 
 
 def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
-              alpha: float, cfg: OracleConfig):
+              alpha: float, n0: int, stages: int):
     """Minimize the mean over the quantized simplex subject to the
-    constraint probability being >= alpha. Returns (counts, N, mode)."""
+    constraint probability being >= alpha. Returns (counts, N)."""
     k = values.shape[0]
     max_exp = int(expts.max()) if expts.size else 0
-    n_target = max(1, math.ceil(1.0 / cfg.resolution))
-    dense = math.comb(n_target + k - 1, k - 1) <= CELL_BUDGET
-    n0 = n_target if dense else _max_affordable_n(k)
-    mode = "dense" if dense else "coarse-to-fine"
-    stages = 0 if dense else max(0, math.ceil(math.log2(n_target / n0)))
-    stages += cfg.refine_passes
-    if stages:
-        # every stage's centres are the beam plus at most two extra rows
-        rows = _count_zero_sum_offsets(k, _neighbor_radius(k)) * (BEAM_WIDTH + 2)
-        if rows > NEIGHBORHOOD_MAX_ROWS:
-            raise EnumerationGuardError(
-                f"refinement neighbourhoods on k={k} support atoms need up to {rows} rows,"
-                f" above the guard of {NEIGHBORHOOD_MAX_ROWS}"
-            )
-
     table = kernels.pow_table(n0, max_exp)
     red = _scan_blocks(kernels.iter_composition_blocks(n0, k), table, coefs, expts, values, alpha)
 
     n_cur = n0
     for _ in range(stages):
-        centers = red.beam()
-        # the incumbent and the most probable row join the beam as centres
-        # unless already there (the incumbent nearly always is): a repeated
-        # centre would only repeat its neighbourhood
-        for c in (red.best_row, red.top_row):
-            if c is None:
-                continue
-            if centers.size == 0:
-                centers = c[None]
-            elif not (centers == c).all(axis=1).any():
-                centers = np.concatenate([centers, c[None]])
-        if centers.size == 0:
+        # the incumbent and the most probable row join the beam as centres,
+        # each once: a repeated centre would only repeat its neighbourhood
+        extra = [c[None] for c in (red.best_row, red.top_row) if c is not None]
+        if not extra:
             break
+        centers = np.unique(np.concatenate([red.beam().reshape(-1, k), *extra]), axis=0)
         n_cur *= 2
         cands = _neighborhood(centers * 2, k)
         table = kernels.pow_table(n_cur, max_exp)
-        red = _scan_blocks([cands], table, coefs, expts, values, alpha)
+        # kernel-sized slices; the reducer does not depend on the partition
+        blocks = np.split(cands, range(kernels.BLOCK_ROWS, len(cands), kernels.BLOCK_ROWS))
+        red = _scan_blocks(blocks, table, coefs, expts, values, alpha)
 
     if red.best_row is None:
         raise InfeasibleError(
             f"no mass vector at step 1/{n_cur} reaches constraint probability {alpha}"
             f" (closest achieved {red.top_prob:.6g})"
         )
-    return red.best_row, n_cur, mode
+    return red.best_row, n_cur
 
 
 def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
@@ -366,8 +365,8 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
 
     Raises InfeasibleError when no distribution on the support meets the
     constraint, which is reported rather than silently clamped, and
-    EnumerationGuardError before any scan when a refinement neighbourhood
-    would exceed ``NEIGHBORHOOD_MAX_ROWS`` rows (15 or more support atoms).
+    EnumerationGuardError, before the sample space is read, when a refinement
+    neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows (k >= 15 atoms).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -377,14 +376,15 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     if any(i > grid.m - 1 for i in support.indices):
         raise ValueError("support override contains indices outside the grid")
 
+    atoms = support.indices
+    n0, stages, mode = _schedule(len(atoms), cfg)
     omega = enumerate_omega(grid, x.n)
     U = upper_set(x, order, omega)
-    atoms = support.indices
     values = np.array([grid.point(a) for a in atoms])
     coefs, expts = _member_terms(U, atoms)
 
     try:
-        counts, n_final, mode = _minimize(values, coefs, expts, alpha, cfg)
+        counts, n_final = _minimize(values, coefs, expts, alpha, n0, stages)
     except InfeasibleError as exc:
         raise InfeasibleError(f"sample {x.idx}, order {order.name}: {exc}") from None
 

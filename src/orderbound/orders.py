@@ -1,12 +1,12 @@
 """Total orders and preorders on one array-native sample space.
 
 ``enumerate_omega`` returns an :class:`Omega`: the size-n multisets of grid
-indices in lexicographic order, held only as their index matrix, count
-matrix and multinomial coefficients; a ``Sample`` is built when a row is
-read. A preorder is defined by one method, ``rank``, which maps index rows
-to integers: equal rank means equivalent, lower rank means below.
-Comparisons, upper sets and monotonicity are array comparisons of rank
-vectors.
+indices in lexicographic order, held only as their index matrix, run
+lengths and multinomial coefficients (none has an axis of length m); a
+``Sample`` is built when a row is read. A preorder is defined by one
+method, ``rank``, which maps index rows to integers: equal rank means
+equivalent, lower rank means below. Comparisons, upper sets and
+monotonicity are array comparisons of rank vectors.
 """
 
 from __future__ import annotations
@@ -47,34 +47,29 @@ def _lex_rank(rows: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _count_matrix(idx: np.ndarray, m: int) -> np.ndarray:
-    # the smallest unsigned type holding n holds every count
-    counts = np.zeros((idx.shape[0], m), dtype=np.min_scalar_type(idx.shape[1]))
-    rows = np.arange(idx.shape[0])
-    for col in idx.T:
-        counts[rows, col] += 1
-    return counts
-
-
-def _multinomial_coefs(idx: np.ndarray) -> np.ndarray:
-    """n! / prod_j c_j! for each sorted index row, where the c_j are the
-    row's run lengths: exact in integers and rounded once to float. Rows
-    with the same run lengths share one computation."""
-    rows, n = idx.shape
-    if rows == 0:
-        return np.zeros(0)
-    fresh = np.ones((rows, n), dtype=bool)
+def _run_lengths(idx: np.ndarray) -> np.ndarray:
+    """(R, n) run lengths of sorted index rows: entry (r, s) is the length
+    of the run that starts at column s of row r, 0 where no run starts,
+    in the smallest unsigned dtype holding n."""
+    fresh = np.ones(idx.shape, dtype=bool)
     fresh[:, 1:] = idx[:, 1:] != idx[:, :-1]
     starts = np.flatnonzero(fresh)  # every row starts a run, so runs stay in one row
-    lengths = np.diff(starts, append=rows * n)
-    row_of = starts // n
-    slot = np.arange(starts.size) - np.searchsorted(row_of, row_of)
-    parts = np.zeros((rows, int(slot.max()) + 1), dtype=np.int64)
-    parts[row_of, slot] = lengths
-    group = _lex_rank(parts)
+    runs = np.zeros(idx.size, dtype=np.min_scalar_type(idx.shape[1]))
+    runs[starts] = np.diff(starts, append=idx.size)
+    return runs.reshape(idx.shape)
+
+
+def _multinomial_coefs(runs: np.ndarray) -> np.ndarray:
+    """n! / prod_s runs[r, s]! for each row of run lengths: exact in
+    integers and rounded once to float. Rows whose run lengths are the
+    same multiset share one computation."""
+    rows, n = runs.shape
+    if rows == 0:
+        return np.zeros(0)
+    group = _lex_rank(np.sort(runs, axis=1))
     first = np.empty(int(group.max()) + 1, dtype=np.int64)
     first[group] = np.arange(rows)
-    exact = [math.factorial(n) // math.prod(math.factorial(c) for c in parts[r].tolist())
+    exact = [math.factorial(n) // math.prod(math.factorial(c) for c in runs[r].tolist())
              for r in first.tolist()]
     if max(exact) > sys.float_info.max:
         raise EnumerationGuardError(
@@ -89,15 +84,16 @@ class Omega(Sequence):
 
     - ``idx``: the (|Omega|, n) int64 index matrix, row r is sample r's
       index vector;
-    - ``counts``: the (|Omega|, m) count matrix, ``counts[r, j]`` is how
-      often grid index j occurs in sample r (smallest unsigned dtype
-      holding n);
-    - ``coefs``: float multinomial coefficients n! / prod_j counts[r, j]!.
+    - ``runs``: the (|Omega|, n) run lengths, ``runs[r, s]`` is the length
+      of the run of equal indices that starts at column s of ``idx[r]``
+      and 0 where no run starts (smallest unsigned dtype holding n);
+    - ``coefs``: float multinomial coefficients n! / prod_s runs[r, s]!.
 
-    This is the only place a sample's counts and coefficient are
-    computed. Iteration, ``len``, indexing and ``in`` behave as on a list
-    of the samples: reading row r builds its ``Sample``, and a slice is
-    the Omega of the sliced rows.
+    No array has an axis of length m, so the memory grows with |Omega|
+    and n, not with the grid. This is the only place a sample's run
+    lengths and coefficient are computed. Iteration, ``len``, indexing
+    and ``in`` behave as on a list of the samples: reading row r builds
+    its ``Sample``, and a slice is the Omega of the sliced rows.
     """
 
     def __init__(self, grid: SupportGrid, n: int, idx):
@@ -114,12 +110,12 @@ class Omega(Sequence):
             raise GridError("sample indices must be non-decreasing")
         if len(idx) and not np.array_equal(_lex_rank(idx), np.arange(len(idx))):
             raise ValueError("samples must be distinct and in lexicographic order")
-        counts = _count_matrix(idx, grid.m)
-        coefs = _multinomial_coefs(idx)
-        for arr in (idx, counts, coefs):
+        runs = _run_lengths(idx)
+        coefs = _multinomial_coefs(runs)
+        for arr in (idx, runs, coefs):
             arr.flags.writeable = False
         self.grid, self.n = grid, n
-        self.idx, self.counts, self.coefs = idx, counts, coefs
+        self.idx, self.runs, self.coefs = idx, runs, coefs
 
     def __len__(self) -> int:
         return self.idx.shape[0]

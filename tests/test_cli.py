@@ -120,6 +120,16 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "k=16" in err
 
+    def test_full_support_on_a_thousand_point_grid_fails_fast(self, capsys):
+        # the guard reads only k, so the 500,500-sample space is never
+        # built, and the message names k and the guard, not the row count
+        code = main(["oracle", "--s-max", "999", "--m", "1000", "--full-support",
+                     "--order", "lexi-low", "--sample", "100,200"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "k=1000" in err and "16777216" in err
+        assert len(err) < 120
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_sample_fails(self, capsys, value):
         code = main(["oracle", "--order", "lexi-low", "--m", "2",

@@ -27,6 +27,7 @@ from orderbound.dist import (
     distribution_from_json,
     full_support,
     mean_lipschitz_check,
+    omega_pmf,
     point_mass,
     restrict_to,
     transfer_to_augmented,
@@ -124,6 +125,21 @@ def _reference_sample_prob(F, x):
         coef //= math.factorial(c)
         prob *= float(F.mass[j]) ** c
     return coef * prob
+
+
+class TestOmegaPmf:
+    @pytest.mark.parametrize("m,n", [(5, 1), (7, 2), (6, 3), (4, 4), (3, 5), (2, 6), (4, 6)])
+    def test_bit_identical_to_per_row_reference(self, m, n):
+        # from no zero-mass atom up to a single atom carrying all the mass
+        grid = SupportGrid(0, 1, m)
+        omega = enumerate_omega(grid, n)
+        rng = np.random.default_rng(100 * m + n)
+        for zeros in range(m):
+            mass = rng.dirichlet(np.ones(m))
+            mass[rng.permutation(m)[:zeros]] = 0.0
+            F = Distribution(grid, mass / mass.sum())
+            got = [p.hex() for p in omega_pmf(F, omega).tolist()]
+            assert got == [_reference_sample_prob(F, x).hex() for x in omega]
 
 
 class TestProbUpperSet:

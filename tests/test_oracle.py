@@ -16,6 +16,7 @@ from orderbound import (
     SupportGrid,
     homogeneous_sample,
     lexi_high_homogeneous_bracket,
+    lexi_low_homogeneous,
     make_sample,
     optimal_pointwise_homogeneous,
     pessimal_bound_oracle,
@@ -105,6 +106,15 @@ class TestOrderedOracles:
             res = pessimal_bound_oracle(homogeneous_sample(unit5, i, 2), LexiHigh(), 0.25, FAST)
             br = lexi_high_homogeneous_bracket(unit5, i, 2, 0.25)
             assert br.contains(res.value, slack=tol)
+
+    def test_lexi_low_on_a_thousand_point_grid(self):
+        # 500,500 samples of size 2: no array of the sample space, the
+        # member terms or the witness's pmf has an axis of length m
+        grid = SupportGrid(0.0, 1.0, 1000)
+        res = pessimal_bound_oracle(homogeneous_sample(grid, 400, 2), LexiLow(), 0.05, FAST)
+        want = lexi_low_homogeneous(grid, 400, 2, 0.05)
+        assert abs(res.value - want) <= value_tolerance(grid, FAST)
+        assert res.constraint_prob >= 0.05 - 1e-12
 
     def test_coarse_to_fine_engages_on_full_grid(self, unit5):
         res = pessimal_bound_oracle(homogeneous_sample(unit5, 2, 2), LexiHigh(), 0.25, FAST)
@@ -424,14 +434,51 @@ class TestSearchInternals:
         ]
 
     def test_neighbourhood_guard_fires_before_any_scan(self, monkeypatch):
-        # k=16 atoms, coarse-to-fine: 5,196,627 offsets x 26 centres
-        scans = []
+        # k=16 atoms, coarse-to-fine: 5,196,627 offsets x 26 centres; the
+        # guard reads only k, so neither the sample space nor the member
+        # terms are built first
+        calls = []
         monkeypatch.setattr(kernels, "iter_composition_blocks",
-                            lambda *a: scans.append(a) or iter(()))
+                            lambda *a: calls.append("scan") or iter(()))
+        monkeypatch.setattr(oracle, "_member_terms", lambda *a: calls.append("terms"))
+        monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: calls.append("omega"))
         x = make_sample(SupportGrid(0.0, 1.0, 16), [0.2, 0.4])
         with pytest.raises(EnumerationGuardError, match="k=16"):
             pessimal_bound_oracle(x, LexiHigh(), 0.05)
-        assert scans == []
+        assert calls == []
+
+    def test_neighbourhoods_are_scanned_in_kernel_slices(self, monkeypatch, unit5):
+        # each refinement neighbourhood reaches the kernel in slices of at
+        # most kernels.BLOCK_ROWS rows, and how finely it is sliced changes
+        # no bit of the result
+        x = Sample(unit5, (0, 2, 4))
+        want = pessimal_bound_oracle(x, LexiHigh(), 0.25)
+        sizes, scans = [], []
+        real_neighborhood, real_scan = oracle._neighborhood, oracle._scan_blocks
+
+        def neighborhood(centers, k):
+            rows = real_neighborhood(centers, k)
+            sizes.append(rows.shape[0])
+            return rows
+
+        def scan(blocks, *a):
+            blocks = list(blocks)
+            scans.append([b.shape[0] for b in blocks])
+            return real_scan(blocks, *a)
+
+        monkeypatch.setattr(oracle, "_neighborhood", neighborhood)
+        monkeypatch.setattr(oracle, "_scan_blocks", scan)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 500)
+        got = pessimal_bound_oracle(x, LexiHigh(), 0.25)
+        assert got.mode == "coarse-to-fine" and len(scans) == len(sizes) + 1
+        assert max(sizes) > 500
+        for size, blocks in zip(sizes, scans[1:]):
+            assert sum(blocks) == size and max(blocks) <= 500
+            assert len(blocks) == -(-size // 500)
+        assert got.value.hex() == want.value.hex()
+        assert got.constraint_prob.hex() == want.constraint_prob.hex()
+        assert got.witness.mass.tobytes() == want.witness.mass.tobytes()
+        assert got.final_step == want.final_step
 
     def test_neighbourhood_guard_spares_scans_without_refinement(self):
         # a coarse dense scan on 15 atoms builds no neighbourhood

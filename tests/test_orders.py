@@ -131,11 +131,10 @@ class TestEnumerate:
         omega = _omega(3, 2)
         assert isinstance(omega, Omega)
         assert omega.idx.tolist() == [list(s.idx) for s in omega]
-        assert omega.counts.tolist() == [
-            [2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2],
-        ]
+        assert omega.runs.tolist() == [[2, 0], [1, 1], [1, 1], [2, 0], [1, 1], [2, 0]]
+        assert omega.runs.dtype == np.uint8
         assert omega.coefs.tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]
-        for arr in (omega.idx, omega.counts, omega.coefs):
+        for arr in (omega.idx, omega.runs, omega.coefs):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize("m,n", [(2, 5), (3, 3), (4, 4)])
@@ -146,6 +145,17 @@ class TestEnumerate:
                 want //= math.factorial(x.idx.count(j))
             assert coef == float(want)
 
+    @pytest.mark.parametrize("m,n", [(2, 5), (3, 3), (5, 4), (6, 1)])
+    def test_runs_are_the_multiplicities(self, m, n):
+        # the nonzero run lengths are the multiplicities of the distinct
+        # indices in ascending order, each at its run's first column
+        omega = _omega(m, n)
+        assert omega.runs.shape == (len(omega), n)
+        for x, runs in zip(omega, omega.runs.tolist()):
+            starts = [s for s in range(n) if s == 0 or x.idx[s] != x.idx[s - 1]]
+            assert [runs[s] for s in starts] == [x.idx.count(x.idx[s]) for s in starts]
+            assert sum(runs) == n and runs.count(0) == n - len(starts)
+
     def test_sequence_behaviour(self):
         omega = _omega(3, 2)
         assert len(omega) == 6
@@ -154,7 +164,7 @@ class TestEnumerate:
         head = omega[:2]
         assert isinstance(head, Omega)
         assert [s.idx for s in head] == [(0, 0), (0, 1)]
-        assert head.counts.tolist() == omega.counts[:2].tolist()
+        assert head.runs.tolist() == omega.runs[:2].tolist()
         assert omega[1] in omega and omega[1] not in head[:1]
         assert omega.position(omega[4]) == 4
 
