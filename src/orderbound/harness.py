@@ -122,7 +122,9 @@ class OracleCache:
 
     def value(self, x: Sample, order: Preorder, alpha: float,
               support: SupportSet | None = None) -> float:
-        sup = support or self.cfg.support_override or refined_support(x, order)
+        sup = self.cfg.support_override if support is None else support
+        if sup is None:
+            sup = refined_support(x, order)
         mask = upper_set(x, order, enumerate_omega(x.grid, x.n)).mask
         key = (x.grid, x.n, alpha, sup.indices, mask.tobytes(), self.cfg.resolution)
         if key not in self._values:

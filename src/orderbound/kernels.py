@@ -4,16 +4,18 @@ The constraint-probability evaluation over candidate mass vectors is the
 inner loop of the search oracle. Around it sit the power tables,
 composition enumeration and N-scaled scores that the oracle's scans share.
 
-Enumeration yields blocks of at most ``chunk`` rows (``BLOCK_ROWS`` = 8,192
-by default, the fastest of 4,096, 8,192 and 16,384 for the kernel on 2-core
-x86: a block's factor arrays stay in cache): it groups runs of sibling
-subtrees of the composition tree into one block and expands each run level
-by level with numpy, so no Python loop runs per row or per short prefix. A
-simplex depends only on (N, k), so the blocks of the four most recent
-simplices are kept, read-only and in the smallest unsigned dtype that holds
-N, for the next scan of the same simplex; the oracle's fixed cell budget
-bounds each one. The kernel's table is a ``pow_table`` table, and the
-kernel forms each atom's powers from the base c / N by the same repeated
+``multisets`` is the one enumerator: the size-n multisets of range(m) in
+lexicographic order, built level by level with slice copies. It gives the
+sample space (``orders.enumerate_omega``) and, by stars and bars, every
+simplex: the compositions of N into k parts are the gaps between the
+sorted bars of ``multisets(N + 1, k - 1)``, in the same order. A simplex
+depends only on (N, k), so the four most recent are kept, read-only and in
+the smallest unsigned dtype that holds N, for the next scan of the same
+simplex; the oracle's fixed cell budget bounds each one. Scans read it in
+row slices of ``BLOCK_ROWS`` = 8,192, the fastest of 4,096, 8,192 and
+16,384 for the kernel on 2-core x86 (a block's factor arrays stay in
+cache). The kernel's table is a ``pow_table`` table, and the kernel forms
+each atom's powers from the base c / N by the same repeated
 multiplication, so it gathers nothing from the table. None of this changes
 a bit of the results: rows come out in the same lexicographic order and
 every probability is the same product of the same factors in the same
@@ -23,7 +25,6 @@ order.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -92,89 +93,56 @@ def scaled_scores(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def iter_composition_blocks(N: int, k: int, chunk: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
-    """Yield all compositions of N into k parts as blocks of at most
-    ``chunk`` rows, in lexicographic order of the count vectors.
+def multisets(m: int, n: int) -> np.ndarray:
+    """Every size-n multiset of range(m), m >= 1, as a non-decreasing row,
+    the rows in lexicographic order, in the smallest unsigned dtype holding
+    m - 1.
 
-    Blocks are read-only, Fortran-order arrays of dtype
-    ``np.min_scalar_type(N)`` (uint16 at N = 1000), so ``eval_probs`` reads
-    their columns without a copy. The blocks of the four most recent
-    (N, k, chunk) keys are kept whatever their size, and a repeated call
-    yields the same array objects without enumerating again; callers keep
-    the simplex small (the oracle scans at most its cell budget).
+    Built by the suffix rule: the size-j rows that start with v are v
+    followed by every size-(j - 1) row whose first entry is at least v,
+    a suffix of the level below since its first column is sorted. Each
+    level is m slice copies in the row dtype.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    yield from _kept_blocks(N, k, chunk)
+    dtype = np.min_scalar_type(m - 1)
+    rows = np.arange(m, dtype=dtype)[:, None] if n else np.zeros((1, 0), dtype=dtype)
+    for j in range(2, n + 1):
+        starts = np.searchsorted(rows[:, 0], np.arange(m)).tolist()
+        level = np.empty((sum(rows.shape[0] - s for s in starts), j), dtype=dtype)
+        at = 0
+        for v, s in enumerate(starts):
+            part = level[at:at + rows.shape[0] - s]
+            part[:, 0] = v
+            part[:, 1:] = rows[s:]
+            at += part.shape[0]
+        rows = level
+    return rows
+
+
+def iter_composition_blocks(N: int, k: int) -> Iterator[np.ndarray]:
+    """Yield all compositions of N into k parts as slices of ``BLOCK_ROWS``
+    rows, in lexicographic order of the count vectors.
+
+    Blocks are read-only row slices of one Fortran-order array of dtype
+    ``np.min_scalar_type(N)`` (uint16 at N = 1000), so every column of a
+    block is contiguous and ``eval_probs`` reads it without a copy. The
+    simplices of the four most recent (N, k) are kept whatever their size;
+    callers keep them small (the oracle scans at most its cell budget).
+    """
+    simplex = _simplex(N, k)
+    for start in range(0, simplex.shape[0], BLOCK_ROWS):
+        yield simplex[start:start + BLOCK_ROWS]
 
 
 @functools.lru_cache(maxsize=4)
-def _kept_blocks(N: int, k: int, chunk: int) -> tuple[np.ndarray, ...]:
-    return tuple(_composition_blocks(N, k, chunk))
-
-
-def _composition_blocks(N: int, k: int, chunk: int) -> Iterator[np.ndarray]:
-    """Enumerate the blocks ``iter_composition_blocks`` yields.
-
-    The compositions form a tree whose level-i nodes fix the first i
-    coordinates. At a node, consecutive children whose subtree sizes sum
-    to at most ``chunk`` are grouped into one run, and each run is
-    expanded into a single block level by level with numpy; only a child
-    whose own subtree exceeds ``chunk`` is descended into.
-    """
-    dtype = np.min_scalar_type(N)
-    if k == 1:
-        block = np.array([[N]], dtype=dtype)
-        block.flags.writeable = False
-        yield block
-        return
-
-    def _subtree(rem: int, free: int) -> int:
-        # compositions of rem into `free` parts
-        return math.comb(rem + free - 1, free - 1)
-
-    def _expand(prefix: tuple[int, ...], lo: int, hi: int, rem: int, size: int) -> np.ndarray:
-        # rows whose coordinate len(prefix) runs over lo..hi, all later
-        # coordinates free, in lexicographic order
-        level = len(prefix)
-        block = np.empty((size, k), dtype=dtype, order="F")
-        block[:, :level] = prefix
-        col = np.arange(lo, hi + 1, dtype=np.int64)
-        left = rem - col
-        cols = [col]
-        for _ in range(level + 1, k - 1):
-            reps = left + 1
-            parent = np.repeat(np.arange(reps.shape[0]), reps)
-            starts = np.cumsum(reps) - reps
-            child = np.arange(parent.shape[0], dtype=np.int64) - starts[parent]
-            cols = [c[parent] for c in cols]
-            cols.append(child)
-            left = left[parent] - child
-        cols.append(left)
-        for j, c in enumerate(cols):
-            block[:, level + j] = c
-        block.flags.writeable = False
-        return block
-
-    def _walk(prefix: tuple[int, ...], rem: int) -> Iterator[np.ndarray]:
-        free = k - len(prefix) - 1  # coordinates left after this one
-        total = _subtree(rem, free + 1)
-        if total <= chunk:
-            yield _expand(prefix, 0, rem, rem, total)
-            return
-        lo, size = 0, 0
-        for c in range(rem + 1):
-            sub = _subtree(rem - c, free)
-            if size and size + sub > chunk:
-                yield _expand(prefix, lo, c - 1, rem, size)
-                size = 0
-            if sub > chunk:
-                yield from _walk(prefix + (c,), rem - c)
-                continue
-            if not size:
-                lo = c
-            size += sub
-        if size:
-            yield _expand(prefix, lo, rem, rem, size)
-
-    yield from _walk((), N)
+def _simplex(N: int, k: int) -> np.ndarray:
+    """Compositions of N into k parts by stars and bars: the gaps between
+    the k - 1 sorted bars of each row of ``multisets(N + 1, k - 1)`` and
+    the ends 0 and N, which keeps lexicographic order."""
+    bars = multisets(N + 1, k - 1)
+    counts = np.empty((bars.shape[0], k), dtype=bars.dtype, order="F")
+    counts[:, :-1] = bars
+    counts[:, -1] = N
+    for j in range(k - 1, 0, -1):
+        counts[:, j] -= counts[:, j - 1]
+    counts.flags.writeable = False
+    return counts

@@ -57,9 +57,10 @@ class OracleConfig:
     """Search settings a caller chooses.
 
     resolution is the simplex grid step; refine_passes the number of
-    step-halving polish rounds around the incumbent; support_override
-    replaces ``refined_support`` as the search support. The scan budget
-    and the beam width are fixed (``CELL_BUDGET``, ``BEAM_WIDTH``).
+    step-halving polish rounds around the incumbent; support_override, a
+    non-empty support, replaces ``refined_support`` as the search support.
+    The scan budget and the beam width are fixed (``CELL_BUDGET``,
+    ``BEAM_WIDTH``).
     """
 
     resolution: float = 1e-3
@@ -71,6 +72,8 @@ class OracleConfig:
             raise ValueError("resolution must be positive")
         if self.refine_passes < 0:
             raise ValueError("refine_passes must be >= 0")
+        if self.support_override is not None and not self.support_override:
+            raise ValueError("support_override must hold at least one index")
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +375,9 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     cfg = cfg or OracleConfig()
     grid = x.grid
-    support = cfg.support_override or refined_support(x, order)
+    support = cfg.support_override
+    if support is None:
+        support = refined_support(x, order)
     if any(i > grid.m - 1 for i in support.indices):
         raise ValueError("support override contains indices outside the grid")
 

@@ -12,7 +12,6 @@ monotonicity are array comparisons of rank vectors.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .support import DESK_SCALE_LIMIT, GridError, Sample, SupportGrid, check_compatible
 
 LESS = -1
@@ -98,6 +98,8 @@ class Omega(Sequence):
 
     def __init__(self, grid: SupportGrid, n: int, idx):
         idx = np.asarray(idx)
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         if idx.ndim != 2 or idx.shape[1] != n:
             raise ValueError(f"every sample must be a size-{n} sample on {grid}")
         if idx.dtype.kind not in "iu":
@@ -108,7 +110,10 @@ class Omega(Sequence):
             raise GridError(f"sample indices {tuple(idx[bad[0]].tolist())} outside grid range")
         if (idx[:, 1:] < idx[:, :-1]).any():
             raise GridError("sample indices must be non-decreasing")
-        if len(idx) and not np.array_equal(_lex_rank(idx), np.arange(len(idx))):
+        # each row must exceed the one before at the first column they differ in
+        step = idx[1:] - idx[:-1]
+        first = (step != 0).argmax(axis=1)[:, None]
+        if not (np.take_along_axis(step, first, axis=1) > 0).all():
             raise ValueError("samples must be distinct and in lexicographic order")
         runs = _run_lengths(idx)
         coefs = _multinomial_coefs(runs)
@@ -277,9 +282,7 @@ def enumerate_omega(grid: SupportGrid, n: int) -> Omega:
         raise EnumerationGuardError(
             f"sample space has {total} elements, above the guard of {DESK_SCALE_LIMIT}"
         )
-    rows = itertools.combinations_with_replacement(range(grid.m), n)
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=total * n)
-    return Omega(grid, n, flat.reshape(total, n))
+    return Omega(grid, n, kernels.multisets(grid.m, n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -177,7 +177,7 @@ class TestVerify:
     def test_sandwich_refuses_a_componentwise_matrix_too_large(self, capsys):
         # 80,200 samples: the componentwise order would take two 6.4 GB matrices
         code = main(["verify", "sandwich", "--m", "400", "--n", "2"])
-        enumerate_omega.cache_clear()  # drop the 32 MB count matrix
+        enumerate_omega.cache_clear()  # drop the 80,200-sample Omega
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "80200 x 80200" in err

@@ -113,6 +113,24 @@ def test_scaled_scores_match_dot():
     assert np.allclose(got, counts @ values)
 
 
+class TestMultisets:
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_equals_itertools_reference(self, m, n):
+        got = kernels.multisets(m, n)
+        want = list(itertools.combinations_with_replacement(range(m), n))
+        assert got.dtype == np.min_scalar_type(m - 1)
+        assert got.shape == (len(want), n)
+        assert [tuple(r) for r in got.tolist()] == want
+
+    @pytest.mark.parametrize("m,dtype", [(256, np.uint8), (257, np.uint16), (1001, np.uint16)])
+    def test_rows_take_the_smallest_unsigned_dtype(self, m, dtype):
+        rows = kernels.multisets(m, 2)
+        assert rows.dtype == dtype
+        assert rows.shape == (math.comb(m + 1, 2), 2)
+        assert rows[-1].tolist() == [m - 1, m - 1]
+
+
 class TestCompositionBlocks:
     @pytest.mark.parametrize("N,k", [(0, 1), (5, 1), (7, 2), (6, 3), (5, 4), (3, 5)])
     def test_complete_and_lexicographic(self, N, k):
@@ -123,68 +141,73 @@ class TestCompositionBlocks:
         assert as_tuples == sorted(as_tuples)
         assert len(set(as_tuples)) == len(as_tuples)
 
-    def test_chunking_preserves_order(self):
+    def test_chunking_preserves_order(self, monkeypatch):
         all_at_once = np.concatenate(list(kernels.iter_composition_blocks(30, 3)), axis=0)
-        chunked = np.concatenate(list(kernels.iter_composition_blocks(30, 3, chunk=7)), axis=0)
-        assert np.array_equal(all_at_once, chunked)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+        chunked = list(kernels.iter_composition_blocks(30, 3))
+        assert len(chunked) == -(-all_at_once.shape[0] // 7)
+        assert np.array_equal(all_at_once, np.concatenate(chunked, axis=0))
 
     @pytest.mark.parametrize("k", range(1, 9))
     @pytest.mark.parametrize("N", [0, 1, 4, 9])
-    @pytest.mark.parametrize("chunk", [7, 1 << 14])
-    def test_equals_itertools_reference(self, N, k, chunk):
-        got = [tuple(r) for b in kernels.iter_composition_blocks(N, k, chunk) for r in b.tolist()]
+    @pytest.mark.parametrize("block_rows", [7, 1 << 14])
+    def test_equals_itertools_reference(self, monkeypatch, N, k, block_rows):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+        got = [tuple(r) for b in kernels.iter_composition_blocks(N, k) for r in b.tolist()]
         assert got == list(_compositions(N, k))
 
     @pytest.mark.parametrize("N,k", [(30, 3), (12, 5), (59, 5), (1000, 3), (9, 8)])
-    @pytest.mark.parametrize("chunk", [7, 100, None])
-    def test_blocks_never_exceed_chunk(self, N, k, chunk):
-        kwargs = {} if chunk is None else {"chunk": chunk}
-        cap = chunk or 1 << 13
-        sizes = [b.shape[0] for b in kernels.iter_composition_blocks(N, k, **kwargs)]
-        assert max(sizes) <= cap
-        assert sum(sizes) == math.comb(N + k - 1, k - 1)
-
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(ValueError):
-            next(kernels.iter_composition_blocks(3, 2, chunk=0))
+    @pytest.mark.parametrize("block_rows", [7, 100, None])
+    def test_blocks_never_exceed_chunk(self, monkeypatch, N, k, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+        cap = block_rows or 1 << 13
+        sizes = [b.shape[0] for b in kernels.iter_composition_blocks(N, k)]
+        # full blocks of exactly BLOCK_ROWS rows, then the remainder
+        total = math.comb(N + k - 1, k - 1)
+        assert sizes == [cap] * (total // cap) + ([total % cap] if total % cap else [])
 
 
 class TestBlockMemo:
     @pytest.fixture(autouse=True)
     def _empty_memo(self):
-        kernels._kept_blocks.cache_clear()
+        kernels._simplex.cache_clear()
         yield
-        kernels._kept_blocks.cache_clear()
+        kernels._simplex.cache_clear()
 
-    def test_second_call_yields_the_same_arrays(self):
-        first = list(kernels.iter_composition_blocks(100, 3, chunk=1000))
-        second = list(kernels.iter_composition_blocks(100, 3, chunk=1000))
+    def test_second_call_yields_the_same_arrays(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 1000)
+        first = list(kernels.iter_composition_blocks(100, 3))
+        second = list(kernels.iter_composition_blocks(100, 3))
         assert len(first) == len(second) > 1
-        assert all(a is b for a, b in zip(first, second))
+        # every block of both calls is a view of one kept simplex
+        base = first[0].base
+        assert base is kernels._simplex(100, 3)
+        assert all(a.base is base and b.base is base for a, b in zip(first, second))
 
     @pytest.mark.parametrize("N,k", [(0, 1), (9, 1), (59, 5), (200, 2), (1000, 3)])
     def test_blocks_are_read_only_narrow_and_column_major(self, N, k):
         for block in kernels.iter_composition_blocks(N, k):
             assert block.dtype == np.min_scalar_type(N)
-            assert block.flags.f_contiguous
-            # eval_probs reads the columns in place
-            assert np.shares_memory(np.ascontiguousarray(block.T), block)
+            # eval_probs reads each column in place; a row slice of a
+            # Fortran-order array is not f_contiguous as a whole
+            assert all(block[:, j].flags.c_contiguous for j in range(k))
             with pytest.raises(ValueError):
                 block[0, 0] = 1
 
     def test_keeps_the_four_most_recent_keys(self):
-        first = {N: list(kernels.iter_composition_blocks(N, 3)) for N in range(6)}
+        first = {N: kernels._simplex(N, 3) for N in range(6)}
         list(kernels.iter_composition_blocks(2, 3))  # now most recent
         list(kernels.iter_composition_blocks(6, 3))  # evicts 3, the least recent
-        assert kernels._kept_blocks.cache_info().currsize == 4
+        assert kernels._simplex.cache_info().currsize == 4
         # kept keys first: looking them up evicts nothing
         for N in (4, 5, 2):
             again = list(kernels.iter_composition_blocks(N, 3))
-            assert all(a is b for a, b in zip(first[N], again)), N
+            assert all(b.base is first[N] for b in again), N
         for N in (3, 0):
             again = list(kernels.iter_composition_blocks(N, 3))
-            assert not any(a is b for a, b in zip(first[N], again)), N
-            assert np.array_equal(np.concatenate(first[N]), np.concatenate(again))
+            assert not any(b.base is first[N] for b in again), N
+            assert np.array_equal(first[N], np.concatenate(again))
 
 
 def _compositions(N, k):

@@ -14,6 +14,7 @@ from orderbound import (
     Quantile,
     Sample,
     SupportGrid,
+    SupportSet,
     homogeneous_sample,
     lexi_high_homogeneous_bracket,
     lexi_low_homogeneous,
@@ -175,6 +176,14 @@ class TestConfig:
             OracleConfig(resolution=0.0)
         with pytest.raises(ValueError):
             OracleConfig(refine_passes=-1)
+
+    def test_empty_support_override_is_refused(self, unit3):
+        # an empty override is not "no override": it must not fall back
+        # to the refined support
+        with pytest.raises(ValueError, match="support_override"):
+            OracleConfig(support_override=SupportSet(()))
+        with pytest.raises(ValueError, match="support_override"):
+            OracleCache(FAST).value(Sample(unit3, (0, 2)), LexiLow(), 0.25, SupportSet(()))
 
     def test_only_caller_settings_are_fields(self):
         assert [f.name for f in dataclasses.fields(OracleConfig)] == [
@@ -392,8 +401,8 @@ class TestSearchInternals:
             return np.minimum(rows[:, 1] + 2 * rows[:, 2], 80) / 80.0
 
         results = []
-        for chunk in (7, 100, None):
-            blocks = list(kernels.iter_composition_blocks(60, 3, *([chunk] if chunk else [])))
+        for size in (7, 100, kernels.BLOCK_ROWS):
+            blocks = np.split(rows_all, range(size, len(rows_all), size))
             red = _Reducer(alpha, oracle.BEAM_WIDTH)
             for rows in blocks:
                 red.consume(rows, kernels.scaled_scores(rows, values), probs_of(rows))
@@ -510,7 +519,7 @@ class TestSearchInternals:
         real = kernels.iter_composition_blocks
         monkeypatch.setattr(
             kernels, "iter_composition_blocks",
-            lambda N, k, *a: (b.astype(np.int64) for b in real(N, k, *a)),
+            lambda N, k: (b.astype(np.int64) for b in real(N, k)),
         )
         for (x, order), got in zip(cases, narrow):
             want = pessimal_bound_oracle(x, order, 0.9, cfg)

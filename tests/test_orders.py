@@ -123,6 +123,14 @@ class TestEnumerate:
         omega = _omega(3, 2)
         assert [s.idx for s in omega] == sorted(s.idx for s in omega)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_idx_equals_itertools_reference(self, m, n):
+        want = list(itertools.combinations_with_replacement(range(m), n))
+        omega = enumerate_omega(SupportGrid(0, 1, m), n)
+        assert omega.idx.dtype == np.int64
+        assert [tuple(r) for r in omega.idx.tolist()] == want
+
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
             enumerate_omega(SupportGrid(0, 1, 100), 5)
@@ -173,6 +181,9 @@ class TestEnumerate:
             Omega(unit2, 2, [(1, 1), (0, 0)])
         with pytest.raises(ValueError, match="lexicographic"):
             Omega(unit2, 1, [(0,), (0,)])
+        # ordered at first, then out of order
+        with pytest.raises(ValueError, match="lexicographic"):
+            Omega(unit2, 2, [(0, 0), (1, 1), (0, 1)])
 
     def test_rejects_invalid_index_rows(self, unit3):
         assert Omega(unit3, 2, [(0, 1), (0, 2)]).idx.tolist() == [[0, 1], [0, 2]]
@@ -182,6 +193,8 @@ class TestEnumerate:
             Omega(unit3, 1, [(-1,)])
         with pytest.raises(GridError, match="non-decreasing"):
             Omega(unit3, 2, [(0, 1), (2, 1)])
+        with pytest.raises(ValueError, match="n >= 1"):
+            Omega(unit3, 0, np.zeros((1, 0), dtype=np.int64))
         with pytest.raises(ValueError, match="lexicographic"):
             Omega(unit3, 2, [(0, 1), (0, 1)])
         with pytest.raises(ValueError, match="size-2 sample"):
@@ -358,6 +371,14 @@ class TestExtensions:
         got = monotone_linear_extensions(omega)
         assert len(got) == want
         assert all(is_monotone(T, omega) for T in got)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_idx_equals_itertools_reference(self, m, n):
+        want = list(itertools.combinations_with_replacement(range(m), n))
+        omega = enumerate_omega(SupportGrid(0, 1, m), n)
+        assert omega.idx.dtype == np.int64
+        assert [tuple(r) for r in omega.idx.tolist()] == want
 
     def test_guard(self):
         # 41,526 extensions on 20 samples
