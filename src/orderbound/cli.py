@@ -172,6 +172,8 @@ def _cmd_coverage(args) -> dict:
 
 
 def _cmd_verify(args):
+    if not 0.0 <= args.alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {args.alpha}")
     grid = _grid(args)
     cache = OracleCache(OracleConfig(resolution=args.resolution))
     if args.campaign == "sandwich":

@@ -3,12 +3,15 @@
 A distribution is a dense probability vector over the full grid even when
 it is known to live on a subset; restriction to a subset is a predicate,
 not a type change, which keeps interop with the search oracle simple.
+Probabilities and transfers also take a (P, m) mass stack, one mass
+vector per row, through the same code as one vector.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +88,20 @@ class SupportSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if list(self.indices) != sorted(set(self.indices)):
-            object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
-        if any(i < 0 for i in self.indices):
+        try:
+            indices = tuple(sorted(set(operator.index(i) for i in self.indices)))
+        except TypeError:
+            raise ValueError("support indices must be integers") from None
+        if indices and indices[0] < 0:
             raise ValueError("support indices must be non-negative")
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def of(cls, indices) -> "SupportSet":
-        return cls(tuple(sorted(set(int(i) for i in indices))))
+        return cls(tuple(indices))
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.indices)
+        return i in self.indices
 
     def __iter__(self):
         return iter(self.indices)
@@ -113,8 +119,10 @@ def mean(F: Distribution) -> float:
     return float(np.dot(F.mass, np.asarray(F.grid.points)))
 
 
-def omega_pmf(F: Distribution, omega: Omega) -> np.ndarray:
-    """Probability of each sample of omega under F, in omega's row order.
+def omega_pmf(F, omega: Omega) -> np.ndarray:
+    """Probability of each sample of omega under F, in omega's row order:
+    one row for a Distribution, a (P, |omega|) array for a (P, m) mass
+    stack, whose row p equals the call on row p's Distribution bit for bit.
 
     Multinomial form, one product per row of ``(idx, runs)``: the
     coefficient times F(S_j)^c for each run of c copies of index j, in
@@ -123,14 +131,18 @@ def omega_pmf(F: Distribution, omega: Omega) -> np.ndarray:
     length) pair, because numpy's vectorized power can differ from it in
     the last bit.
     """
-    if omega.grid != F.grid:
+    single = isinstance(F, Distribution)
+    if single and F.grid != omega.grid:
         raise ValueError("sample and distribution live on different grids")
-    table = np.array([[float(p) ** c for c in range(omega.n + 1)] for p in F.mass])
-    factors = table[omega.idx, omega.runs]
-    prob = factors[:, 0].copy()
-    for col in factors.T[1:]:
-        prob *= col
-    return omega.coefs * prob
+    masses = F.mass[None] if single else _checked_masses(F, omega.grid.m, ndim=2)
+    table = np.array([[[p ** c for c in range(omega.n + 1)] for p in row]
+                      for row in masses.tolist()])
+    factors = table[:, omega.idx, omega.runs]
+    prob = factors[..., 0].copy()
+    for s in range(1, omega.n):
+        prob *= factors[..., s]
+    prob = omega.coefs * prob
+    return prob[0] if single else prob
 
 
 def sample_prob(F: Distribution, x: Sample) -> float:
@@ -138,75 +150,61 @@ def sample_prob(F: Distribution, x: Sample) -> float:
     return float(omega_pmf(F, Omega(x.grid, x.n, [x.idx]))[0])
 
 
-def prob_upper_set(F: Distribution, U: UpperSet) -> float:
+def prob_upper_set(F, U: UpperSet):
     """Total probability of drawing a sample in the upper set, summed in
-    member order."""
-    probs = omega_pmf(F, U.omega)[U.mask]
-    return float(np.cumsum(probs)[-1]) if probs.size else 0.0
+    member order: a float for a Distribution, one per row of a mass stack."""
+    probs = omega_pmf(F, U.omega)[..., U.mask]
+    total = np.cumsum(probs, axis=-1)[..., -1] if U.mask.any() else probs.sum(axis=-1)
+    return float(total) if isinstance(F, Distribution) else total
 
 
 def augment(C: SupportSet, grid: SupportGrid) -> SupportSet:
     """C plus the grid minimum plus the successor of each non-maximal element."""
-    out = set(C.indices)
-    out.add(0)
-    for i in C.indices:
-        if i > grid.m - 1:
-            raise ValueError(f"support index {i} outside grid")
-        if i != grid.m - 1:
-            out.add(i + 1)
-    return SupportSet.of(out)
+    outside = [i for i in C.indices if i > grid.m - 1]
+    if outside:
+        raise ValueError(f"support index {outside[0]} outside grid")
+    return SupportSet.of({0, *C.indices, *(i + 1 for i in C.indices if i < grid.m - 1)})
 
 
-def restrict_to(F: Distribution, C: SupportSet) -> bool:
-    """True iff F puts (numerically) zero mass outside C."""
-    outside = [j for j in range(F.grid.m) if j not in set(C.indices)]
-    return all(float(F.mass[j]) <= ZERO_MASS_TOL for j in outside)
+def restrict_to(mass, C: SupportSet):
+    """True iff the mass puts (numerically) zero mass outside C, per row of a stack."""
+    return ~(np.delete(mass, list(C.indices), axis=-1) > ZERO_MASS_TOL).any(axis=-1)
 
 
-def agree_on(G: Distribution, H: Distribution, C: SupportSet) -> bool:
-    """Pointwise and cumulative agreement of two distributions on C.
+def agree_on(G, H, C: SupportSet):
+    """Pointwise and cumulative agreement of two masses on C, per row of a stack.
 
     For every index in C the pmf values must match and the cdf values up
     to and including that index must match, both within 1e-12 absolute.
     """
-    if G.grid != H.grid:
-        raise ValueError("distributions live on different grids")
-    cg = np.cumsum(G.mass)
-    ch = np.cumsum(H.mass)
-    for j in C.indices:
-        if abs(float(G.mass[j]) - float(H.mass[j])) > PMF_CDF_TOL:
-            return False
-        if abs(float(cg[j]) - float(ch[j])) > PMF_CDF_TOL:
-            return False
-    return True
+    G, H = np.asarray(G, dtype=float), np.asarray(H, dtype=float)
+    if G.shape != H.shape:
+        raise ValueError(f"mass shapes differ: {G.shape} and {H.shape}")
+    cols = list(C.indices)
+    pmf_off = np.abs(G[..., cols] - H[..., cols]) > PMF_CDF_TOL
+    cdf_off = np.abs(G.cumsum(axis=-1)[..., cols] - H.cumsum(axis=-1)[..., cols]) > PMF_CDF_TOL
+    return ~(pmf_off | cdf_off).any(axis=-1)
 
 
-def transfer_to_augmented(F: Distribution, C: SupportSet, grid: SupportGrid) -> Distribution:
-    """Push F's off-C mass down onto the augmented set of C.
+def transfer_to_augmented(mass, C: SupportSet, grid: SupportGrid) -> np.ndarray:
+    """Push off-C mass down onto the augmented set of C, per row of a stack.
 
     Mass below the smallest element of C moves to the grid minimum; mass
     strictly between consecutive elements moves to the successor of the
-    lower one; mass above the largest element moves to its successor. The
-    result agrees with F pointwise and cumulatively on C, is supported on
-    the augmentation of C, and its mean never exceeds F's.
+    lower one; mass above the largest element moves to its successor,
+    column by column. The result agrees with the input pointwise and
+    cumulatively on C, is supported on the augmentation of C, and its mean
+    never exceeds the input's.
     """
-    if not C.indices:
-        out = np.zeros(grid.m)
-        out[0] = 1.0
-        return Distribution(grid, out)
-    src = np.asarray(F.mass, dtype=float)
-    out = np.zeros(grid.m)
-    s = list(C.indices)
-    for j in s:
-        out[j] = src[j]
-    out[0] += float(src[: s[0]].sum())
-    for a, b in zip(s, s[1:]):
-        gap = float(src[a + 1 : b].sum())
-        if gap:
-            out[a + 1] += gap
-    if s[-1] < grid.m - 1:
-        out[s[-1] + 1] += float(src[s[-1] + 1 :].sum())
-    return Distribution(grid, out)
+    mass = np.asarray(mass, dtype=float)
+    dest = np.zeros(grid.m, dtype=np.intp)
+    for a, b in zip(C.indices, C.indices[1:] + (grid.m,)):
+        dest[a] = a
+        dest[a + 1:b] = a + 1
+    out = np.zeros_like(mass)
+    for j, d in enumerate(dest.tolist()):
+        out[..., d] += mass[..., j]
+    return out
 
 
 def mean_lipschitz_check(grid: SupportGrid, a, b) -> np.ndarray:

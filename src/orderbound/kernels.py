@@ -29,7 +29,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-#: Rows per kernel block: the enumeration default and the neighbourhood slice.
+#: Rows per kernel block: the enumeration default, the neighbourhood slice
+#: and, divided by |omega|, the trials in one ``verify_agreement`` chunk.
 BLOCK_ROWS = 1 << 13
 
 

@@ -195,6 +195,15 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and "at least one trial" in err
 
+    @pytest.mark.parametrize("campaign", ["sandwich", "consistency", "agreement", "all"])
+    @pytest.mark.parametrize("alpha", ["7", "1", "-0.1"])
+    def test_alpha_outside_unit_interval_is_an_error(self, capsys, campaign, alpha):
+        # the agreement campaign reads no alpha, but an invalid one is still refused
+        code = main(["verify", campaign, "--m", "2", "--n", "2", "--alpha", alpha])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"alpha must be in [0, 1), got {float(alpha)}" in err
+
     @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
     def test_all_with_twelve_extensions(self, capsys, m, n):
         code, reports = _run_json(capsys, "verify", "all", "--m", str(m), "--n", str(n),

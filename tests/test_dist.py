@@ -128,35 +128,63 @@ def _reference_sample_prob(F, x):
 
 
 class TestOmegaPmf:
-    @pytest.mark.parametrize("m,n", [(5, 1), (7, 2), (6, 3), (4, 4), (3, 5), (2, 6), (4, 6)])
+    @pytest.mark.parametrize("m,n", [(5, 1), (7, 2), (6, 3), (4, 4), (3, 5), (2, 6), (4, 6),
+                                     (12, 2)])
     def test_bit_identical_to_per_row_reference(self, m, n):
-        # from no zero-mass atom up to a single atom carrying all the mass
+        # from no zero-mass atom up to a single atom carrying all the mass;
+        # one stack of all of them gives the same rows bit for bit
         grid = SupportGrid(0, 1, m)
         omega = enumerate_omega(grid, n)
         rng = np.random.default_rng(100 * m + n)
+        masses = []
         for zeros in range(m):
             mass = rng.dirichlet(np.ones(m))
             mass[rng.permutation(m)[:zeros]] = 0.0
-            F = Distribution(grid, mass / mass.sum())
-            got = [p.hex() for p in omega_pmf(F, omega).tolist()]
-            assert got == [_reference_sample_prob(F, x).hex() for x in omega]
+            masses.append(mass / mass.sum())
+        stacked = omega_pmf(np.stack(masses), omega)
+        for mass, row in zip(masses, stacked):
+            F = Distribution(grid, mass)
+            want = [_reference_sample_prob(F, x).hex() for x in omega]
+            assert [p.hex() for p in omega_pmf(F, omega).tolist()] == want
+            assert [p.hex() for p in row.tolist()] == want
+
+    def test_stack_shape_and_checks(self, unit3):
+        omega = enumerate_omega(unit3, 2)
+        assert omega_pmf(np.full((4, 3), 1 / 3), omega).shape == (4, len(omega))
+        assert omega_pmf(uniform(unit3), omega).shape == (len(omega),)
+        for bad, match in (([1 / 3] * 3, "length"), ([[0.5, 0.5]], "length"),
+                           ([[0.2, 0.3, 0.6]], "sum to 1"), ([[1.5, -0.5, 0.0]], "negative")):
+            with pytest.raises(ValueError, match=match):
+                omega_pmf(np.array(bad), omega)
 
 
 class TestProbUpperSet:
     @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (5, 2), (5, 4)])
     def test_bit_identical_to_per_sample_reference(self, m, n):
+        # a stack of the five distributions gives each one's value bit for bit
         grid = SupportGrid(0, 1, m)
         omega = enumerate_omega(grid, n)
         rng = np.random.default_rng(m * 10 + n)
-        for F in [Distribution(grid, rng.dirichlet(np.ones(m))) for _ in range(5)]:
-            for x in omega:
+        Fs = [Distribution(grid, rng.dirichlet(np.ones(m))) for _ in range(5)]
+        stack = np.stack([F.mass for F in Fs])
+        for x in omega:
+            for F in Fs:
                 assert sample_prob(F, x).hex() == _reference_sample_prob(F, x).hex()
-                for order in (LexiLow(), LexiHigh(), Quantile(n)):
-                    u = upper_set(x, order, omega)
+            for order in (LexiLow(), LexiHigh(), Quantile(n)):
+                u = upper_set(x, order, omega)
+                for F, p in zip(Fs, prob_upper_set(stack, u).tolist()):
                     want = 0.0
                     for y in u.members:
                         want += _reference_sample_prob(F, y)
                     assert prob_upper_set(F, u).hex() == want.hex()
+                    assert p.hex() == want.hex()
+
+    def test_one_float_per_distribution(self, unit3):
+        omega = enumerate_omega(unit3, 2)
+        u = upper_set(Sample(unit3, (1, 2)), LexiLow(), omega)
+        assert type(prob_upper_set(uniform(unit3), u)) is float
+        stacked = prob_upper_set(np.stack([uniform(unit3).mass, point_mass(unit3, 2).mass]), u)
+        assert stacked.shape == (2,) and stacked[1] == 1.0
 
     def test_full_omega_is_one(self, unit3):
         omega = enumerate_omega(unit3, 2)
@@ -201,26 +229,74 @@ class TestSupportSets:
     def test_augment_empty(self, unit3):
         assert augment(SupportSet.of([]), unit3).indices == (0,)
 
-    def test_restrict_to(self, unit3):
-        assert restrict_to(point_mass(unit3, 0), SupportSet.of([0]))
-        assert not restrict_to(uniform(unit3), SupportSet.of([0, 2]))
-        assert restrict_to(_dist(unit3, 0.3, 0.0, 0.7), SupportSet.of([0, 2]))
+    def test_augment_refuses_an_index_off_the_grid(self, unit3):
+        with pytest.raises(ValueError, match="support index 5 outside grid"):
+            augment(SupportSet.of([1, 5, 7]), unit3)
+
+    def test_indices_sorted_unique_ints(self):
+        s = SupportSet((np.int64(3), 1, True, 3))
+        assert s.indices == (1, 3)
+        assert all(type(i) is int for i in s.indices)
+        assert SupportSet.of(i for i in (2, 0, 2)).indices == (0, 2)
+        assert 2 in SupportSet.of([0, 2]) and 1 not in SupportSet.of([0, 2])
+
+    @pytest.mark.parametrize("indices", [(0.5, 2), (1.0,), ("1",)])
+    def test_non_integer_indices_rejected(self, indices):
+        # a float index would otherwise build and fail deep in a scan
+        with pytest.raises(ValueError, match="support indices must be integers"):
+            SupportSet(indices)
+        with pytest.raises(ValueError, match="support indices must be integers"):
+            SupportSet.of(indices)
+
+    def test_negative_indices_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SupportSet((-1, 2))
+
+    def test_restrict_to(self):
+        assert restrict_to(np.array([1.0, 0.0, 0.0]), SupportSet.of([0]))
+        assert not restrict_to(np.full(3, 1 / 3), SupportSet.of([0, 2]))
+        assert restrict_to(np.array([0.3, 0.0, 0.7]), SupportSet.of([0, 2]))
+
+    def test_restrict_to_one_bool_per_row(self):
+        stack = np.array([[1.0, 0.0, 0.0], [0.3, 0.0, 0.7], [0.2, 1e-14, 0.8]])
+        assert restrict_to(stack, SupportSet.of([0])).tolist() == [True, False, False]
+        assert restrict_to(stack, SupportSet.of([0, 2])).tolist() == [True, True, False]
 
 
 class TestAgreeOn:
+    G = np.array([0.2, 0.3, 0.5])
+    H = np.array([0.1, 0.4, 0.5])
+
     def test_identical(self, unit3):
-        F = _dist(unit3, 0.2, 0.3, 0.5)
-        assert agree_on(F, F, full_support(unit3))
+        assert agree_on(self.G, self.G, full_support(unit3))
 
-    def test_agree_at_top_point(self, unit3):
-        G = _dist(unit3, 0.2, 0.3, 0.5)
-        H = _dist(unit3, 0.1, 0.4, 0.5)
-        assert agree_on(G, H, SupportSet.of([2]))
+    def test_agree_at_top_point(self):
+        assert agree_on(self.G, self.H, SupportSet.of([2]))
 
-    def test_disagree_at_middle(self, unit3):
-        G = _dist(unit3, 0.2, 0.3, 0.5)
-        H = _dist(unit3, 0.1, 0.4, 0.5)
-        assert not agree_on(G, H, SupportSet.of([1]))
+    def test_disagree_at_middle(self):
+        assert not agree_on(self.G, self.H, SupportSet.of([1]))
+
+    def test_one_bool_per_row(self):
+        G = np.stack([self.G, self.G, self.H])
+        H = np.stack([self.G, self.H, self.G])
+        assert agree_on(G, H, SupportSet.of([1])).tolist() == [True, False, False]
+        assert agree_on(G, H, SupportSet.of([2])).tolist() == [True, True, True]
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            agree_on(self.G[None], np.stack([self.G, self.H]), SupportSet.of([2]))
+
+
+def _transfer_reference(g, C):
+    # the per-vector construction, one slice sum per gap; the column-by-column
+    # sums equal it bit for bit
+    s, out = list(C.indices), np.zeros(g.size)
+    out[s] = g[s]
+    out[0] += g[: s[0]].sum()
+    for a, b in zip(s, s[1:] + [g.size]):
+        if a + 1 < b:
+            out[a + 1] += g[a + 1:b].sum()
+    return out
 
 
 class TestTransfer:
@@ -228,24 +304,36 @@ class TestTransfer:
         C = SupportSet.of([1])
         aug = augment(C, unit5)
         assert aug.indices == (0, 1, 2)
-        G = Distribution(unit5, np.array([0.4, 0.3, 0.3, 0.0, 0.0]))
-        H = transfer_to_augmented(G, C, unit5)
-        assert np.array_equal(G.mass, H.mass)
+        G = np.array([0.4, 0.3, 0.3, 0.0, 0.0])
+        assert np.array_equal(transfer_to_augmented(G, C, unit5), G)
 
     def test_structure(self, unit5):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            G = Distribution(unit5, rng.dirichlet(np.ones(5)))
-            C = SupportSet.of([1, 3])
-            H = transfer_to_augmented(G, C, unit5)
-            assert restrict_to(H, augment(C, unit5))
-            assert agree_on(G, H, C)
-            assert mean(H) <= mean(G) + 1e-12
+        G = np.random.default_rng(3).dirichlet(np.ones(5), size=50)
+        C = SupportSet.of([1, 3])
+        H = transfer_to_augmented(G, C, unit5)
+        assert H.shape == G.shape
+        assert restrict_to(H, augment(C, unit5)).all()
+        assert agree_on(G, H, C).all()
+        pts = np.asarray(unit5.points)
+        assert (H @ pts <= G @ pts + 1e-12).all()
+
+    def test_rows_match_single_vectors_and_reference(self, unit5):
+        G = np.random.default_rng(6).dirichlet(np.ones(5), size=40)
+        for r in range(1, 6):
+            for C in map(SupportSet, itertools.combinations(range(5), r)):
+                H = transfer_to_augmented(G, C, unit5)
+                for g, h in zip(G, H):
+                    assert h.tobytes() == transfer_to_augmented(g, C, unit5).tobytes()
+                    assert h.tobytes() == _transfer_reference(g, C).tobytes()
+
+    def test_empty_support_sends_everything_to_the_minimum(self, unit3):
+        H = transfer_to_augmented(np.array([[0.2, 0.3, 0.5]]), SupportSet(()), unit3)
+        assert H.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_preserves_upper_set_probability(self, unit5):
         """Quantile and low-lexicographic upper-set probabilities only see
         the pmf and cdf on the relevant values."""
-        rng = np.random.default_rng(4)
+        G = np.random.default_rng(4).dirichlet(np.ones(5), size=25)
         omega = enumerate_omega(unit5, 3)
         x = Sample(unit5, (1, 1, 3))
         cases = [
@@ -254,10 +342,8 @@ class TestTransfer:
         ]
         for order, C in cases:
             u = upper_set(x, order, omega)
-            for _ in range(25):
-                G = Distribution(unit5, rng.dirichlet(np.ones(5)))
-                H = transfer_to_augmented(G, C, unit5)
-                assert abs(prob_upper_set(G, u) - prob_upper_set(H, u)) <= 1e-12
+            H = transfer_to_augmented(G, C, unit5)
+            assert (np.abs(prob_upper_set(G, u) - prob_upper_set(H, u)) <= 1e-12).all()
 
 
 class TestLipschitz:

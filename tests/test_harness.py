@@ -16,7 +16,7 @@ from orderbound import (
     SupportGrid,
     enumerate_omega,
 )
-from orderbound import harness, oracle
+from orderbound import dist, harness, kernels, oracle
 from orderbound.dist import point_mass, sample_prob, uniform
 from orderbound.harness import (
     OracleCache,
@@ -26,7 +26,6 @@ from orderbound.harness import (
     make_oracle_bound,
     make_rng,
     mc_coverage,
-    random_distribution,
     run_all,
     value_tolerance,
     verify_agreement,
@@ -206,11 +205,11 @@ class TestAgreement:
 
         def lopsided(G, C, grid):
             # the real transfer with mass moved between two points of C
-            H = real(G, C, grid).mass.copy()
+            H = real(G, C, grid)
             lo, hi = C.indices[0], C.indices[-1]
-            H[hi] += H[lo] / 2
-            H[lo] /= 2
-            return Distribution(grid, H)
+            H[:, hi] += H[:, lo] / 2
+            H[:, lo] /= 2
+            return H
 
         monkeypatch.setattr(harness, "transfer_to_augmented", lopsided)
         report = verify_agreement(Sample(unit5, (1, 1, 3)), LexiLow(), trials=5, seed=9)
@@ -222,6 +221,52 @@ class TestAgreement:
         monkeypatch.setattr(harness, "transfer_to_augmented", lambda G, C, grid: G)
         report = verify_agreement(Sample(unit5, (1, 1, 3)), Quantile(2), trials=5, seed=9)
         assert report.failures and all("off the augmented set" in f for f in report.failures)
+
+    @staticmethod
+    def _faulty_on_some_rows(G, C, grid):
+        # the real transfer, broken on the trials whose G[0] exceeds 0.2:
+        # there half of C's lowest mass moves to its highest point
+        H = dist.transfer_to_augmented(G, C, grid)
+        rows = G[:, 0] > 0.2
+        lo, hi = C.indices[0], C.indices[-1]
+        H[rows, hi] += H[rows, lo] / 2
+        H[rows, lo] /= 2
+        return H
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["real", "faulty"])
+    def test_one_trial_per_chunk_gives_the_same_report(self, unit5, monkeypatch, faulty):
+        if faulty:
+            monkeypatch.setattr(harness, "transfer_to_augmented", self._faulty_on_some_rows)
+        x = Sample(unit5, (1, 1, 3))
+        whole = verify_agreement(x, LexiLow(), trials=60, seed=9).to_dict()
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 1)
+        chunked = verify_agreement(x, LexiLow(), trials=60, seed=9).to_dict()
+        assert chunked == whole
+        assert whole["instances_checked"] == 60
+        assert whole["passed"] is not faulty
+        if faulty:
+            assert any("does not agree" in f for f in whole["failures"])
+            assert any("probability moved" in f for f in whole["failures"])
+
+    def test_chunks_continue_one_draw_stream(self):
+        # successive chunk-sized dirichlet calls on one generator draw the
+        # rows one call of the full size draws
+        rng = make_rng(7)
+        chunks = [rng.dirichlet(np.ones(5), size=rows) for rows in (234, 234, 1, 31)]
+        assert np.concatenate(chunks).tobytes() == \
+            make_rng(7).dirichlet(np.ones(5), size=500).tobytes()
+
+    def test_every_small_sample_and_order(self, unit5):
+        # every sample of size n <= 3 on five points, under the low
+        # lexicographic, pointwise and every quantile preorder
+        checked = 0
+        for n in (1, 2, 3):
+            for x in enumerate_omega(unit5, n):
+                for order in [LexiLow(), Pointwise(x)] + [Quantile(i) for i in range(1, n + 1)]:
+                    report = verify_agreement(x, order, trials=40, seed=checked)
+                    assert report.passed, report.failures
+                    checked += 1
+        assert checked == 250
 
     def test_pointwise_reads_the_oracle_support_rule(self, unit5):
         # the singleton upper set reads pmf values only, the same relevant
@@ -256,9 +301,8 @@ def test_lipschitz_quick():
 @pytest.mark.parametrize("m", [2, 5, 10])
 def test_batched_dirichlet_equals_sequential_draws(m):
     # verify_lipschitz draws all of an m's pairs in one call
-    grid = SupportGrid(0.0, 1.0, m)
     rng = make_rng(20260810 + m)
-    sequential = np.stack([random_distribution(grid, rng).mass for _ in range(2000)])
+    sequential = np.stack([rng.dirichlet(np.ones(m)) for _ in range(2000)])
     batched = make_rng(20260810 + m).dirichlet(np.ones(m), size=2000)
     assert sequential.tobytes() == batched.tobytes()
 
@@ -280,8 +324,8 @@ def test_lipschitz_checks_every_pair(monkeypatch):
     for grid, a, b in calls:
         rng = make_rng(2 + grid.m)
         for u, v in zip(a, b):
-            assert np.array_equal(u, random_distribution(grid, rng).mass)
-            assert np.array_equal(v, random_distribution(grid, rng).mass)
+            assert np.array_equal(u, rng.dirichlet(np.ones(grid.m)))
+            assert np.array_equal(v, rng.dirichlet(np.ones(grid.m)))
 
 
 def test_lipschitz_reports_each_violating_pair(monkeypatch):
@@ -364,7 +408,4 @@ def test_make_rng_reproducible():
     a = make_rng(5).random(4)
     b = make_rng(5).random(4)
     assert np.array_equal(a, b)
-    grid = SupportGrid(0, 1, 4)
-    d1 = random_distribution(grid, make_rng(6))
-    d2 = random_distribution(grid, make_rng(6))
-    assert np.array_equal(d1.mass, d2.mass)
+    assert np.array_equal(make_rng(6).dirichlet(np.ones(4)), make_rng(6).dirichlet(np.ones(4)))

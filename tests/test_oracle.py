@@ -152,7 +152,7 @@ class TestWitness:
         for order in (LexiLow(), Quantile(1), Pointwise(x)):
             res = pessimal_bound_oracle(x, order, 0.25, FAST)
             assert res.constraint_prob >= 0.25 - 1e-12
-            assert restrict_to(res.witness, res.support_used)
+            assert restrict_to(res.witness.mass, res.support_used)
             assert abs(float(res.witness.mass.sum()) - 1.0) < 1e-12
 
     def test_deterministic(self, unit5):
