@@ -10,9 +10,14 @@ local refinement rounds at halved steps.
 When the quantized simplex is small enough it is enumerated outright;
 otherwise the scan starts from the finest affordable grid and walks a
 beam of the best candidates through successive step halvings until the
-requested resolution is reached. Every stage is deterministic, and ties
-between equal means are broken toward the lexicographically smallest
-mass vector, so results do not depend on evaluation order.
+requested resolution is reached. Each scan visits its blocks in reverse
+lexicographic order, lowest means first, scores every block, and runs the
+probability kernel only on blocks with a row that can still enter the
+beam. The beam's rows are the next stage's centres; the most probable
+row stands in only when no row is feasible. Every stage is deterministic,
+and ties between equal means, and between equal top probabilities, are
+broken toward the lexicographically smallest mass vector, so results do
+not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -172,16 +177,16 @@ def _lex_order(rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 class _Reducer:
-    """Deterministic reduction over candidate blocks processed in
-    lexicographic order: tracks the feasible minimum (first-wins on exact
-    ties, which is the lex-smallest), a beam of runners-up, and the
-    highest-probability point for infeasibility rescue.
+    """Deterministic reduction over candidate blocks, in any block order and
+    any partition: a beam of the best ``beam_width`` feasible rows in
+    (score, row) order, whose first row is the feasible minimum (the
+    lex-smallest on exact ties), and the highest-probability row, the
+    lex-smallest on ties, for infeasibility rescue.
 
-    The beam holds the best ``beam_width`` feasible rows seen so far in
-    (score, row) order. Once it is full, a row scoring above its last
-    score can never enter it, so a block whose best feasible score lies
-    above that cut is dropped after the minimum and the top probability
-    are read, without a partition or a sort.
+    Once the beam is full, a row scoring above its last score (``cut``) can
+    never enter it, so a block whose best feasible score lies above the cut
+    is dropped after the top probability is read, without a partition or a
+    sort.
 
     Rows may arrive in any integer dtype (enumerated blocks are uint8 or
     uint16); every kept row is int64, so refinement can double it without
@@ -190,8 +195,6 @@ class _Reducer:
     def __init__(self, alpha: float, beam_width: int):
         self.alpha = alpha
         self.beam_width = beam_width
-        self.best_row: np.ndarray | None = None
-        self.best_score = math.inf
         self.top_row: np.ndarray | None = None
         self.top_prob = -math.inf
         self._beam_rows: np.ndarray | None = None
@@ -200,20 +203,25 @@ class _Reducer:
         # score passes it, every infeasible (+inf) one fails it
         self._cut = sys.float_info.max
 
+    @property
+    def cut(self) -> float:
+        """Highest score that can still enter the beam."""
+        return self._cut
+
     def consume(self, rows: np.ndarray, scores: np.ndarray, probs: np.ndarray) -> None:
-        i = int(np.argmax(probs))
-        if probs[i] > self.top_prob:
-            self.top_prob = float(probs[i])
-            self.top_row = rows[i].astype(np.int64)
+        # the lex-smallest row at the block's top probability, compared with
+        # the kept one explicitly on a tie, so no block order can change it
+        top = float(probs.max())
+        if top >= self.top_prob:
+            ties = np.flatnonzero(probs == top)
+            row = rows[ties[_lex_order(rows[ties], probs[ties])[0]]].astype(np.int64)
+            if top > self.top_prob or row.tolist() < self.top_row.tolist():
+                self.top_prob, self.top_row = top, row
         # infeasible rows score +inf, so no row is gathered to find the
         # feasible minimum
         masked = np.where(probs >= self.alpha, scores, math.inf)
-        j = int(np.argmin(masked))
-        if masked[j] > self._cut:  # no feasible row, or none that can enter the beam
+        if masked.min() > self._cut:  # no feasible row, or none that can enter the beam
             return
-        if masked[j] < self.best_score:
-            self.best_score = float(masked[j])
-            self.best_row = rows[j].astype(np.int64)
         keep = np.flatnonzero(masked <= self._cut)
         if keep.size > self.beam_width:
             # every row scoring at or below the beam_width-th score, ties
@@ -237,10 +245,22 @@ class _Reducer:
 
 
 def _scan_blocks(blocks, table, coefs, expts, values, alpha) -> _Reducer:
+    """Reduce the blocks in reverse order, skipping the kernel on a block
+    whose scores all lie above the reducer's cut.
+
+    Blocks come in lexicographic order and the atoms' values increase, so
+    the reverse order meets mass on the lowest atoms first and the beam
+    fills near the feasibility boundary early. A skipped block holds no
+    row that can enter the beam. The cut stays open until the beam is
+    full, so a scan that ends with an empty beam has evaluated every
+    block, and its top row is the rescue the caller needs.
+    """
     red = _Reducer(alpha, BEAM_WIDTH)
-    for rows in blocks:
-        probs = kernels.eval_probs(rows, table, coefs, expts)
+    for rows in reversed(list(blocks)):
         scores = kernels.scaled_scores(rows, values)
+        if scores.min() > red.cut:
+            continue
+        probs = kernels.eval_probs(rows, table, coefs, expts)
         red.consume(rows, scores, probs)
     return red
 
@@ -314,8 +334,8 @@ def _schedule(k: int, cfg: OracleConfig) -> tuple[int, int, str]:
             n0 += 1
     stages = 0 if dense else max(0, math.ceil(math.log2(n_target / n0)))
     stages += cfg.refine_passes
-    # every stage's centres are the beam plus at most two extra rows
-    if stages and (_count_zero_sum_offsets(k, _neighbor_radius(k)) * (BEAM_WIDTH + 2)
+    # every stage's centres are at most the beam's rows
+    if stages and (_count_zero_sum_offsets(k, _neighbor_radius(k)) * BEAM_WIDTH
                    > NEIGHBORHOOD_MAX_ROWS):
         raise EnumerationGuardError(
             f"refinement neighbourhoods on k={k} support atoms exceed the guard of"
@@ -335,12 +355,10 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
 
     n_cur = n0
     for _ in range(stages):
-        # the incumbent and the most probable row join the beam as centres,
-        # each once: a repeated centre would only repeat its neighbourhood
-        extra = [c[None] for c in (red.best_row, red.top_row) if c is not None]
-        if not extra:
-            break
-        centers = np.unique(np.concatenate([red.beam().reshape(-1, k), *extra]), axis=0)
+        # the beam's distinct rows are the next centres; only when no row
+        # was feasible does the most probable row stand in for them
+        beam = red.beam()
+        centers = beam if beam.size else red.top_row[None]
         n_cur *= 2
         cands = _neighborhood(centers * 2, k)
         table = kernels.pow_table(n_cur, max_exp)
@@ -348,12 +366,13 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
         blocks = np.split(cands, range(kernels.BLOCK_ROWS, len(cands), kernels.BLOCK_ROWS))
         red = _scan_blocks(blocks, table, coefs, expts, values, alpha)
 
-    if red.best_row is None:
+    beam = red.beam()
+    if not beam.size:
         raise InfeasibleError(
             f"no mass vector at step 1/{n_cur} reaches constraint probability {alpha}"
             f" (closest achieved {red.top_prob:.6g})"
         )
-    return red.best_row, n_cur
+    return beam[0], n_cur
 
 
 def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,

@@ -35,10 +35,18 @@ from orderbound.oracle import (
     _zero_sum_offsets,
     relevant_values,
 )
-from orderbound.orders import CustomTable, EnumerationGuardError, enumerate_omega
+from orderbound.orders import CustomTable, EnumerationGuardError, enumerate_omega, upper_set
 
 
 FAST = OracleConfig(resolution=1e-3)
+
+
+def _block_orders(blocks, seed):
+    """The blocks forward, reversed and in a seeded shuffle."""
+    blocks = list(blocks)
+    shuffled = list(blocks)
+    np.random.default_rng(seed).shuffle(shuffled)
+    return [blocks, blocks[::-1], shuffled]
 
 
 class TestRefinedSupport:
@@ -317,6 +325,39 @@ def test_dense_results_are_pinned(m, idx, order, alpha, value, mass):
     assert res.final_step == float.fromhex("0x1.0624dd2f1a9fcp-13")
 
 
+# Pointwise at x=(0, 1) on the unit m=2 grid, alpha 0.49, coarse dense
+# steps: 2 p (1 - p) < 0.49 at every p in steps of 1/3, 1/5 or 1/7, so the
+# first scan finds no feasible row and refinement starts from the most
+# probable row alone: (step, value.hex(), witness.mass.tobytes().hex(),
+# final_step.hex()).
+RESCUE_GOLDEN = [
+    (3, "0x1.d555555555555p-2", "555555555555e13f555555555555dd3f", "0x1.5555555555555p-5"),
+    (5, "0x1.ccccccccccccdp-2", "9a9999999999e13fcdccccccccccdc3f", "0x1.999999999999ap-6"),
+    (7, "0x1.c924924924925p-2", "6edbb66ddbb6e13f254992244992dc3f", "0x1.2492492492492p-6"),
+]
+
+
+@pytest.mark.parametrize("steps,value,mass,final_step", RESCUE_GOLDEN,
+                         ids=[f"1/{g[0]}" for g in RESCUE_GOLDEN])
+def test_rescue_results_are_pinned(monkeypatch, unit2, steps, value, mass, final_step):
+    beams = []
+    real = oracle._scan_blocks
+
+    def scan(*a):
+        red = real(*a)
+        beams.append(red.beam().shape[0])
+        return red
+
+    monkeypatch.setattr(oracle, "_scan_blocks", scan)
+    res = pointwise_bound_oracle(Sample(unit2, (0, 1)), 0.49, OracleConfig(resolution=1 / steps))
+    assert beams[0] == 0 and beams[-1] > 0
+    assert res.mode == "dense"
+    assert res.value == float.fromhex(value)
+    assert res.witness.mass.tobytes() == bytes.fromhex(mass)
+    assert res.final_step == float.fromhex(final_step)
+    assert res.constraint_prob >= 0.49
+
+
 class TestSearchInternals:
     @pytest.mark.parametrize("n_cur", [96, 15104, 1 << 16, 1 << 17])
     def test_neighborhood_equals_unique(self, n_cur):
@@ -354,8 +395,8 @@ class TestSearchInternals:
         assert np.array_equal(got, want)
 
     def test_refinement_centres_are_distinct(self, monkeypatch, unit5):
-        # the incumbent and the most probable row are added to the beam's
-        # centres only when the beam does not already hold them
+        # the centres are the beam's rows, each once: a repeated centre
+        # would only repeat its neighbourhood
         seen = []
         real = oracle._neighborhood
 
@@ -374,25 +415,30 @@ class TestSearchInternals:
     def test_beam_equals_full_lexsort_under_ties(self, beam_width):
         rng = np.random.default_rng(beam_width)
         rows = np.concatenate(list(kernels.iter_composition_blocks(10, 4)))
-        # four distinct scores over 286 rows: every cutoff falls in a tie
+        # four distinct scores over 286 rows: every cutoff falls in a tie,
+        # and probabilities in tenths tie at the maximum
         scores = rng.integers(0, 4, size=rows.shape[0]).astype(np.float64)
-        probs = rng.random(rows.shape[0])
-        red = _Reducer(0.3, beam_width)
-        for lo in range(0, rows.shape[0], 50):
-            red.consume(rows[lo:lo + 50], scores[lo:lo + 50], probs[lo:lo + 50])
+        probs = np.round(rng.random(rows.shape[0]), 1)
         feas = probs >= 0.3
         rows_f, scores_f = rows[feas], scores[feas]
         keys = tuple(rows_f[:, c] for c in range(3, -1, -1)) + (scores_f,)
         order = np.lexsort(keys)
-        assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
-        assert np.array_equal(red.best_row, rows_f[order[0]])
-        assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+        assert (probs == probs.max()).sum() > 1
+        for blocks in _block_orders(np.arange(0, rows.shape[0], 50), beam_width):
+            red = _Reducer(0.3, beam_width)
+            for lo in blocks:
+                red.consume(rows[lo:lo + 50], scores[lo:lo + 50], probs[lo:lo + 50])
+            assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
+            assert np.array_equal(red.beam()[0], rows_f[order[0]])
+            assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+            assert red.top_prob == probs.max()
 
     def test_block_partition_does_not_change_the_reducer(self):
         # integer scores tie across rows and blocks, and probabilities tie
-        # at the maximum, so the lex-first rules decide every field; scores
-        # rise along the lexicographic order, so once the beam is full most
-        # blocks fall above its cut and are dropped unsorted
+        # at the maximum, so the lex-first rules decide every field, in any
+        # block order; scores rise along the lexicographic order, so fed
+        # forward, once the beam is full most blocks fall above its cut and
+        # are dropped unsorted
         rows_all = np.concatenate(list(kernels.iter_composition_blocks(60, 3)))
         values = np.array([1.0, 0.0, 1.0])
         alpha = 0.5
@@ -400,29 +446,74 @@ class TestSearchInternals:
         def probs_of(rows):
             return np.minimum(rows[:, 1] + 2 * rows[:, 2], 80) / 80.0
 
-        results = []
-        for size in (7, 100, kernels.BLOCK_ROWS):
-            blocks = np.split(rows_all, range(size, len(rows_all), size))
-            red = _Reducer(alpha, oracle.BEAM_WIDTH)
-            for rows in blocks:
-                red.consume(rows, kernels.scaled_scores(rows, values), probs_of(rows))
-            results.append(red)
-        first = results[0]
-        assert first.top_prob == 1.0 and first.best_score == 0.0
-        for red in results[1:]:
-            assert np.array_equal(red.best_row, first.best_row)
-            assert red.best_score == first.best_score
-            assert np.array_equal(red.beam(), first.beam())
-            assert np.array_equal(red.top_row, first.top_row)
-            assert red.top_prob == first.top_prob
-        # and every partition agrees with one full lexsort
         probs = probs_of(rows_all)
         scores = kernels.scaled_scores(rows_all, values)
         feas = probs >= alpha
         keys = tuple(rows_all[feas][:, c] for c in range(2, -1, -1)) + (scores[feas],)
-        order = np.lexsort(keys)
-        assert np.array_equal(first.beam(), rows_all[feas][order[:oracle.BEAM_WIDTH]])
-        assert np.array_equal(first.top_row, rows_all[np.argmax(probs)])
+        want = rows_all[feas][np.lexsort(keys)[:oracle.BEAM_WIDTH]]
+        for size in (7, 100, kernels.BLOCK_ROWS):
+            blocks = np.split(rows_all, range(size, len(rows_all), size))
+            for order in _block_orders(np.arange(len(blocks)), size):
+                red = _Reducer(alpha, oracle.BEAM_WIDTH)
+                for i in order:
+                    rows = blocks[i]
+                    red.consume(rows, kernels.scaled_scores(rows, values), probs_of(rows))
+                # every partition and order agrees with one full lexsort
+                assert np.array_equal(red.beam(), want)
+                assert kernels.scaled_scores(red.beam()[:1], values)[0] == 0.0
+                assert np.array_equal(red.top_row, rows_all[np.argmax(probs)])
+                assert red.top_prob == 1.0
+
+    @pytest.mark.parametrize("idx,order,alpha", [
+        ((1, 3), 1, 0.05), ((1, 3), 2, 0.25), ((1, 3), "lexi-low", 0.9),
+        ((1, 3), "pointwise", 0.9), ((0, 2, 4), 2, 0.05), ((0, 2, 4), "lexi-low", 0.25),
+        ((1, 2, 3, 3), 1, 0.05), ((1, 2, 3, 3), 3, 0.9), ((1, 2, 3, 3), "lexi-low", 0.25),
+    ])
+    def test_pruned_scan_equals_the_full_reduction(self, unit5, idx, order, alpha):
+        # the skipped blocks hold no row of the beam: the scan's beam is the
+        # (score, row) lexsort of every feasible row of the simplex, and a
+        # scan with no feasible row (the pointwise case: 2 p (1 - p) <= 1/2)
+        # skipped nothing, so its top row is the lex-first argmax over the
+        # whole simplex
+        x = Sample(unit5, idx)
+        order = {"lexi-low": LexiLow(), "pointwise": Pointwise(x)}.get(order) or Quantile(order)
+        atoms = refined_support(x, order).indices
+        U = upper_set(x, order, enumerate_omega(unit5, x.n))
+        coefs, expts = oracle._member_terms(U, atoms)
+        values = np.array([unit5.point(a) for a in atoms])
+        N = 1000 if len(atoms) <= 3 else 40
+        table = kernels.pow_table(N, int(expts.max()))
+        blocks = list(kernels.iter_composition_blocks(N, len(atoms)))
+        red = oracle._scan_blocks(blocks, table, coefs, expts, values, alpha)
+        rows = np.concatenate(blocks)
+        probs = kernels.eval_probs(rows, table, coefs, expts)
+        scores = kernels.scaled_scores(rows, values)
+        feas = probs >= alpha
+        keys = tuple(rows[feas][:, c] for c in range(len(atoms) - 1, -1, -1))
+        want = rows[feas][np.lexsort(keys + (scores[feas],))[:oracle.BEAM_WIDTH]]
+        assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
+        assert feas.any() != isinstance(order, Pointwise)
+        if not feas.any():
+            assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+            assert red.top_prob == probs.max()
+
+    def test_dense_scan_skips_most_kernel_blocks(self, monkeypatch, unit5):
+        # Quantile(1) at (1, 2, 3, 3) scans the N=1000 simplex on 3 atoms in
+        # 62 blocks; visited low means first, the beam fills early and most
+        # blocks score above its cut, so they never reach the kernel
+        assert len(list(kernels.iter_composition_blocks(1000, 3))) == 62
+        seen = []
+        real = kernels.eval_probs
+
+        def spy(counts, table, coefs, expts):
+            if table.shape[0] == 1001:
+                seen.append(counts.shape[0])
+            return real(counts, table, coefs, expts)
+
+        monkeypatch.setattr(kernels, "eval_probs", spy)
+        res = pessimal_bound_oracle(Sample(unit5, (1, 2, 3, 3)), Quantile(1), 0.05)
+        assert res.mode == "dense"
+        assert 0 < len(seen) < 31
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_offsets_equal_the_product_filter(self, k):
@@ -443,7 +534,7 @@ class TestSearchInternals:
         ]
 
     def test_neighbourhood_guard_fires_before_any_scan(self, monkeypatch):
-        # k=16 atoms, coarse-to-fine: 5,196,627 offsets x 26 centres; the
+        # k=16 atoms, coarse-to-fine: 5,196,627 offsets x 24 centres; the
         # guard reads only k, so neither the sample space nor the member
         # terms are built first
         calls = []
@@ -503,9 +594,9 @@ class TestSearchInternals:
         probs = rows[:, 1] / 200.0
         red = _Reducer(0.5, 4)
         red.consume(rows, rows[:, 0].astype(np.float64), probs)
-        for kept in (red.best_row, red.top_row, red.beam()):
+        for kept in (red.beam()[0], red.top_row, red.beam()):
             assert kept.dtype == np.int64
-        assert red.best_row.tolist() == [0, 200]
+        assert red.beam()[0].tolist() == [0, 200]
         # doubling a kept row for the next refinement stage must not wrap
         assert (red.beam() * 2).max() == 400
 
