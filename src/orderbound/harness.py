@@ -254,12 +254,12 @@ def verify_consistency(order: Preorder, bound_values: dict[Sample, float],
     report = VerifyReport(f"consistency[{order.name}]", len(omega) ** 2, tolerance=tolerance)
     rank = order.rank(omega.idx)
     b = np.array([bound_values[x] for x in omega], dtype=float)
-    rises = (rank[:, None] < rank[None, :]) & (b[:, None] > b[None, :] + tolerance)
+    falls = (rank[:, None] < rank[None, :]) & (b[:, None] > b[None, :] + tolerance)
     differs = (rank[:, None] == rank[None, :]) & (np.abs(b[:, None] - b[None, :]) > tolerance)
-    for r, c in zip(*np.nonzero(rises | differs)):
+    for r, c in zip(*np.nonzero(falls | differs)):
         x, y, bx, by = omega[r], omega[c], float(b[r]), float(b[c])
-        if rises[r, c]:
-            report.failures.append(f"{x.idx} < {y.idx} but B rises {bx:.6f} -> {by:.6f}")
+        if falls[r, c]:
+            report.failures.append(f"{x.idx} < {y.idx} but B falls {bx:.6f} -> {by:.6f}")
         else:
             report.failures.append(f"{x.idx} ~ {y.idx} but B differs {bx:.6f} vs {by:.6f}")
     return report

@@ -14,12 +14,14 @@ the smallest unsigned dtype that holds N, for the next scan of the same
 simplex; the oracle's fixed cell budget bounds each one. Scans read it in
 row slices of ``BLOCK_ROWS`` = 8,192, the fastest of 4,096, 8,192 and
 16,384 for the kernel on 2-core x86 (a block's factor arrays stay in
-cache). The kernel's table is a ``pow_table`` table, and the kernel forms
-each atom's powers from the base c / N by the same repeated
-multiplication, so it gathers nothing from the table. None of this changes
-a bit of the results: rows come out in the same lexicographic order and
-every probability is the same product of the same factors in the same
-order.
+cache). Next to each kept simplex sit its blocks' column minima and
+maxima, from which ``composition_floors`` bounds every block's scores
+from below without scoring a row. The kernel's table is a ``pow_table``
+table, and the kernel forms each atom's powers from the base c / N by the
+same repeated multiplication, so it gathers nothing from the table. None
+of this changes a bit of the results: rows come out in the same
+lexicographic order and every probability is the same product of the
+same factors in the same order.
 """
 
 from __future__ import annotations
@@ -132,6 +134,45 @@ def iter_composition_blocks(N: int, k: int) -> Iterator[np.ndarray]:
     simplex = _simplex(N, k)
     for start in range(0, simplex.shape[0], BLOCK_ROWS):
         yield simplex[start:start + BLOCK_ROWS]
+
+
+def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
+    """For each block ``iter_composition_blocks(N, k)`` yields, a float no
+    larger than any ``scaled_scores(block, values)`` entry.
+
+    Every row c of a block lies in the block's column box lo <= c <= hi
+    and sums to N, so its exact score is at least the box's smallest one:
+    lo plus the N - sum(lo) left filled into the lowest-valued atoms
+    first, each up to hi - lo (the greedy solution of that linear
+    program, an integer vector). Computed left to right, a k-term score
+    of counts summing to N is within g = k u / (1 - k u) * N * max|v| of
+    its exact value (u = eps / 2), so a computed row score is at least the
+    computed greedy score less 2 g, about k * eps * N * max|v|; the margin
+    subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
+    of the subtraction with room to spare.
+    """
+    lo, hi = _block_bounds(N, k, BLOCK_ROWS)
+    best = lo.copy()
+    left = N - lo.sum(axis=1)
+    for j in np.argsort(values, kind="stable").tolist():
+        take = np.minimum(left, hi[:, j] - lo[:, j])
+        best[:, j] += take
+        left -= take
+    margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
+    return scaled_scores(best, values) - margin
+
+
+@functools.lru_cache(maxsize=4)
+def _block_bounds(N: int, k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column minima and maxima, int64 (blocks, k), of the ``rows``-row
+    blocks of ``_simplex(N, k)``; keyed on the block size so they always
+    line up with the blocks a scan reads."""
+    simplex = _simplex(N, k)
+    starts = np.arange(0, simplex.shape[0], rows)
+    lo = np.minimum.reduceat(simplex, starts, axis=0).astype(np.int64)
+    hi = np.maximum.reduceat(simplex, starts, axis=0).astype(np.int64)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 @functools.lru_cache(maxsize=4)

@@ -11,13 +11,14 @@ When the quantized simplex is small enough it is enumerated outright;
 otherwise the scan starts from the finest affordable grid and walks a
 beam of the best candidates through successive step halvings until the
 requested resolution is reached. Each scan visits its blocks in reverse
-lexicographic order, lowest means first, scores every block, and runs the
+lexicographic order, lowest means first, and scores and runs the
 probability kernel only on blocks with a row that can still enter the
-beam. The beam's rows are the next stage's centres; the most probable
-row stands in only when no row is feasible. Every stage is deterministic,
-and ties between equal means, and between equal top probabilities, are
-broken toward the lexicographically smallest mass vector, so results do
-not depend on evaluation order.
+beam; a simplex block is ruled out from its column bounds before any of
+its rows is scored. The beam's rows are the next stage's centres; the
+most probable row stands in only when no row is feasible. Every stage is
+deterministic, and ties between equal means, and between equal top
+probabilities, are broken toward the lexicographically smallest mass
+vector, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -244,19 +245,27 @@ class _Reducer:
         return self._beam_rows
 
 
-def _scan_blocks(blocks, table, coefs, expts, values, alpha) -> _Reducer:
+def _scan_blocks(blocks, table, coefs, expts, values, alpha, floors=None) -> _Reducer:
     """Reduce the blocks in reverse order, skipping the kernel on a block
     whose scores all lie above the reducer's cut.
 
     Blocks come in lexicographic order and the atoms' values increase, so
     the reverse order meets mass on the lowest atoms first and the beam
-    fills near the feasibility boundary early. A skipped block holds no
-    row that can enter the beam. The cut stays open until the beam is
-    full, so a scan that ends with an empty beam has evaluated every
-    block, and its top row is the rescue the caller needs.
+    fills near the feasibility boundary early. ``floors``, one per block
+    (``kernels.composition_floors`` for a simplex), lets a block whose
+    floor is above the cut skip scoring too; a block without one is
+    scored first. A skipped block holds no row that can enter the beam.
+    The cut stays open until the beam is full, so a scan that ends with an
+    empty beam has evaluated every block, and its top row is the rescue
+    the caller needs.
     """
     red = _Reducer(alpha, BEAM_WIDTH)
-    for rows in reversed(list(blocks)):
+    blocks = list(blocks)
+    if floors is None:
+        floors = np.full(len(blocks), -math.inf)
+    for rows, floor in zip(reversed(blocks), reversed(floors.tolist())):
+        if floor > red.cut:
+            continue
         scores = kernels.scaled_scores(rows, values)
         if scores.min() > red.cut:
             continue
@@ -351,7 +360,8 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
     k = values.shape[0]
     max_exp = int(expts.max()) if expts.size else 0
     table = kernels.pow_table(n0, max_exp)
-    red = _scan_blocks(kernels.iter_composition_blocks(n0, k), table, coefs, expts, values, alpha)
+    red = _scan_blocks(kernels.iter_composition_blocks(n0, k), table, coefs, expts, values,
+                       alpha, kernels.composition_floors(n0, k, values))
 
     n_cur = n0
     for _ in range(stages):

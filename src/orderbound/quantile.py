@@ -1,9 +1,9 @@
 """Fast approximation of quantile-preorder bounds in closed form.
 
-The bound for sample x under the i-th quantile preorder reduces, up to one
-grid step, to a two-atom family: mass p at x's i-th order statistic and
-1 - p at the grid minimum. The constraint probability is a binomial tail
-that is monotone in p. It equals the regularized incomplete beta function
+The bound for sample x under the i-th quantile preorder is attained in a
+two-atom family: mass p at x's i-th order statistic and 1 - p at the grid
+minimum. The constraint probability is a binomial tail that is monotone
+in p. It equals the regularized incomplete beta function
 ``I_p(k + 1, n - k)`` (DLMF 8.17.5), so the critical mass where it reaches
 alpha is one ``betaincinv`` call. That mass is snapped to the dyadic grid a
 bisection on [0, 1] would stop on, and the grid point is certified by
@@ -15,9 +15,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc, betaincinv
-
 from .support import Sample
+
+
+def _load_scipy(name: str):
+    """Placeholder for ``scipy.special.<name>`` that imports scipy on its
+    first call and rebinds every module global still holding a placeholder
+    to the real ufunc, so importing orderbound never pays for scipy and
+    later calls run no import statement."""
+
+    def first_call(*args):
+        from scipy import special
+
+        for placeholder in _PLACEHOLDERS:
+            if globals()[placeholder.__name__] is placeholder:
+                globals()[placeholder.__name__] = getattr(special, placeholder.__name__)
+        return getattr(special, name)(*args)
+
+    first_call.__name__ = name
+    return first_call
+
+
+betainc = _load_scipy("betainc")
+betaincinv = _load_scipy("betaincinv")
+_PLACEHOLDERS = (betainc, betaincinv)
 
 
 def binom_cdf(k: int, n: int, p: float) -> float:
@@ -79,7 +100,7 @@ class QuantileBoundResult:
     """Outcome of the search for the critical mass.
 
     bound = s_min * (1 - p_hat) + x_(i) * p_hat; c is the grid spacing
-    (the support-reduction part of the approximation error) and delta the
+    (reported only: the two-atom reduction is exact) and delta the
     requested width of the interval holding the critical mass. p_hat sits
     on the dyadic grid of step ``2**-iterations``, the coarsest one no wider
     than delta; iterations is therefore the number of steps a bisection of
@@ -120,10 +141,13 @@ def quantile_bound(
     of a test, the search steps by h toward the test that failed, doubling
     the step until it passes, and bisects the grid points in between.
 
-    Against the exact bound the result is within one grid step plus
-    epsilon plus h; with alpha = 0 the search collapses to p_hat = 0 and
-    the bound to the grid minimum. Raises ValueError when epsilon is so
-    small that the grid points near the critical mass are not doubles.
+    The two-atom family holds the exact bound for this preorder, and p_hat
+    lies within h <= delta of the critical mass, so the result is within
+    epsilon of the exact bound (not so for ``paper_literal_tail``, which
+    solves for the wrong tail); with alpha = 0 the search collapses to
+    p_hat = 0 and the bound to the grid minimum. Raises ValueError when
+    epsilon is so small that the grid points near the critical mass are
+    not doubles.
     """
     n = x.n
     if not 1 <= i <= n:

@@ -70,13 +70,15 @@ class Sample:
     def __post_init__(self):
         if len(self.idx) < 1:
             raise GridError("a sample needs at least one component")
+        # builtins over the whole tuple: samples are built by the thousand
         try:
-            object.__setattr__(self, "idx", tuple(operator.index(i) for i in self.idx))
+            idx = tuple(map(operator.index, self.idx))
         except TypeError:
             raise GridError("sample indices must be integers") from None
-        if any(i < 0 or i > self.grid.m - 1 for i in self.idx):
-            raise GridError(f"sample indices {self.idx} outside grid range")
-        if any(a > b for a, b in zip(self.idx, self.idx[1:])):
+        object.__setattr__(self, "idx", idx)
+        if min(idx) < 0 or max(idx) > self.grid.m - 1:
+            raise GridError(f"sample indices {idx} outside grid range")
+        if not all(map(operator.le, idx, idx[1:])):
             raise GridError("sample indices must be non-decreasing")
 
     @property

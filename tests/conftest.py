@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from scipy.special import betaincinv
 
-from orderbound import SupportGrid
+from orderbound import SupportGrid, enumerate_omega
 
 
 @pytest.fixture
@@ -25,6 +26,24 @@ def binom_cdf_by_summation(k: int, n: int, p: float) -> float:
     if k < 0:
         return 0.0
     return sum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(min(k, n) + 1))
+
+
+def criterion_4_calls():
+    """Every (sample, i, alpha) of acceptance criterion 4."""
+    grid = SupportGrid(0.0, 1.0, 5)
+    for n in (1, 2, 3, 4):
+        for x in enumerate_omega(grid, n):
+            for i in range(1, n + 1):
+                for alpha in (0.05, 0.25):
+                    yield x, i, alpha
+
+
+def exact_quantile_bound(x, i: int, alpha: float) -> float:
+    """The true bound under Quantile(i): P_F[U] depends on F only through
+    q = F(X >= v), v = x_(i), and rises with q, so the least mean puts
+    mass p* = betaincinv(n - i + 1, i, alpha) at v and the rest at s_min."""
+    grid, v = x.grid, x.grid.point(x.order_stat(i))
+    return grid.s_min + float(betaincinv(x.n - i + 1, i, alpha)) * (v - grid.s_min)
 
 
 def count_linear_extensions(n_elems: int, strict_pairs: set[tuple[int, int]]) -> int:

@@ -177,9 +177,9 @@ class TestConsistency:
         assert report.instances_checked == 9
         assert report.failures == [
             "(0, 0) ~ (0, 1) but B differs 0.500000 vs 0.200000",
-            "(0, 0) < (1, 1) but B rises 0.500000 -> 0.100000",
+            "(0, 0) < (1, 1) but B falls 0.500000 -> 0.100000",
             "(0, 1) ~ (0, 0) but B differs 0.200000 vs 0.500000",
-            "(0, 1) < (1, 1) but B rises 0.200000 -> 0.100000",
+            "(0, 1) < (1, 1) but B falls 0.200000 -> 0.100000",
         ]
 
     def test_missing_samples_error(self, unit3):

@@ -210,6 +210,68 @@ class TestBlockMemo:
             assert np.array_equal(first[N], np.concatenate(again))
 
 
+def _floor_cases():
+    """(N, values) for every simplex the oracle-dense and oracle-c2f
+    benchmarks scan (N = 1000 on k <= 3 atoms, the coarse-to-fine n0 on
+    k = 5), on the unit grid, its extreme shifts by -2 and +2, a negative
+    grid and the wide grid of ``--s-max 999``."""
+    from orderbound.oracle import OracleConfig, _schedule
+
+    n0 = _schedule(5, OracleConfig())[0]
+    grids = [(0.0, 1.0, 5), (-2.0, -1.0, 5), (2.0, 3.0, 5), (-2.5, 0.75, 5), (0.0, 999.0, 1000)]
+    for s_min, s_max, m in grids:
+        points = np.linspace(s_min, s_max, m)
+        # the lowest, a spread and the highest atoms of each size
+        cases = [(1000, atoms) for atoms in
+                 ([0], [m - 1], [0, m - 1], [1, 3], [0, 2, 3], [2, 3, 4], [0, 1, 4])]
+        cases.append((n0, [0, 1, 2, 3, 4]))
+        if m > 5:
+            cases += [(1000, [0, 300, 999]), (n0, [0, 1, 500, 998, 999])]
+        for N, atoms in cases:
+            yield pytest.param(N, points[atoms], id=f"{N}-[{s_min},{s_max}]-{','.join(map(str, atoms))}")
+
+
+class TestCompositionFloors:
+    @pytest.mark.parametrize("N,values", list(_floor_cases()))
+    def test_floor_is_at_most_every_computed_score(self, N, values):
+        k = values.size
+        floors = kernels.composition_floors(N, k, values)
+        blocks = list(kernels.iter_composition_blocks(N, k))
+        assert floors.shape == (len(blocks),)
+        lows = np.array([kernels.scaled_scores(b, values).min() for b in blocks])
+        assert (floors <= lows).all()
+
+    @pytest.mark.parametrize("block_rows", [500, 7, 1 << 20])
+    def test_floors_line_up_with_the_current_blocks(self, monkeypatch, block_rows):
+        values = np.array([-2.0, -1.75, -1.0])
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+        floors = kernels.composition_floors(200, 3, values)
+        blocks = list(kernels.iter_composition_blocks(200, 3))
+        assert floors.shape == (len(blocks),)
+        lows = np.array([kernels.scaled_scores(b, values).min() for b in blocks])
+        assert (floors <= lows).all()
+
+    def test_floor_is_the_box_minimum_less_the_margin(self, monkeypatch):
+        # the whole simplex in one block: the box is the simplex, whose
+        # least score puts all N on the lowest atom; the margin is
+        # 8 * k * eps * N * max|v|
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 1 << 20)
+        values = np.array([2.0, 2.25, 2.5, 3.0])
+        margin = 8 * 4 * np.finfo(np.float64).eps * 100 * 3.0
+        assert kernels.composition_floors(100, 4, values).tolist() == [200.0 - margin]
+
+    def test_bounds_are_kept_per_block_size(self, monkeypatch):
+        kernels._block_bounds.cache_clear()
+        lo, hi = kernels._block_bounds(30, 3, 7)
+        assert lo.dtype == hi.dtype == np.int64 and not lo.flags.writeable
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+        kernels.composition_floors(30, 3, np.array([0.0, 1.0, 2.0]))
+        assert kernels._block_bounds.cache_info().hits == 1
+        blocks = list(kernels.iter_composition_blocks(30, 3))
+        assert np.array_equal(lo, [b.min(axis=0) for b in blocks])
+        assert np.array_equal(hi, [b.max(axis=0) for b in blocks])
+
+
 def _compositions(N, k):
     """Compositions of N into k parts in lexicographic order, by stars and
     bars: increasing bar positions give increasing count vectors."""

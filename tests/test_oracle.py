@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
 from orderbound import (
     InfeasibleError,
@@ -36,6 +37,8 @@ from orderbound.oracle import (
     relevant_values,
 )
 from orderbound.orders import CustomTable, EnumerationGuardError, enumerate_omega, upper_set
+
+from conftest import criterion_4_calls, exact_quantile_bound
 
 
 FAST = OracleConfig(resolution=1e-3)
@@ -152,6 +155,57 @@ class TestOrderedOracles:
         a = pessimal_bound_oracle(Sample(unit3, (0, 1)), order, 0.25, FAST)
         b = pessimal_bound_oracle(Sample(unit3, (0, 2)), order, 0.25, FAST)
         assert a.value == b.value
+
+
+class TestExactBounds:
+    """Mixed samples against bounds known in closed form. A witness is
+    feasible, so no value may lie below the truth; the documented accuracy
+    is 2 * final_step * range above it."""
+
+    @staticmethod
+    def _check(x, order, alpha, exact, res, measured):
+        range_ = x.grid.s_max - x.grid.s_min
+        where = f"x={x.idx} {order.name} alpha={alpha}: {res.value!r} vs exact {exact!r}"
+        assert exact - 1e-12 * (1 + abs(exact)) <= res.value, f"below the truth: {where}"
+        assert res.value <= exact + 2 * res.final_step * range_, (
+            f"{where}: over 2 * final_step * range (measured overshoot at most {measured})"
+        )
+
+    @staticmethod
+    def _memo(results, x, order, alpha):
+        # one search per upper set: the support and the upper set fix it
+        mask = upper_set(x, order, enumerate_omega(x.grid, x.n)).mask.tobytes()
+        key = (x.grid, refined_support(x, order).indices, mask, alpha)
+        if key not in results:
+            results[key] = pessimal_bound_oracle(x, order, alpha, FAST)
+        return results[key]
+
+    def test_quantile_calls_of_criterion_4(self):
+        results, calls = {}, 0
+        for x, i, alpha in criterion_4_calls():
+            res = self._memo(results, x, Quantile(i), alpha)
+            self._check(x, Quantile(i), alpha, exact_quantile_bound(x, i, alpha), res,
+                        "1.07e-4 * range")
+            calls += 1
+        assert calls == 840
+
+    @pytest.mark.parametrize("grid", [SupportGrid(0.0, 1.0, 2), SupportGrid(-1.5, 2.0, 2)],
+                             ids=["unit", "shifted"])
+    def test_two_atom_grids_meet_clopper_pearson(self, grid):
+        # with j of the n draws on the top atom, LexiLow and LexiHigh both
+        # bound the mean by the Clopper-Pearson lower limit for j successes
+        # (Clopper & Pearson, Biometrika 1934)
+        results = {}
+        range_ = grid.s_max - grid.s_min
+        for n in range(1, 11):
+            for x in enumerate_omega(grid, n):
+                j = x.idx.count(1)
+                for order in (LexiLow(), LexiHigh()):
+                    for alpha in (0.05, 0.25, 0.5):
+                        p = float(betaincinv(j, n - j + 1, alpha)) if j else 0.0
+                        res = self._memo(results, x, order, alpha)
+                        self._check(x, order, alpha, grid.s_min + p * range_, res,
+                                    "1.25e-4 * range")
 
 
 class TestWitness:
@@ -484,36 +538,47 @@ class TestSearchInternals:
         N = 1000 if len(atoms) <= 3 else 40
         table = kernels.pow_table(N, int(expts.max()))
         blocks = list(kernels.iter_composition_blocks(N, len(atoms)))
-        red = oracle._scan_blocks(blocks, table, coefs, expts, values, alpha)
         rows = np.concatenate(blocks)
         probs = kernels.eval_probs(rows, table, coefs, expts)
         scores = kernels.scaled_scores(rows, values)
         feas = probs >= alpha
         keys = tuple(rows[feas][:, c] for c in range(len(atoms) - 1, -1, -1))
         want = rows[feas][np.lexsort(keys + (scores[feas],))[:oracle.BEAM_WIDTH]]
-        assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
         assert feas.any() != isinstance(order, Pointwise)
-        if not feas.any():
-            assert np.array_equal(red.top_row, rows[np.argmax(probs)])
-            assert red.top_prob == probs.max()
+        # scored first, and ruled out by the blocks' score floors first
+        for floors in (None, kernels.composition_floors(N, len(atoms), values)):
+            red = oracle._scan_blocks(blocks, table, coefs, expts, values, alpha, floors)
+            assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
+            if not feas.any():
+                assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+                assert red.top_prob == probs.max()
 
     def test_dense_scan_skips_most_kernel_blocks(self, monkeypatch, unit5):
         # Quantile(1) at (1, 2, 3, 3) scans the N=1000 simplex on 3 atoms in
         # 62 blocks; visited low means first, the beam fills early and most
-        # blocks score above its cut, so they never reach the kernel
+        # blocks score above its cut, so they never reach the kernel, and
+        # most are ruled out by their score floors before any row is scored
+        # (the simplex blocks are the uint16 calls; refinement slices are
+        # int64)
         assert len(list(kernels.iter_composition_blocks(1000, 3))) == 62
-        seen = []
-        real = kernels.eval_probs
+        seen, scored = [], []
+        real, real_scores = kernels.eval_probs, kernels.scaled_scores
 
         def spy(counts, table, coefs, expts):
             if table.shape[0] == 1001:
                 seen.append(counts.shape[0])
             return real(counts, table, coefs, expts)
 
+        def scores_spy(counts, values):
+            if counts.dtype == np.uint16:
+                scored.append(counts.shape[0])
+            return real_scores(counts, values)
+
         monkeypatch.setattr(kernels, "eval_probs", spy)
+        monkeypatch.setattr(kernels, "scaled_scores", scores_spy)
         res = pessimal_bound_oracle(Sample(unit5, (1, 2, 3, 3)), Quantile(1), 0.05)
         assert res.mode == "dense"
-        assert 0 < len(seen) < 31
+        assert 0 < len(seen) <= len(scored) < 31
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_offsets_equal_the_product_filter(self, k):

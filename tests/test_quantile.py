@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from orderbound import (
 )
 from orderbound.quantile import QuantileBoundResult
 
-from conftest import binom_cdf_by_summation
+from conftest import binom_cdf_by_summation, criterion_4_calls, exact_quantile_bound
 
 
 class TestBinomCdf:
@@ -156,6 +160,15 @@ class TestQuantileBound:
                     assert abs(res.p_hat - p_star) <= res.delta
                     want = unit5.s_min * (1 - p_star) + v * p_star
                     assert abs(res.bound - want) <= res.epsilon + res.delta * 1.0
+
+    def test_criterion_4_calls_within_epsilon_of_the_exact_bound(self):
+        # the two-atom family holds the exact bound, so the only error is
+        # the search's: within epsilon, not one grid step plus epsilon
+        eps = 1e-4
+        for x, i, alpha in criterion_4_calls():
+            exact = exact_quantile_bound(x, i, alpha)
+            got = quantile_bound(x, i, alpha, eps).bound
+            assert abs(got - exact) <= eps, (x.idx, i, alpha, got, exact)
 
     def test_interval_brackets_critical_point(self, unit5):
         for n, i, alpha in [(3, 2, 0.25), (4, 1, 0.05), (5, 5, 0.1), (2, 1, 0.25)]:
@@ -359,3 +372,37 @@ class TestCertificationWalk:
         x = homogeneous_sample(SupportGrid(0.0, 4.0, 5), 4, 2)
         with pytest.raises(ValueError, match="too small"):
             quantile_bound(x, 1, 0.25, 5e-324)
+
+
+_FIRST_USE = """
+import sys
+import orderbound, orderbound.cli
+from orderbound import quantile
+assert "scipy" not in sys.modules, "importing orderbound loaded scipy"
+placeholder = quantile.betaincinv
+quantile.betaincinv = patched = lambda a, b, y: placeholder(a, b, y)
+x = orderbound.make_sample(orderbound.SupportGrid(0.0, 1.0, 5), [0.25, 0.5, 0.75])
+first = orderbound.quantile_bound(x, 2, 0.05, 1e-4)
+import scipy.special
+# the first call loads scipy and rebinds the placeholder left in place,
+# not a function patched over the other one
+assert quantile.betainc is scipy.special.betainc
+assert quantile.betaincinv is patched
+quantile.betaincinv = placeholder
+again = orderbound.quantile_bound(x, 2, 0.05, 1e-4)
+assert quantile.betaincinv is scipy.special.betaincinv
+assert again == first
+print(first.bound.hex(), first.p_hat.hex())
+"""
+
+
+def test_scipy_loads_on_first_use():
+    src = str(Path(orderbound.quantile.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _FIRST_USE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    x = make_sample(SupportGrid(0.0, 1.0, 5), [0.25, 0.5, 0.75])
+    res = quantile_bound(x, 2, 0.05, 1e-4)
+    assert out.stdout.split() == [res.bound.hex(), res.p_hat.hex()]

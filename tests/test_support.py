@@ -103,6 +103,28 @@ def test_sample_validation(unit3):
         Sample(unit3, (0, 5))
 
 
+@pytest.mark.parametrize("idx,message", [
+    ((), "a sample needs at least one component"),
+    ((0, 1.0), "sample indices must be integers"),
+    ((0, "1"), "sample indices must be integers"),
+    ((2, 3), "sample indices (2, 3) outside grid range"),
+    ((-1, 0), "sample indices (-1, 0) outside grid range"),
+    # the range is checked before the order
+    ((3, 0), "sample indices (3, 0) outside grid range"),
+    ((1, 0), "sample indices must be non-decreasing"),
+    ((0, 2, 1, 2), "sample indices must be non-decreasing"),
+])
+def test_sample_validation_messages(unit3, idx, message):
+    with pytest.raises(GridError) as err:
+        Sample(unit3, idx)
+    assert str(err.value) == message
+
+
+def test_sample_indices_become_python_ints(unit3):
+    x = Sample(unit3, [np.int64(0), True, np.uint8(2)])
+    assert x.idx == (0, 1, 2) and all(type(i) is int for i in x.idx)
+
+
 def _leq(x, y):
     """x <= y in the componentwise order of their sample space."""
     omega = enumerate_omega(x.grid, x.n)
