@@ -111,11 +111,15 @@ class OracleCache:
     the sample space of grid and n). Distinct samples sharing an upper set
     (e.g. under a quantile preorder) hit one entry. Its config is the one
     every search through it runs with; the sample space comes from
-    ``enumerate_omega``, the same object the oracle reads."""
+    ``enumerate_omega``, the same object the oracle reads. ``hits`` and
+    ``misses`` count the lookups ``value`` answered from the table and by
+    a search."""
 
     def __init__(self, cfg: OracleConfig | None = None):
         self.cfg = cfg or OracleConfig()
         self._values: dict[tuple, float] = {}
+        self.hits = 0
+        self.misses = 0
 
     def value(self, x: Sample, order: Preorder, alpha: float,
               support: SupportSet | None = None) -> float:
@@ -124,9 +128,12 @@ class OracleCache:
             sup = refined_support(x, order)
         mask = upper_set(x, order, enumerate_omega(x.grid, x.n)).mask
         key = (x.grid, x.n, alpha, sup.indices, mask.tobytes(), self.cfg.resolution)
-        if key not in self._values:
+        if key in self._values:
+            self.hits += 1
+        else:
             cfg = replace(self.cfg, support_override=sup)
             self._values[key] = pessimal_bound_oracle(x, order, alpha, cfg).value
+            self.misses += 1
         return self._values[key]
 
 

@@ -15,10 +15,13 @@ lexicographic order, lowest means first, and scores and runs the
 probability kernel only on blocks with a row that can still enter the
 beam; a simplex block is ruled out from its column bounds before any of
 its rows is scored. The beam's rows are the next stage's centres; the
-most probable row stands in only when no row is feasible. Every stage is
-deterministic, and ties between equal means, and between equal top
-probabilities, are broken toward the lexicographically smallest mass
-vector, so results do not depend on evaluation order.
+most probable row stands in only when no row is feasible. Doubled, a full
+beam's rows keep their probabilities and twice their scores, so the next
+beam's cut is at most twice this one, and a refinement neighbourhood
+drops every centre + offset pair scoring above that before it builds a
+key. Every stage is deterministic, and ties between equal means, and
+between equal top probabilities, are broken toward the lexicographically
+smallest mass vector, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -274,22 +277,53 @@ def _scan_blocks(blocks, table, coefs, expts, values, alpha, floors=None) -> _Re
     return red
 
 
-def _neighborhood(centers: np.ndarray, k: int) -> np.ndarray:
-    """Distinct non-negative rows centre + offset, in lexicographic order.
+@functools.cache
+def _offset_needs(k: int, radius: int) -> np.ndarray:
+    """Per offset, what it needs of a centre to keep the row non-negative,
+    in unary (read-only int64): field j, bits radius * j up, holds one bit
+    per unit entry j falls below zero, so bit radius * j + v is set when
+    offset entry j is below -v. The fields take k * radius bits, at most 15
+    for the k <= 14 atoms the neighbourhood guard admits."""
+    need = np.maximum(-_zero_sum_offsets(k, radius), 0)
+    need = ((1 << need) - 1) @ ((1 << radius) ** np.arange(k))
+    need.flags.writeable = False
+    return need
+
+
+def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray | None = None,
+                  offset_scores: np.ndarray | None = None,
+                  limit: float = math.inf) -> np.ndarray:
+    """Distinct non-negative rows centre + offset, in lexicographic order,
+    less the rows whose score must exceed ``limit``.
+
+    For a finite ``limit``, a (centre, offset) pair is dropped before any
+    key is built when the offset's score (``offset_scores``, the
+    ``scaled_scores`` of ``_zero_sum_offsets``) exceeds ``limit`` plus a
+    margin less the centre's score. The margin, ``8 * k * eps * N *
+    max|v|`` for centres summing to N, makes every dropped row's computed
+    ``scaled_scores`` exceed ``limit``, so a row scoring exactly ``limit``
+    is kept. With u = eps / 2 and g = k u / (1 - k u), a k-term score
+    computed in any order is within g * sum_j |c_j v_j| of its exact value:
+    within g N max|v| for the centre and for the row, both non-negative and
+    summing to N, and within 2 g N max|v| for the offset, whose entries sum
+    to zero and whose negative entries total at most N once the row is
+    non-negative. Forming limit + margin less the centre's score rounds
+    twice, by about 3 u N max|v| in all. So a dropped row's computed score
+    exceeds ``limit`` + margin - (4 g + 3 u) N max|v|, and (4 g + 3 u),
+    about (4 k + 3) u, is under half the margin's 16 k u.
 
     The centres share one sum, so every candidate row is fixed by its
     first k - 1 entries. Entry j less lo_j, the lowest value it can take,
     is packed into the bits its range needs of one of a few int64 keys,
     the first entries in the highest bits of the last key, so the keys
-    sort in the rows' order. Packing is linear while entries stay
-    non-negative: a candidate's keys are its centre's keys plus its
-    offset's keys, and no candidate row is built. Only a centre with an
-    entry below the radius can reach a negative entry, so only those
-    entries are checked.
+    sort in the rows' order. Packing is a product with the entries' bit
+    weights, linear while entries stay non-negative: a candidate's keys
+    are its centre's keys plus its offset's keys, and no candidate row is
+    built.
     """
     radius = _neighbor_radius(k)
     offs = _zero_sum_offsets(k, radius)
-    total = int(centers[0].sum())
+    total = sum(centers[0].tolist())
     heads = centers[:, :-1]
     lo = np.maximum(heads.min(axis=0) - radius, 0)
     widths = [int(w).bit_length() for w in (heads.max(axis=0) + radius - lo).tolist()]
@@ -302,21 +336,20 @@ def _neighborhood(centers: np.ndarray, k: int) -> np.ndarray:
         place[j] = (key, used)
         used += widths[j]
 
-    def pack(rows: np.ndarray) -> np.ndarray:
-        keys = np.zeros((key + 1, rows.shape[0]), dtype=np.int64)
-        for j, (w, bit) in enumerate(place):
-            keys[w] += rows[:, j] * (1 << bit)
-        return keys
+    # the keys of rows are weight @ rows[:, :-1].T
+    weight = np.zeros((key + 1, k - 1), dtype=np.int64)
+    for j, (w, bit) in enumerate(place):
+        weight[w, j] = 1 << bit
 
-    keys = (pack(heads - lo)[:, :, None] + pack(offs)[:, None, :]).reshape(key + 1, -1)
-    # a candidate leaves the simplex only through a centre entry below the
-    # radius; those candidates' keys are dropped before the sort
-    ok = np.ones((centers.shape[0], offs.shape[0]), dtype=bool)
-    below = centers < radius
-    for j in np.flatnonzero(below.any(axis=0)).tolist():
-        low = np.flatnonzero(below[:, j])
-        ok[low] &= offs[:, j] >= -centers[low, j][:, None]
-    keys = keys[:, ok.ravel()]
+    # a centre entry v holds the low min(v, radius) bits of its field; a
+    # pair stays non-negative when its offset needs no bit the centre lacks
+    have = ((1 << np.minimum(centers, radius)) - 1) @ ((1 << radius) ** np.arange(k))
+    ok = (_offset_needs(k, radius) & ~have[:, None]) == 0
+    if limit < math.inf:
+        margin = 8 * k * sys.float_info.epsilon * total * max(map(abs, values.tolist()))
+        ok &= offset_scores <= (limit + margin - centers @ values)[:, None]
+    ci, oi = np.divmod(np.flatnonzero(ok), offs.shape[0])
+    keys = (weight @ (heads - lo).T)[:, ci] + (weight @ offs[:, :-1].T)[:, oi]
     keys = keys[:, np.lexsort(keys)]
     fresh = np.ones(keys.shape[1], dtype=bool)
     fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
@@ -364,13 +397,22 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
                        alpha, kernels.composition_floors(n0, k, values))
 
     n_cur = n0
+    # the offsets' scores, fixed for the call; built only when a stage needs
+    # them, since without one the guard admits any k
+    if stages:
+        offset_scores = kernels.scaled_scores(_zero_sum_offsets(k, _neighbor_radius(k)), values)
     for _ in range(stages):
         # the beam's distinct rows are the next centres; only when no row
         # was feasible does the most probable row stand in for them
         beam = red.beam()
         centers = beam if beam.size else red.top_row[None]
+        # doubled, a full beam's rows keep their probabilities (2c / 2N is
+        # the double c / N) and score exactly twice as much, and offset 0
+        # keeps them in the neighbourhood: the next beam fills, and its cut
+        # is at most twice this one
+        limit = 2 * red.cut if beam.shape[0] == BEAM_WIDTH else math.inf
         n_cur *= 2
-        cands = _neighborhood(centers * 2, k)
+        cands = _neighborhood(centers * 2, k, values, offset_scores, limit)
         table = kernels.pow_table(n_cur, max_exp)
         # kernel-sized slices; the reducer does not depend on the partition
         blocks = np.split(cands, range(kernels.BLOCK_ROWS, len(cands), kernels.BLOCK_ROWS))

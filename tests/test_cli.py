@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orderbound import enumerate_omega
+from orderbound import cli, enumerate_omega
 from orderbound.cli import main
 
 
@@ -212,6 +212,28 @@ class TestVerify:
         assert all(r["passed"] for r in reports)
         # 12 extensions, each checked at the m homogeneous samples and more
         assert reports[0]["theorem"] == "sandwich" and reports[0]["instances_checked"] > 24 * m
+
+    def test_all_counts_every_cache_lookup(self, capsys, monkeypatch):
+        # the campaigns share one cache: its hits and misses add up to the
+        # lookups made, some of them hits, and each miss stored one value
+        caches, lookups = [], []
+
+        class Counted(cli.OracleCache):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                caches.append(self)
+
+            def value(self, *a, **kw):
+                lookups.append(a)
+                return super().value(*a, **kw)
+
+        monkeypatch.setattr(cli, "OracleCache", Counted)
+        code, reports = _run_json(capsys, "verify", "all", "--m", "3", "--n", "2")
+        assert code == 0 and all(r["passed"] for r in reports)
+        [cache] = caches
+        assert cache.hits > 0
+        assert cache.hits + cache.misses == len(lookups)
+        assert cache.misses == len(cache._values)
 
     def test_csv_format(self, capsys):
         code, out = _run(capsys, "verify", "sandwich", "--m", "2", "--n", "2",

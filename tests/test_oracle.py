@@ -412,6 +412,22 @@ def test_rescue_results_are_pinned(monkeypatch, unit2, steps, value, mass, final
     assert res.constraint_prob >= 0.49
 
 
+def _spread_centres(n_cur: int, k: int) -> np.ndarray:
+    """24 centres summing to n_cur, as doubled beam rows are: spread out,
+    four on the boundary, three overlapping others and one repeated."""
+    rng = np.random.default_rng(k)
+    half = np.array([rng.multinomial(n_cur // 2, p)
+                     for p in rng.dirichlet(np.ones(k), 20)])
+    half[:4, k // 2 + 1:] = 0  # centres on the boundary lose negative neighbours
+    half[:4, 0] = n_cur // 2 - half[:4, 1:].sum(axis=1)
+    # overlapping neighbourhoods, and a repeated centre as when the
+    # incumbent is also the first beam row
+    near = half[:3].copy()
+    near[np.arange(3), near.argmax(axis=1)] -= 1
+    near[:, 0] += 1
+    return np.concatenate([half, near, half[:1]]) * 2
+
+
 class TestSearchInternals:
     @pytest.mark.parametrize("n_cur", [96, 15104, 1 << 16, 1 << 17])
     def test_neighborhood_equals_unique(self, n_cur):
@@ -420,23 +436,100 @@ class TestSearchInternals:
         # more keys (four 16-bit entries would reach the sign bit), and a
         # mixed-radix int64 key over all k columns would wrap
         for k in range(1, 11):
-            rng = np.random.default_rng(k)
-            half = np.array([rng.multinomial(n_cur // 2, p)
-                             for p in rng.dirichlet(np.ones(k), 20)])
-            half[:4, k // 2 + 1:] = 0  # centres on the boundary lose negative neighbours
-            half[:4, 0] = n_cur // 2 - half[:4, 1:].sum(axis=1)
-            # overlapping neighbourhoods, and a repeated centre as when the
-            # incumbent is also the first beam row
-            near = half[:3].copy()
-            near[np.arange(3), near.argmax(axis=1)] -= 1
-            near[:, 0] += 1
-            centers = np.concatenate([half, near, half[:1]]) * 2
+            centers = _spread_centres(n_cur, k)
             got = _neighborhood(centers, k)
             offs = _zero_sum_offsets(k, _neighbor_radius(k))
             cands = (centers[:, None, :] + offs[None]).reshape(-1, k)
             want = np.unique(cands[(cands >= 0).all(axis=1)], axis=0)
             assert got.dtype == want.dtype, k
             assert np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("n_cur", [96, 15104, 1 << 16, 1 << 17])
+    def test_pruned_neighborhood_drops_only_rows_above_the_limit(self, n_cur):
+        # values on a unit grid, a negative grid, a wide grid (as with
+        # --s-max 999) and an integer grid whose row scores tie exactly;
+        # the limit is a row's own score, so that row must stay
+        for k in range(1, 11):
+            centers = _spread_centres(n_cur, k)
+            full = _neighborhood(centers, k)
+            offs = _zero_sum_offsets(k, _neighbor_radius(k))
+            for values in (np.linspace(0.0, 1.0, k), np.linspace(-3.5, -0.25, k),
+                           np.linspace(-999.0, 999.0, k), np.arange(k) - 2.0):
+                scores = kernels.scaled_scores(full, values)
+                limit = float(np.sort(scores)[scores.size // 4])
+                got = _neighborhood(centers, k, values, kernels.scaled_scores(offs, values),
+                                    limit)
+                # full's rows that got repeats: a stable lexsort of both puts
+                # each such row right after its copy in full
+                both = np.concatenate([full, got])
+                order = np.lexsort(both.T[::-1])
+                same = (both[order[1:]] == both[order[:-1]]).all(axis=1)
+                kept = np.zeros(both.shape[0], dtype=bool)
+                kept[order[:-1][same]] = True
+                kept = kept[:full.shape[0]]
+                assert np.array_equal(got, full[kept]), k  # within full, distinct, in order
+                assert (kernels.scaled_scores(full[~kept], values) > limit).all(), k
+                assert (kernels.scaled_scores(got, values) == limit).any(), k
+                if k > 1:
+                    assert got.shape[0] < full.shape[0], k
+
+    @pytest.mark.parametrize("grid", [SupportGrid(0.0, 1.0, 5), SupportGrid(-2.0, -1.0, 5),
+                                      SupportGrid(-999.0, 999.0, 5)], ids=["unit", "neg", "wide"])
+    @pytest.mark.parametrize("order", [LexiHigh(), LexiLow()])
+    def test_pruned_neighbourhood_scans_to_the_same_beam(self, grid, order):
+        # from a full beam of 24 feasible rows, the pruned neighbourhood and
+        # the whole one reduce to the same next beam, stage after stage
+        x, alpha, k = Sample(grid, (0, 2, 4)), 0.25, 5
+        U = upper_set(x, order, enumerate_omega(grid, x.n))
+        values = np.array(grid.points)
+        coefs, expts = oracle._member_terms(U, tuple(range(k)))
+        n_cur, _, mode = oracle._schedule(k, OracleConfig())
+        assert mode == "coarse-to-fine"
+        red = oracle._scan_blocks(kernels.iter_composition_blocks(n_cur, k),
+                                  kernels.pow_table(n_cur, 3), coefs, expts, values, alpha)
+        offset_scores = kernels.scaled_scores(_zero_sum_offsets(k, _neighbor_radius(k)), values)
+        for _ in range(3):
+            assert red.beam().shape[0] == oracle.BEAM_WIDTH
+            centers, limit = red.beam() * 2, 2 * red.cut
+            n_cur *= 2
+            table = kernels.pow_table(n_cur, 3)
+            whole = _neighborhood(centers, k)
+            pruned = _neighborhood(centers, k, values, offset_scores, limit)
+            assert pruned.shape[0] < whole.shape[0]
+            full = oracle._scan_blocks([whole], table, coefs, expts, values, alpha)
+            red = oracle._scan_blocks([pruned], table, coefs, expts, values, alpha)
+            assert np.array_equal(red.beam(), full.beam())
+
+    def test_full_beam_stages_keep_at_most_half_their_pairs(self, monkeypatch, unit5):
+        # a pair is kept only if its row is, so counting the pairs whose row
+        # is kept bounds the kept pairs from above; the pruned search ends
+        # bit for bit where the unpruned one does
+        x = Sample(unit5, (0, 2, 4))
+        real = oracle._neighborhood
+        shares = []
+
+        def spy(centers, k, *bound):
+            rows = real(centers, k, *bound)
+            if centers.shape[0] == oracle.BEAM_WIDTH:
+                assert bound[2] < math.inf  # a full beam bounds the next one
+                offs = _zero_sum_offsets(k, _neighbor_radius(k))
+                cands = (centers[:, None, :] + offs[None]).reshape(-1, k)
+                radix = (int(centers[0].sum()) + 1) ** np.arange(k - 1)
+                valid = cands[(cands >= 0).all(axis=1)]
+                kept = np.isin(valid[:, :-1] @ radix, rows[:, :-1] @ radix)
+                shares.append(kept.sum() / cands.shape[0])
+            return rows
+
+        monkeypatch.setattr(oracle, "_neighborhood", spy)
+        got = pessimal_bound_oracle(x, LexiHigh(), 0.25)
+        monkeypatch.setattr(oracle, "_neighborhood", lambda centers, k, *bound: real(centers, k))
+        want = pessimal_bound_oracle(x, LexiHigh(), 0.25)
+        assert got.mode == "coarse-to-fine" and len(shares) >= 2
+        assert max(shares) <= 0.5
+        assert got.value.hex() == want.value.hex()
+        assert got.constraint_prob.hex() == want.constraint_prob.hex()
+        assert got.witness.mass.tobytes() == want.witness.mass.tobytes()
+        assert got.final_step == want.final_step
 
     def test_neighborhood_keys_stay_below_the_sign_bit(self):
         # four head entries spanning 16 bits each fill 64 bits, one more
@@ -454,9 +547,9 @@ class TestSearchInternals:
         seen = []
         real = oracle._neighborhood
 
-        def spy(centers, k):
+        def spy(centers, k, *bound):
             seen.append(centers.copy())
-            return real(centers, k)
+            return real(centers, k, *bound)
 
         monkeypatch.setattr(oracle, "_neighborhood", spy)
         res = pessimal_bound_oracle(Sample(unit5, (0, 2, 4)), LexiHigh(), 0.25)
@@ -621,8 +714,8 @@ class TestSearchInternals:
         sizes, scans = [], []
         real_neighborhood, real_scan = oracle._neighborhood, oracle._scan_blocks
 
-        def neighborhood(centers, k):
-            rows = real_neighborhood(centers, k)
+        def neighborhood(centers, k, *bound):
+            rows = real_neighborhood(centers, k, *bound)
             sizes.append(rows.shape[0])
             return rows
 
