@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import pow_table
 from .orders import Omega, UpperSet
 from .support import Sample, SupportGrid
 
@@ -127,17 +128,15 @@ def omega_pmf(F, omega: Omega) -> np.ndarray:
     Multinomial form, one product per row of ``(idx, runs)``: the
     coefficient times F(S_j)^c for each run of c copies of index j, in
     ascending grid order (a column where no run starts gives 1.0 exactly).
-    The powers are taken with Python's float ``**`` per (grid point, run
-    length) pair, because numpy's vectorized power can differ from it in
-    the last bit.
+    The powers come from ``kernels.pow_table`` as left-to-right products,
+    the arithmetic the oracle's kernel uses, so each entry is within about
+    n roundings of its exact value.
     """
     single = isinstance(F, Distribution)
     if single and F.grid != omega.grid:
         raise ValueError("sample and distribution live on different grids")
     masses = F.mass[None] if single else _checked_masses(F, omega.grid.m, ndim=2)
-    table = np.array([[[p ** c for c in range(omega.n + 1)] for p in row]
-                      for row in masses.tolist()])
-    factors = table[:, omega.idx, omega.runs]
+    factors = np.moveaxis(pow_table(masses, omega.n), 0, -1)[:, omega.idx, omega.runs]
     prob = factors[..., 0].copy()
     for s in range(1, omega.n):
         prob *= factors[..., s]

@@ -1,7 +1,7 @@
 """Constraint-probability kernel plus shared scan plumbing.
 
 The constraint-probability evaluation over candidate mass vectors is the
-inner loop of the search oracle. Around it sit the power tables,
+inner loop of the search oracle. Around it sit the power routine,
 composition enumeration and N-scaled scores that the oracle's scans share.
 
 ``multisets`` is the one enumerator: the size-n multisets of range(m) in
@@ -16,12 +16,12 @@ row slices of ``BLOCK_ROWS`` = 8,192, the fastest of 4,096, 8,192 and
 16,384 for the kernel on 2-core x86 (a block's factor arrays stay in
 cache). Next to each kept simplex sit its blocks' column minima and
 maxima, from which ``composition_floors`` bounds every block's scores
-from below without scoring a row. The kernel's table is a ``pow_table``
-table, and the kernel forms each atom's powers from the base c / N by the
-same repeated multiplication, so it gathers nothing from the table. None
-of this changes a bit of the results: rows come out in the same
-lexicographic order and every probability is the same product of the
-same factors in the same order.
+from below without scoring a row. ``pow_table`` is the package's one
+power routine: the kernel takes each atom's powers of c / N from it, and
+``dist.omega_pmf`` its powers of the atom masses, so every power is the
+same left-to-right product. None of this changes a bit of the results:
+rows come out in the same lexicographic order and every probability is
+the same product of the same factors in the same order.
 """
 
 from __future__ import annotations
@@ -36,36 +36,30 @@ import numpy as np
 BLOCK_ROWS = 1 << 13
 
 
-def eval_probs(counts: np.ndarray, table: np.ndarray, coefs: np.ndarray,
+def eval_probs(counts: np.ndarray, N: int, coefs: np.ndarray,
                expts: np.ndarray) -> np.ndarray:
     """Constraint probability for each candidate count vector.
 
     counts : integer (B, k) occupation numbers summing to N
-    table  : float64 (N+1, E+1) ``pow_table(N, E)``, E >= every exponent
+    N      : the grid's step count, so atom j carries mass counts[:, j] / N
     coefs  : float64 (T,) multinomial coefficients per upper-set member
     expts  : int64 (T, k) per-atom occurrence counts per member
 
     Each term is multiplied out atom by atom and the terms are summed in
     member order, so results are reproducible bit for bit. A factor with
     exponent zero is exactly 1.0 and is skipped. Every other factor
-    (c / N) ** e is formed once per call the way ``pow_table`` forms
-    table[c, e]: the base c / N (the double table[c, 1] holds) times
-    itself e - 1 times, left to right. So each factor equals the table
-    entry bit for bit, and no factor is gathered from the table.
+    (c / N) ** e is read from ``pow_table(counts[:, j] / N, top)``, built
+    once per call and atom up to the atom's top exponent, so it is the
+    base times itself e - 1 times, left to right.
     """
     B = counts.shape[0]
-    N = table.shape[0] - 1
     acc = np.zeros(B)
-    # powers[j][e - 1] = (counts[:, j] / N) ** e, up to atom j's top exponent
-    powers: list[list[np.ndarray]] = []
-    for j, top in enumerate(expts.max(axis=0, initial=0).tolist()):
-        chain = [counts[:, j] / N] if top else []
-        while len(chain) < top:
-            chain.append(chain[-1] * chain[0])
-        powers.append(chain)
+    # powers[j][e] = (counts[:, j] / N) ** e, up to atom j's top exponent
+    powers = [pow_table(counts[:, j] / N, top) if top else None
+              for j, top in enumerate(expts.max(axis=0, initial=0).tolist())]
     term = np.empty(B)
     for coef, row in zip(coefs.tolist(), expts.tolist()):
-        factors = [powers[j][e - 1] for j, e in enumerate(row) if e]
+        factors = [powers[j][e] for j, e in enumerate(row) if e]
         if not factors:
             acc += coef
             continue
@@ -76,13 +70,20 @@ def eval_probs(counts: np.ndarray, table: np.ndarray, coefs: np.ndarray,
     return acc
 
 
-def pow_table(N: int, max_exp: int) -> np.ndarray:
-    """table[c, e] = (c / N) ** e built by repeated multiplication."""
-    base = np.arange(N + 1, dtype=np.float64) / N
-    table = np.empty((N + 1, max_exp + 1))
-    table[:, 0] = 1.0
-    for e in range(1, max_exp + 1):
-        table[:, e] = table[:, e - 1] * base
+def pow_table(base: np.ndarray, max_exp: int) -> np.ndarray:
+    """table[e] = base ** e for e = 0..max_exp, for a float array ``base``
+    of any shape, exponent-major so each power is contiguous.
+
+    Built by repeated multiplication left to right, table[e] = table[e - 1]
+    * base from table[0] = 1.0, so every power rounds the same way wherever
+    it is formed. table[1] = 1.0 * base is base exactly, and is copied.
+    """
+    table = np.empty((max_exp + 1,) + base.shape)
+    table[0] = 1.0
+    if max_exp:
+        table[1] = base
+    for e in range(2, max_exp + 1):
+        np.multiply(table[e - 1], base, out=table[e])
     return table
 
 

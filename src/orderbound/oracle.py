@@ -55,6 +55,9 @@ CELL_BUDGET = 600_000
 BEAM_WIDTH = 24
 #: Most rows one refinement neighbourhood may materialize before dedup.
 NEIGHBORHOOD_MAX_ROWS = 1 << 24
+#: Most steps N of the final grid: every count, doubled centre and
+#: neighbourhood row (at most N + radius) then fits in int64 with room.
+MAX_STEPS = 1 << 62
 
 
 class InfeasibleError(RuntimeError):
@@ -248,7 +251,7 @@ class _Reducer:
         return self._beam_rows
 
 
-def _scan_blocks(blocks, table, coefs, expts, values, alpha, floors=None) -> _Reducer:
+def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reducer:
     """Reduce the blocks in reverse order, skipping the kernel on a block
     whose scores all lie above the reducer's cut.
 
@@ -272,7 +275,7 @@ def _scan_blocks(blocks, table, coefs, expts, values, alpha, floors=None) -> _Re
         scores = kernels.scaled_scores(rows, values)
         if scores.min() > red.cut:
             continue
-        probs = kernels.eval_probs(rows, table, coefs, expts)
+        probs = kernels.eval_probs(rows, N, coefs, expts)
         red.consume(rows, scores, probs)
     return red
 
@@ -363,8 +366,10 @@ def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray | None = None,
 
 def _schedule(k: int, cfg: OracleConfig) -> tuple[int, int, str]:
     """(n0, stages, mode) on k atoms: the first scan's step 1/n0 and the
-    refinement stages after it; EnumerationGuardError if a stage's
-    neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows."""
+    refinement stages after it; ValueError if the final grid, of
+    n0 * 2**stages steps, has more than ``MAX_STEPS``, and
+    EnumerationGuardError if a stage's neighbourhood could exceed
+    ``NEIGHBORHOOD_MAX_ROWS`` rows."""
     n_target = max(1, math.ceil(1.0 / cfg.resolution))
     dense = math.comb(n_target + k - 1, k - 1) <= CELL_BUDGET
     n0 = n_target
@@ -376,6 +381,11 @@ def _schedule(k: int, cfg: OracleConfig) -> tuple[int, int, str]:
             n0 += 1
     stages = 0 if dense else max(0, math.ceil(math.log2(n_target / n0)))
     stages += cfg.refine_passes
+    if n0 << stages > MAX_STEPS:
+        raise ValueError(
+            f"resolution {cfg.resolution!r} with refine_passes={cfg.refine_passes} needs a"
+            f" final grid of {n0 << stages} steps, above the int64 count limit of 2**62"
+        )
     # every stage's centres are at most the beam's rows
     if stages and (_count_zero_sum_offsets(k, _neighbor_radius(k)) * BEAM_WIDTH
                    > NEIGHBORHOOD_MAX_ROWS):
@@ -391,9 +401,7 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
     """Minimize the mean over the quantized simplex subject to the
     constraint probability being >= alpha. Returns (counts, N)."""
     k = values.shape[0]
-    max_exp = int(expts.max()) if expts.size else 0
-    table = kernels.pow_table(n0, max_exp)
-    red = _scan_blocks(kernels.iter_composition_blocks(n0, k), table, coefs, expts, values,
+    red = _scan_blocks(kernels.iter_composition_blocks(n0, k), n0, coefs, expts, values,
                        alpha, kernels.composition_floors(n0, k, values))
 
     n_cur = n0
@@ -413,10 +421,9 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
         limit = 2 * red.cut if beam.shape[0] == BEAM_WIDTH else math.inf
         n_cur *= 2
         cands = _neighborhood(centers * 2, k, values, offset_scores, limit)
-        table = kernels.pow_table(n_cur, max_exp)
         # kernel-sized slices; the reducer does not depend on the partition
         blocks = np.split(cands, range(kernels.BLOCK_ROWS, len(cands), kernels.BLOCK_ROWS))
-        red = _scan_blocks(blocks, table, coefs, expts, values, alpha)
+        red = _scan_blocks(blocks, n_cur, coefs, expts, values, alpha)
 
     beam = red.beam()
     if not beam.size:
@@ -441,6 +448,9 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     constraint, which is reported rather than silently clamped, and
     EnumerationGuardError, before the sample space is read, when a refinement
     neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows (k >= 15 atoms).
+    A resolution and ``refine_passes`` whose final grid has more than
+    ``MAX_STEPS`` steps raise ValueError at the same point (below about
+    1e-18 on two atoms at the default three passes).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")

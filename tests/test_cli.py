@@ -130,6 +130,13 @@ class TestOracle:
         assert err.startswith("error:") and "k=1000" in err and "16777216" in err
         assert len(err) < 120
 
+    def test_resolution_past_the_int64_grid_fails(self, capsys):
+        code = main(["oracle", "--order", "lexi-low", "--m", "2", "--sample", "0,1",
+                     "--alpha", "0.25", "--resolution", "1e-19"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resolution 1e-19 with refine_passes=3")
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_sample_fails(self, capsys, value):
         code = main(["oracle", "--order", "lexi-low", "--m", "2",

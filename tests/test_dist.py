@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,13 +118,17 @@ class TestSampleProb:
 
 
 def _reference_sample_prob(F, x):
-    # per-sample multinomial: Python ** per distinct index in ascending
-    # order, then times the exact integer coefficient
+    # per-sample multinomial: each distinct index's power F(S_j)^c as the
+    # left-to-right product 1.0 * p * ... * p, the powers multiplied in
+    # ascending index order, then times the exact integer coefficient
     coef, prob = math.factorial(x.n), 1.0
     for j in sorted(set(x.idx)):
         c = x.idx.count(j)
         coef //= math.factorial(c)
-        prob *= float(F.mass[j]) ** c
+        power = 1.0
+        for _ in range(c):
+            power *= float(F.mass[j])
+        prob *= power
     return coef * prob
 
 
@@ -147,6 +152,26 @@ class TestOmegaPmf:
             want = [_reference_sample_prob(F, x).hex() for x in omega]
             assert [p.hex() for p in omega_pmf(F, omega).tolist()] == want
             assert [p.hex() for p in row.tolist()] == want
+
+    @pytest.mark.parametrize("m,n", [(5, 1), (7, 2), (6, 3), (4, 4), (3, 5), (2, 6), (4, 6)])
+    def test_within_2n_eps_of_the_exact_rational(self, m, n):
+        # against the exact multinomial probability of the float masses,
+        # zero-mass atoms included: each entry is at most n roundings off
+        grid = SupportGrid(0, 1, m)
+        omega = enumerate_omega(grid, n)
+        rng = np.random.default_rng(1000 + 10 * m + n)
+        masses = rng.dirichlet(np.ones(m), size=m)
+        for zeros, mass in enumerate(masses):
+            mass[rng.permutation(m)[:zeros]] = 0.0
+        masses /= masses.sum(axis=1, keepdims=True)
+        tol = Fraction(2 * n) * Fraction(np.finfo(np.float64).eps)
+        for mass, row in zip(masses, omega_pmf(masses, omega)):
+            for x, got in zip(omega, row.tolist()):
+                exact = Fraction(math.factorial(n))
+                for j in set(x.idx):
+                    c = x.idx.count(j)
+                    exact *= Fraction(float(mass[j])) ** c / math.factorial(c)
+                assert abs(Fraction(got) - exact) <= tol * exact, (mass.tolist(), x.idx)
 
     def test_stack_shape_and_checks(self, unit3):
         omega = enumerate_omega(unit3, 2)

@@ -7,23 +7,33 @@ import pytest
 from orderbound import kernels
 
 
+def _reference_pow_table(N, max_exp):
+    """table[c, e] = (c / N) ** e for every count c, built column by column
+    by repeated multiplication: the tests' own reference for the powers of
+    c / N, independent of ``kernels.pow_table``."""
+    base = np.arange(N + 1, dtype=np.float64) / N
+    table = np.empty((N + 1, max_exp + 1))
+    table[:, 0] = 1.0
+    for e in range(1, max_exp + 1):
+        table[:, e] = table[:, e - 1] * base
+    return table
+
+
 def _random_instance(rng):
     N = int(rng.integers(4, 300))
     k = int(rng.integers(1, 7))
     T = int(rng.integers(0, 40))
     maxe = int(rng.integers(1, 7))
-    table = kernels.pow_table(N, maxe)
     counts = rng.multinomial(N, np.ones(k) / k, size=128).astype(np.int64)
     coefs = rng.random(T) * 20
     expts = rng.integers(0, maxe + 1, size=(T, k)).astype(np.int64)
-    return counts, table, coefs, expts
+    return counts, N, coefs, expts
 
 
 def test_eval_probs_against_direct_formula():
     rng = np.random.default_rng(7)
-    counts, table, coefs, expts = _random_instance(rng)
-    N = int(counts[0].sum())
-    got = kernels.eval_probs(counts, table, coefs, expts)
+    counts, N, coefs, expts = _random_instance(rng)
+    got = kernels.eval_probs(counts, N, coefs, expts)
     for b in range(0, counts.shape[0], 17):
         want = sum(
             coefs[t] * math.prod((counts[b, j] / N) ** expts[t, j] for j in range(counts.shape[1]))
@@ -32,10 +42,12 @@ def test_eval_probs_against_direct_formula():
         assert got[b] == pytest.approx(want, abs=1e-12)
 
 
-def _eval_probs_per_term(counts, table, coefs, expts):
+def _eval_probs_per_term(counts, N, coefs, expts):
     """The kernel as a plain per-term loop: one product per term over all
-    k atoms, exponent-zero factors included, summed in member order."""
+    k atoms, exponent-zero factors included, summed in member order, with
+    every factor gathered from ``_reference_pow_table``."""
     B, k = counts.shape
+    table = _reference_pow_table(N, int(expts.max(initial=0)))
     acc = np.zeros(B)
     for t in range(coefs.shape[0]):
         term = np.full(B, coefs[t])
@@ -48,20 +60,19 @@ def _eval_probs_per_term(counts, table, coefs, expts):
 @pytest.mark.parametrize("seed", range(40))
 def test_eval_probs_bitwise_equals_per_term_loop(seed):
     rng = np.random.default_rng(seed)
-    counts, table, coefs, expts = _random_instance(rng)
+    counts, N, coefs, expts = _random_instance(rng)
     # zero out a share of the exponents, whole rows included
     expts[rng.random(expts.shape) < 0.4] = 0
     if expts.shape[0] > 1:
         expts[0] = 0
-    got = kernels.eval_probs(counts, table, coefs, expts)
-    assert np.array_equal(got, _eval_probs_per_term(counts, table, coefs, expts))
+    got = kernels.eval_probs(counts, N, coefs, expts)
+    assert np.array_equal(got, _eval_probs_per_term(counts, N, coefs, expts))
 
 
 @pytest.mark.parametrize("N,k", [(200, 3), (1000, 3), (59, 5)])
 def test_eval_probs_bitwise_on_scan_rows(N, k):
     # enumerated blocks (uint8 at N <= 255, uint16 above) and the int64
-    # rows of a refinement neighbourhood, against a table whose max_exp
-    # exceeds every exponent
+    # rows of a refinement neighbourhood
     from orderbound.oracle import _neighborhood
 
     rng = np.random.default_rng(N + k)
@@ -69,40 +80,53 @@ def test_eval_probs_bitwise_on_scan_rows(N, k):
     expts = rng.integers(0, 4, size=(T, k)).astype(np.int64)
     expts[0] = 0
     coefs = rng.random(T) * 20
-    table = kernels.pow_table(N, 7)
     block = next(iter(kernels.iter_composition_blocks(N, k)))
     assert block.dtype == (np.uint8 if N <= 255 else np.uint16)
     centres = np.array([rng.multinomial(N, np.ones(k) / k) for _ in range(5)])
     near = _neighborhood(centres, k)
     assert near.dtype == np.int64 and (near.sum(axis=1) == N).all()
     for counts in (block, near):
-        got = kernels.eval_probs(counts, table, coefs, expts)
-        assert np.array_equal(got, _eval_probs_per_term(counts, table, coefs, expts))
+        got = kernels.eval_probs(counts, N, coefs, expts)
+        assert np.array_equal(got, _eval_probs_per_term(counts, N, coefs, expts))
 
 
 def test_eval_probs_no_terms_bitwise():
     rng = np.random.default_rng(11)
-    counts, table, _, _ = _random_instance(rng)
+    counts, N, _, _ = _random_instance(rng)
     k = counts.shape[1]
     coefs, expts = np.zeros(0), np.zeros((0, k), dtype=np.int64)
-    got = kernels.eval_probs(counts, table, coefs, expts)
-    assert np.array_equal(got, _eval_probs_per_term(counts, table, coefs, expts))
+    got = kernels.eval_probs(counts, N, coefs, expts)
+    assert np.array_equal(got, _eval_probs_per_term(counts, N, coefs, expts))
     assert got.shape == (counts.shape[0],)
 
 
 def test_empty_terms_give_zero():
-    table = kernels.pow_table(10, 2)
     counts = np.array([[4, 6]], dtype=np.int64)
-    probs = kernels.eval_probs(counts, table, np.zeros(0), np.zeros((0, 2), dtype=np.int64))
+    probs = kernels.eval_probs(counts, 10, np.zeros(0), np.zeros((0, 2), dtype=np.int64))
     assert probs.tolist() == [0.0]
 
 
 def test_pow_table():
-    t = kernels.pow_table(8, 3)
-    assert t.shape == (9, 4)
-    assert t[0, 0] == 1.0
-    assert t[4, 1] == 0.5
-    assert t[4, 3] == pytest.approx(0.125)
+    # exponent-major over a base of any shape; on the steps c / N it is the
+    # reference (N+1, E+1) table transposed, bit for bit
+    N = 8
+    for max_exp in (0, 1, 3, 6):
+        t = kernels.pow_table(np.arange(N + 1) / N, max_exp)
+        assert t.shape == (max_exp + 1, N + 1) and t.dtype == np.float64
+        assert (t[0] == 1.0).all()
+        assert np.array_equal(t.T, _reference_pow_table(N, max_exp))
+        rng = np.random.default_rng(max_exp)
+        masses = rng.dirichlet(np.ones(5), size=3)
+        masses[0, 2] = 0.0
+        stack = kernels.pow_table(masses, max_exp)
+        assert stack.shape == (max_exp + 1, 3, 5)
+        for e in range(max_exp + 1):
+            assert stack[e].flags.c_contiguous
+            want = np.ones_like(masses)
+            for _ in range(e):
+                want = want * masses
+            assert np.array_equal(stack[e], want)
+    assert kernels.pow_table(np.array([0.5]), 3)[:, 0].tolist() == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_scaled_scores_match_dot():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,19 @@ class TestExactBounds:
                         self._check(x, order, alpha, grid.s_min + p * range_, res,
                                     "1.25e-4 * range")
 
+    @pytest.mark.parametrize("resolution", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("grid", [SupportGrid(0.0, 1.0, 2), SupportGrid(-1.5, 2.0, 2)],
+                             ids=["unit", "shifted"])
+    def test_fine_resolutions_meet_clopper_pearson(self, grid, resolution):
+        # x = (0, 1) at alpha 0.25: 1 - (1 - p)**2 = 0.25 at p = 1 - sqrt(0.75),
+        # and the accuracy 2 * final_step * range holds down to steps of 1e-13
+        x = Sample(grid, (0, 1))
+        exact = grid.s_min + (1 - math.sqrt(0.75)) * (grid.s_max - grid.s_min)
+        for order in (LexiLow(), LexiHigh()):
+            res = pessimal_bound_oracle(x, order, 0.25, OracleConfig(resolution=resolution))
+            assert res.final_step <= resolution
+            self._check(x, order, 0.25, exact, res, "2 * final_step * range")
+
 
 class TestWitness:
     def test_feasible_and_on_support(self, unit5):
@@ -255,6 +269,35 @@ class TestConfig:
     def test_alpha_validation(self, unit2):
         with pytest.raises(ValueError):
             pointwise_bound_oracle(Sample(unit2, (0,)), 1.0)
+
+    def test_final_grid_must_fit_int64(self, monkeypatch, unit2):
+        # steps of 1e-17 on two atoms end on a grid of about 2**60 steps;
+        # steps of 1e-19, or 70 passes at the default 1e-3, would pass 2**62
+        # and are refused before the sample space is built
+        x = Sample(unit2, (0, 1))
+        res = pessimal_bound_oracle(x, LexiLow(), 0.25, OracleConfig(resolution=1e-17))
+        assert res.final_step < 1e-17
+        assert abs(res.value - (1 - math.sqrt(0.75))) <= 1e-16
+        built = []
+        monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: built.append(a))
+        for cfg in (OracleConfig(resolution=1e-19), OracleConfig(refine_passes=70)):
+            with pytest.raises(ValueError, match=(
+                    rf"^resolution {cfg.resolution!r} with refine_passes={cfg.refine_passes}"
+                    r" needs a final grid of \d+ steps, above the int64 count limit of 2\*\*62$")):
+                pessimal_bound_oracle(x, LexiLow(), 0.25, cfg)
+        assert built == []
+
+    def test_fine_resolution_memory_stays_flat(self, unit2):
+        # no search array grows with 1 / resolution: the first scan is
+        # capped by the cell budget and each refinement stage by the beam
+        tracemalloc.start()
+        try:
+            pessimal_bound_oracle(Sample(unit2, (0, 1)), LexiLow(), 0.25,
+                                  OracleConfig(resolution=1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
 
 def test_oracle_cache_dedupes_by_upper_set(unit3):
@@ -486,18 +529,17 @@ class TestSearchInternals:
         n_cur, _, mode = oracle._schedule(k, OracleConfig())
         assert mode == "coarse-to-fine"
         red = oracle._scan_blocks(kernels.iter_composition_blocks(n_cur, k),
-                                  kernels.pow_table(n_cur, 3), coefs, expts, values, alpha)
+                                  n_cur, coefs, expts, values, alpha)
         offset_scores = kernels.scaled_scores(_zero_sum_offsets(k, _neighbor_radius(k)), values)
         for _ in range(3):
             assert red.beam().shape[0] == oracle.BEAM_WIDTH
             centers, limit = red.beam() * 2, 2 * red.cut
             n_cur *= 2
-            table = kernels.pow_table(n_cur, 3)
             whole = _neighborhood(centers, k)
             pruned = _neighborhood(centers, k, values, offset_scores, limit)
             assert pruned.shape[0] < whole.shape[0]
-            full = oracle._scan_blocks([whole], table, coefs, expts, values, alpha)
-            red = oracle._scan_blocks([pruned], table, coefs, expts, values, alpha)
+            full = oracle._scan_blocks([whole], n_cur, coefs, expts, values, alpha)
+            red = oracle._scan_blocks([pruned], n_cur, coefs, expts, values, alpha)
             assert np.array_equal(red.beam(), full.beam())
 
     def test_full_beam_stages_keep_at_most_half_their_pairs(self, monkeypatch, unit5):
@@ -629,10 +671,9 @@ class TestSearchInternals:
         coefs, expts = oracle._member_terms(U, atoms)
         values = np.array([unit5.point(a) for a in atoms])
         N = 1000 if len(atoms) <= 3 else 40
-        table = kernels.pow_table(N, int(expts.max()))
         blocks = list(kernels.iter_composition_blocks(N, len(atoms)))
         rows = np.concatenate(blocks)
-        probs = kernels.eval_probs(rows, table, coefs, expts)
+        probs = kernels.eval_probs(rows, N, coefs, expts)
         scores = kernels.scaled_scores(rows, values)
         feas = probs >= alpha
         keys = tuple(rows[feas][:, c] for c in range(len(atoms) - 1, -1, -1))
@@ -640,7 +681,7 @@ class TestSearchInternals:
         assert feas.any() != isinstance(order, Pointwise)
         # scored first, and ruled out by the blocks' score floors first
         for floors in (None, kernels.composition_floors(N, len(atoms), values)):
-            red = oracle._scan_blocks(blocks, table, coefs, expts, values, alpha, floors)
+            red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, floors)
             assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
             if not feas.any():
                 assert np.array_equal(red.top_row, rows[np.argmax(probs)])
@@ -657,10 +698,10 @@ class TestSearchInternals:
         seen, scored = [], []
         real, real_scores = kernels.eval_probs, kernels.scaled_scores
 
-        def spy(counts, table, coefs, expts):
-            if table.shape[0] == 1001:
+        def spy(counts, N, coefs, expts):
+            if N == 1000:
                 seen.append(counts.shape[0])
-            return real(counts, table, coefs, expts)
+            return real(counts, N, coefs, expts)
 
         def scores_spy(counts, values):
             if counts.dtype == np.uint16:
