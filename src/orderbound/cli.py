@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lexi-low | lexi-high | quantile:<i> | pointwise")
     o.add_argument("--sample", required=True, help="sample values, 'a,b,c' or JSON array")
     o.add_argument("--resolution", type=float, default=1e-3)
-    o.add_argument("--refine-passes", type=int, default=3)
     o.add_argument("--full-support", action="store_true",
                    help="search the whole grid instead of the refined support")
     o.set_defaults(handler=_cmd_oracle)
@@ -138,7 +137,6 @@ def _cmd_oracle(args) -> dict:
     order = order_from_string(args.order, pointwise_base=x)
     cfg = OracleConfig(
         resolution=args.resolution,
-        refine_passes=args.refine_passes,
         support_override=full_support(grid) if args.full_support else None,
     )
     res = pessimal_bound_oracle(x, order, args.alpha, cfg)

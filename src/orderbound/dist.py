@@ -136,7 +136,9 @@ def omega_pmf(F, omega: Omega) -> np.ndarray:
     if single and F.grid != omega.grid:
         raise ValueError("sample and distribution live on different grids")
     masses = F.mass[None] if single else _checked_masses(F, omega.grid.m, ndim=2)
-    factors = np.moveaxis(pow_table(masses, omega.n), 0, -1)[:, omega.idx, omega.runs]
+    # powers[..., c] = mass ** c for c = 0..n
+    powers = np.stack([np.ones_like(masses), *pow_table(masses, omega.n)], axis=-1)
+    factors = powers[:, omega.idx, omega.runs]
     prob = factors[..., 0].copy()
     for s in range(1, omega.n):
         prob *= factors[..., s]

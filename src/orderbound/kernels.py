@@ -54,12 +54,12 @@ def eval_probs(counts: np.ndarray, N: int, coefs: np.ndarray,
     """
     B = counts.shape[0]
     acc = np.zeros(B)
-    # powers[j][e] = (counts[:, j] / N) ** e, up to atom j's top exponent
+    # powers[j][e - 1] = (counts[:, j] / N) ** e, up to atom j's top exponent
     powers = [pow_table(counts[:, j] / N, top) if top else None
               for j, top in enumerate(expts.max(axis=0, initial=0).tolist())]
     term = np.empty(B)
     for coef, row in zip(coefs.tolist(), expts.tolist()):
-        factors = [powers[j][e] for j, e in enumerate(row) if e]
+        factors = [powers[j][e - 1] for j, e in enumerate(row) if e]
         if not factors:
             acc += coef
             continue
@@ -70,21 +70,19 @@ def eval_probs(counts: np.ndarray, N: int, coefs: np.ndarray,
     return acc
 
 
-def pow_table(base: np.ndarray, max_exp: int) -> np.ndarray:
-    """table[e] = base ** e for e = 0..max_exp, for a float array ``base``
-    of any shape, exponent-major so each power is contiguous.
+def pow_table(base: np.ndarray, max_exp: int) -> list[np.ndarray]:
+    """[base ** 1, ..., base ** max_exp] for a float array ``base`` of any
+    shape: entry e - 1 is base ** e, and the first entry is ``base``
+    itself, not a copy.
 
-    Built by repeated multiplication left to right, table[e] = table[e - 1]
-    * base from table[0] = 1.0, so every power rounds the same way wherever
-    it is formed. table[1] = 1.0 * base is base exactly, and is copied.
+    Built by repeated multiplication left to right, base ** e = base **
+    (e - 1) * base, so every power rounds the same way wherever it is
+    formed. Exponent 0, exactly 1.0, is left to the caller.
     """
-    table = np.empty((max_exp + 1,) + base.shape)
-    table[0] = 1.0
-    if max_exp:
-        table[1] = base
-    for e in range(2, max_exp + 1):
-        np.multiply(table[e - 1], base, out=table[e])
-    return table
+    powers = [base] if max_exp else []
+    for _ in range(1, max_exp):
+        powers.append(powers[-1] * base)
+    return powers
 
 
 def scaled_scores(counts: np.ndarray, values: np.ndarray) -> np.ndarray:

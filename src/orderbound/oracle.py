@@ -5,12 +5,12 @@ distributions that give the upper set of x probability at least alpha.
 This module minimizes the mean over mass vectors with entries on a grid
 of step ``resolution``, restricted to a support subset that provably
 suffices for the preorder at hand, and then sharpens the incumbent with
-local refinement rounds at halved steps.
+``REFINE_PASSES`` local refinement rounds at halved steps.
 
-When the quantized simplex is small enough it is enumerated outright;
-otherwise the scan starts from the finest affordable grid and walks a
-beam of the best candidates through successive step halvings until the
-requested resolution is reached. Each scan visits its blocks in reverse
+The first scan enumerates the finest simplex that fits ``CELL_BUDGET``,
+the requested one when it fits (dense mode); otherwise a beam of the best
+candidates walks through step halvings down to the requested resolution
+(coarse to fine) before the refinement rounds. Each scan visits its blocks in reverse
 lexicographic order, lowest means first, and scores and runs the
 probability kernel only on blocks with a row that can still enter the
 beam; a simplex block is ruled out from its column bounds before any of
@@ -55,9 +55,9 @@ CELL_BUDGET = 600_000
 BEAM_WIDTH = 24
 #: Most rows one refinement neighbourhood may materialize before dedup.
 NEIGHBORHOOD_MAX_ROWS = 1 << 24
-#: Most steps N of the final grid: every count, doubled centre and
-#: neighbourhood row (at most N + radius) then fits in int64 with room.
-MAX_STEPS = 1 << 62
+#: Step-halving polish rounds around the incumbent after the requested
+#: resolution is reached.
+REFINE_PASSES = 3
 
 
 class InfeasibleError(RuntimeError):
@@ -68,22 +68,18 @@ class InfeasibleError(RuntimeError):
 class OracleConfig:
     """Search settings a caller chooses.
 
-    resolution is the simplex grid step; refine_passes the number of
-    step-halving polish rounds around the incumbent; support_override, a
-    non-empty support, replaces ``refined_support`` as the search support.
-    The scan budget and the beam width are fixed (``CELL_BUDGET``,
-    ``BEAM_WIDTH``).
+    resolution is the simplex grid step; support_override, a non-empty
+    support, replaces ``refined_support`` as the search support. The scan
+    budget, the beam width and the refinement rounds are fixed
+    (``CELL_BUDGET``, ``BEAM_WIDTH``, ``REFINE_PASSES``).
     """
 
     resolution: float = 1e-3
-    refine_passes: int = 3
     support_override: SupportSet | None = None
 
     def __post_init__(self):
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
-        if self.refine_passes < 0:
-            raise ValueError("refine_passes must be >= 0")
         if self.support_override is not None and not self.support_override:
             raise ValueError("support_override must hold at least one index")
 
@@ -293,16 +289,15 @@ def _offset_needs(k: int, radius: int) -> np.ndarray:
     return need
 
 
-def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray | None = None,
-                  offset_scores: np.ndarray | None = None,
-                  limit: float = math.inf) -> np.ndarray:
+def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray,
+                  offset_scores: np.ndarray, limit: float) -> np.ndarray:
     """Distinct non-negative rows centre + offset, in lexicographic order,
-    less the rows whose score must exceed ``limit``.
+    less the rows whose score must exceed ``limit`` (+inf drops none).
 
-    For a finite ``limit``, a (centre, offset) pair is dropped before any
-    key is built when the offset's score (``offset_scores``, the
-    ``scaled_scores`` of ``_zero_sum_offsets``) exceeds ``limit`` plus a
-    margin less the centre's score. The margin, ``8 * k * eps * N *
+    A (centre, offset) pair is dropped before any key is built when the
+    offset's score (``offset_scores``, the ``scaled_scores`` of
+    ``_zero_sum_offsets``) exceeds ``limit`` plus a margin less the
+    centre's score. The margin, ``8 * k * eps * N *
     max|v|`` for centres summing to N, makes every dropped row's computed
     ``scaled_scores`` exceed ``limit``, so a row scoring exactly ``limit``
     is kept. With u = eps / 2 and g = k u / (1 - k u), a k-term score
@@ -348,9 +343,8 @@ def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray | None = None,
     # pair stays non-negative when its offset needs no bit the centre lacks
     have = ((1 << np.minimum(centers, radius)) - 1) @ ((1 << radius) ** np.arange(k))
     ok = (_offset_needs(k, radius) & ~have[:, None]) == 0
-    if limit < math.inf:
-        margin = 8 * k * sys.float_info.epsilon * total * max(map(abs, values.tolist()))
-        ok &= offset_scores <= (limit + margin - centers @ values)[:, None]
+    margin = 8 * k * sys.float_info.epsilon * total * max(map(abs, values.tolist()))
+    ok &= offset_scores <= (limit + margin - centers @ values)[:, None]
     ci, oi = np.divmod(np.flatnonzero(ok), offs.shape[0])
     keys = (weight @ (heads - lo).T)[:, ci] + (weight @ offs[:, :-1].T)[:, oi]
     keys = keys[:, np.lexsort(keys)]
@@ -365,35 +359,27 @@ def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray | None = None,
 
 
 def _schedule(k: int, cfg: OracleConfig) -> tuple[int, int, str]:
-    """(n0, stages, mode) on k atoms: the first scan's step 1/n0 and the
-    refinement stages after it; ValueError if the final grid, of
-    n0 * 2**stages steps, has more than ``MAX_STEPS``, and
-    EnumerationGuardError if a stage's neighbourhood could exceed
-    ``NEIGHBORHOOD_MAX_ROWS`` rows."""
+    """(n0, stages, mode) on k atoms: the first scan's step 1/n0, the
+    finest whose simplex fits ``CELL_BUDGET`` but no finer than the
+    requested one, and the refinement stages after it, the halvings down
+    to the requested step and then ``REFINE_PASSES``; EnumerationGuardError
+    if a stage's neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows."""
     n_target = max(1, math.ceil(1.0 / cfg.resolution))
-    dense = math.comb(n_target + k - 1, k - 1) <= CELL_BUDGET
-    n0 = n_target
-    if not dense:  # the finest step whose simplex fits the budget
-        n0 = 1
-        while math.comb(2 * n0 + k - 1, k - 1) <= CELL_BUDGET:
-            n0 *= 2
-        while math.comb(n0 + 1 + k - 1, k - 1) <= CELL_BUDGET:
-            n0 += 1
-    stages = 0 if dense else max(0, math.ceil(math.log2(n_target / n0)))
-    stages += cfg.refine_passes
-    if n0 << stages > MAX_STEPS:
-        raise ValueError(
-            f"resolution {cfg.resolution!r} with refine_passes={cfg.refine_passes} needs a"
-            f" final grid of {n0 << stages} steps, above the int64 count limit of 2**62"
-        )
+    n0, hi = 1, n_target
+    while n0 < hi:
+        mid = (n0 + hi + 1) // 2
+        if math.comb(mid + k - 1, k - 1) <= CELL_BUDGET:
+            n0 = mid
+        else:
+            hi = mid - 1
+    stages = math.ceil(math.log2(n_target / n0)) + REFINE_PASSES
     # every stage's centres are at most the beam's rows
-    if stages and (_count_zero_sum_offsets(k, _neighbor_radius(k)) * BEAM_WIDTH
-                   > NEIGHBORHOOD_MAX_ROWS):
+    if _count_zero_sum_offsets(k, _neighbor_radius(k)) * BEAM_WIDTH > NEIGHBORHOOD_MAX_ROWS:
         raise EnumerationGuardError(
             f"refinement neighbourhoods on k={k} support atoms exceed the guard of"
             f" {NEIGHBORHOOD_MAX_ROWS} rows"
         )
-    return n0, stages, "dense" if dense else "coarse-to-fine"
+    return n0, stages, "dense" if n0 == n_target else "coarse-to-fine"
 
 
 def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
@@ -405,10 +391,8 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
                        alpha, kernels.composition_floors(n0, k, values))
 
     n_cur = n0
-    # the offsets' scores, fixed for the call; built only when a stage needs
-    # them, since without one the guard admits any k
-    if stages:
-        offset_scores = kernels.scaled_scores(_zero_sum_offsets(k, _neighbor_radius(k)), values)
+    # the offsets' scores, fixed for the call
+    offset_scores = kernels.scaled_scores(_zero_sum_offsets(k, _neighbor_radius(k)), values)
     for _ in range(stages):
         # the beam's distinct rows are the next centres; only when no row
         # was feasible does the most probable row stand in for them
@@ -417,10 +401,10 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
         # doubled, a full beam's rows keep their probabilities (2c / 2N is
         # the double c / N) and score exactly twice as much, and offset 0
         # keeps them in the neighbourhood: the next beam fills, and its cut
-        # is at most twice this one
-        limit = 2 * red.cut if beam.shape[0] == BEAM_WIDTH else math.inf
+        # is at most twice this one; until the beam is full the cut is the
+        # largest double, and twice it is +inf
         n_cur *= 2
-        cands = _neighborhood(centers * 2, k, values, offset_scores, limit)
+        cands = _neighborhood(centers * 2, k, values, offset_scores, 2 * red.cut)
         # kernel-sized slices; the reducer does not depend on the partition
         blocks = np.split(cands, range(kernels.BLOCK_ROWS, len(cands), kernels.BLOCK_ROWS))
         red = _scan_blocks(blocks, n_cur, coefs, expts, values, alpha)
@@ -448,9 +432,9 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     constraint, which is reported rather than silently clamped, and
     EnumerationGuardError, before the sample space is read, when a refinement
     neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows (k >= 15 atoms).
-    A resolution and ``refine_passes`` whose final grid has more than
-    ``MAX_STEPS`` steps raise ValueError at the same point (below about
-    1e-18 on two atoms at the default three passes).
+    A resolution whose final step times ``s_max - s_min`` is below the
+    value's rounding bound raises ValueError at the same point: on two
+    atoms of [0, 1], steps of 1e-14 run and 1e-15 are refused.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -464,6 +448,18 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
 
     atoms = support.indices
     n0, stages, mode = _schedule(len(atoms), cfg)
+    # the value, k exact counts (N <= 2**53) dotted with atom values of size
+    # at most M and divided by N, is within g M of its exact value, g = (k +
+    # 1) u / (1 - (k + 1) u), u = eps / 2; a final step times the range of at
+    # least that also keeps N <= 2 / g < 2**53, as the range is at most 2 M
+    ku = (len(atoms) + 1) * sys.float_info.epsilon / 2
+    rounding = ku / (1 - ku) * max(abs(grid.s_min), abs(grid.s_max))
+    span = (grid.s_max - grid.s_min) * (1 / (n0 << stages))
+    if span < rounding:
+        raise ValueError(
+            f"resolution {cfg.resolution!r} ends on steps of 1/{n0 << stages}: final step times"
+            f" (s_max - s_min) = {span:.3g} is below the value's rounding bound {rounding:.3g}"
+        )
     omega = enumerate_omega(grid, x.n)
     U = upper_set(x, order, omega)
     values = np.array([grid.point(a) for a in atoms])

@@ -130,12 +130,21 @@ class TestOracle:
         assert err.startswith("error:") and "k=1000" in err and "16777216" in err
         assert len(err) < 120
 
-    def test_resolution_past_the_int64_grid_fails(self, capsys):
+    @pytest.mark.parametrize("resolution", ["1e-17", "1e-19"])
+    def test_resolution_past_the_precision_limit_fails(self, capsys, resolution):
         code = main(["oracle", "--order", "lexi-low", "--m", "2", "--sample", "0,1",
-                     "--alpha", "0.25", "--resolution", "1e-19"])
+                     "--alpha", "0.25", "--resolution", resolution])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: resolution 1e-19 with refine_passes=3")
+        assert err.startswith(f"error: resolution {resolution} ends on steps of 1/")
+        assert "rounding bound" in err
+
+    def test_refine_passes_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--order", "lexi-low", "--m", "2", "--sample", "0,1",
+                  "--refine-passes", "3"])
+        assert exc.value.code == 2
+        assert "--refine-passes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_sample_fails(self, capsys, value):

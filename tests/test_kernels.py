@@ -73,7 +73,7 @@ def test_eval_probs_bitwise_equals_per_term_loop(seed):
 def test_eval_probs_bitwise_on_scan_rows(N, k):
     # enumerated blocks (uint8 at N <= 255, uint16 above) and the int64
     # rows of a refinement neighbourhood
-    from orderbound.oracle import _neighborhood
+    from orderbound.oracle import _neighbor_radius, _neighborhood, _zero_sum_offsets
 
     rng = np.random.default_rng(N + k)
     T = 12
@@ -83,7 +83,9 @@ def test_eval_probs_bitwise_on_scan_rows(N, k):
     block = next(iter(kernels.iter_composition_blocks(N, k)))
     assert block.dtype == (np.uint8 if N <= 255 else np.uint16)
     centres = np.array([rng.multinomial(N, np.ones(k) / k) for _ in range(5)])
-    near = _neighborhood(centres, k)
+    values = np.linspace(0.0, 1.0, k)
+    offsets = _zero_sum_offsets(k, _neighbor_radius(k))
+    near = _neighborhood(centres, k, values, kernels.scaled_scores(offsets, values), math.inf)
     assert near.dtype == np.int64 and (near.sum(axis=1) == N).all()
     for counts in (block, near):
         got = kernels.eval_probs(counts, N, coefs, expts)
@@ -107,26 +109,28 @@ def test_empty_terms_give_zero():
 
 
 def test_pow_table():
-    # exponent-major over a base of any shape; on the steps c / N it is the
-    # reference (N+1, E+1) table transposed, bit for bit
+    # powers from exponent 1, the first the base itself, over a base of any
+    # shape; on the steps c / N they are the reference table's columns
+    # 1..max_exp, bit for bit
     N = 8
     for max_exp in (0, 1, 3, 6):
-        t = kernels.pow_table(np.arange(N + 1) / N, max_exp)
-        assert t.shape == (max_exp + 1, N + 1) and t.dtype == np.float64
-        assert (t[0] == 1.0).all()
-        assert np.array_equal(t.T, _reference_pow_table(N, max_exp))
+        base = np.arange(N + 1) / N
+        t = kernels.pow_table(base, max_exp)
+        assert len(t) == max_exp
+        if max_exp:
+            assert t[0] is base
+        assert np.array_equal(np.array(t).reshape(max_exp, N + 1).T,
+                              _reference_pow_table(N, max_exp)[:, 1:])
         rng = np.random.default_rng(max_exp)
         masses = rng.dirichlet(np.ones(5), size=3)
         masses[0, 2] = 0.0
         stack = kernels.pow_table(masses, max_exp)
-        assert stack.shape == (max_exp + 1, 3, 5)
-        for e in range(max_exp + 1):
-            assert stack[e].flags.c_contiguous
-            want = np.ones_like(masses)
-            for _ in range(e):
-                want = want * masses
-            assert np.array_equal(stack[e], want)
-    assert kernels.pow_table(np.array([0.5]), 3)[:, 0].tolist() == [1.0, 0.5, 0.25, 0.125]
+        want = np.ones_like(masses)
+        for power in stack:
+            assert power.shape == (3, 5) and power.dtype == np.float64
+            want = want * masses
+            assert np.array_equal(power, want)
+    assert [p[0] for p in kernels.pow_table(np.array([0.5]), 3)] == [0.5, 0.25, 0.125]
 
 
 def test_scaled_scores_match_dot():

@@ -250,8 +250,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(resolution=0.0)
-        with pytest.raises(ValueError):
-            OracleConfig(refine_passes=-1)
 
     def test_empty_support_override_is_refused(self, unit3):
         # an empty override is not "no override": it must not fall back
@@ -263,29 +261,48 @@ class TestConfig:
 
     def test_only_caller_settings_are_fields(self):
         assert [f.name for f in dataclasses.fields(OracleConfig)] == [
-            "resolution", "refine_passes", "support_override"
+            "resolution", "support_override"
         ]
 
     def test_alpha_validation(self, unit2):
         with pytest.raises(ValueError):
             pointwise_bound_oracle(Sample(unit2, (0,)), 1.0)
 
-    def test_final_grid_must_fit_int64(self, monkeypatch, unit2):
-        # steps of 1e-17 on two atoms end on a grid of about 2**60 steps;
-        # steps of 1e-19, or 70 passes at the default 1e-3, would pass 2**62
-        # and are refused before the sample space is built
+    def test_final_step_below_the_rounding_bound_is_refused(self, monkeypatch, unit2):
+        # steps of 1e-15 on two atoms end on a grid of about 2**53.2 steps,
+        # where the value's rounding error can exceed final_step * range;
+        # such grids, down to the 2**66 steps of 1e-19, are refused before
+        # the sample space is built
         x = Sample(unit2, (0, 1))
-        res = pessimal_bound_oracle(x, LexiLow(), 0.25, OracleConfig(resolution=1e-17))
-        assert res.final_step < 1e-17
-        assert abs(res.value - (1 - math.sqrt(0.75))) <= 1e-16
         built = []
         monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: built.append(a))
-        for cfg in (OracleConfig(resolution=1e-19), OracleConfig(refine_passes=70)):
+        for res in (1e-15, 1e-17, 1e-19):
             with pytest.raises(ValueError, match=(
-                    rf"^resolution {cfg.resolution!r} with refine_passes={cfg.refine_passes}"
-                    r" needs a final grid of \d+ steps, above the int64 count limit of 2\*\*62$")):
-                pessimal_bound_oracle(x, LexiLow(), 0.25, cfg)
+                    rf"^resolution {res!r} ends on steps of 1/\d+: final step times"
+                    r" \(s_max - s_min\) = \S+ is below the value's rounding bound 3.33e-16$")):
+                pessimal_bound_oracle(x, LexiLow(), 0.25, OracleConfig(resolution=res))
         assert built == []
+
+    @pytest.mark.parametrize("grid", [SupportGrid(0.0, 1.0, 2), SupportGrid(-999.0, 999.0, 2),
+                                      SupportGrid(-2.5, 0.75, 2)], ids=["unit", "wide", "neg"])
+    def test_admitted_resolutions_keep_their_accuracy(self, grid):
+        # against 40-digit mpmath: the low-lexicographic bound at (0, 1)
+        # is s_min + (1 - sqrt(1 - alpha)) * range; every resolution the
+        # precision guard admits lands within 2 * final_step * range of it
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        span = mpmath.mpf(grid.s_max) - mpmath.mpf(grid.s_min)
+        exact = mpmath.mpf(grid.s_min) + (1 - mpmath.sqrt(mpmath.mpf(0.75))) * span
+        x, admitted = Sample(grid, (0, 1)), []
+        for e in range(6, 17):
+            try:
+                res = pessimal_bound_oracle(x, LexiLow(), 0.25, OracleConfig(resolution=10.0 ** -e))
+            except ValueError:
+                continue
+            admitted.append(e)
+            budget = 2 * mpmath.mpf(res.final_step) * span
+            assert abs(mpmath.mpf(res.value) - exact) <= budget, e
+        assert admitted == list(range(6, 15))
 
     def test_fine_resolution_memory_stays_flat(self, unit2):
         # no search array grows with 1 / resolution: the first scan is
@@ -480,8 +497,9 @@ class TestSearchInternals:
         # mixed-radix int64 key over all k columns would wrap
         for k in range(1, 11):
             centers = _spread_centres(n_cur, k)
-            got = _neighborhood(centers, k)
             offs = _zero_sum_offsets(k, _neighbor_radius(k))
+            values = np.linspace(0.0, 1.0, k)
+            got = _neighborhood(centers, k, values, kernels.scaled_scores(offs, values), math.inf)
             cands = (centers[:, None, :] + offs[None]).reshape(-1, k)
             want = np.unique(cands[(cands >= 0).all(axis=1)], axis=0)
             assert got.dtype == want.dtype, k
@@ -494,14 +512,14 @@ class TestSearchInternals:
         # the limit is a row's own score, so that row must stay
         for k in range(1, 11):
             centers = _spread_centres(n_cur, k)
-            full = _neighborhood(centers, k)
             offs = _zero_sum_offsets(k, _neighbor_radius(k))
             for values in (np.linspace(0.0, 1.0, k), np.linspace(-3.5, -0.25, k),
                            np.linspace(-999.0, 999.0, k), np.arange(k) - 2.0):
+                offset_scores = kernels.scaled_scores(offs, values)
+                full = _neighborhood(centers, k, values, offset_scores, math.inf)
                 scores = kernels.scaled_scores(full, values)
                 limit = float(np.sort(scores)[scores.size // 4])
-                got = _neighborhood(centers, k, values, kernels.scaled_scores(offs, values),
-                                    limit)
+                got = _neighborhood(centers, k, values, offset_scores, limit)
                 # full's rows that got repeats: a stable lexsort of both puts
                 # each such row right after its copy in full
                 both = np.concatenate([full, got])
@@ -535,7 +553,7 @@ class TestSearchInternals:
             assert red.beam().shape[0] == oracle.BEAM_WIDTH
             centers, limit = red.beam() * 2, 2 * red.cut
             n_cur *= 2
-            whole = _neighborhood(centers, k)
+            whole = _neighborhood(centers, k, values, offset_scores, math.inf)
             pruned = _neighborhood(centers, k, values, offset_scores, limit)
             assert pruned.shape[0] < whole.shape[0]
             full = oracle._scan_blocks([whole], n_cur, coefs, expts, values, alpha)
@@ -564,7 +582,8 @@ class TestSearchInternals:
 
         monkeypatch.setattr(oracle, "_neighborhood", spy)
         got = pessimal_bound_oracle(x, LexiHigh(), 0.25)
-        monkeypatch.setattr(oracle, "_neighborhood", lambda centers, k, *bound: real(centers, k))
+        monkeypatch.setattr(oracle, "_neighborhood",
+                            lambda centers, k, *bound: real(centers, k, *bound[:2], math.inf))
         want = pessimal_bound_oracle(x, LexiHigh(), 0.25)
         assert got.mode == "coarse-to-fine" and len(shares) >= 2
         assert max(shares) <= 0.5
@@ -578,7 +597,9 @@ class TestSearchInternals:
         # than a non-negative int64 holds, so they need two keys
         centers = np.array([[0, 0, 0, 0, 100_000], [20_000] * 5,
                             [20_000, 20_001, 19_999, 20_000, 20_000]]) * 2
-        got = _neighborhood(centers, 5)
+        values = np.linspace(0.0, 1.0, 5)
+        offs = _zero_sum_offsets(5, 3)
+        got = _neighborhood(centers, 5, values, kernels.scaled_scores(offs, values), math.inf)
         cands = (centers[:, None, :] + _zero_sum_offsets(5, 3)[None]).reshape(-1, 5)
         want = np.unique(cands[(cands >= 0).all(axis=1)], axis=0)
         assert np.array_equal(got, want)
@@ -732,6 +753,32 @@ class TestSearchInternals:
             616_227, 1_787_607, 5_196_627
         ]
 
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_schedule_equals_the_stepwise_search(self, k):
+        # the bisection for n0 against the doubling-then-stepping search it
+        # replaced, over resolutions from 10 down to 1e-14 in thirds of a
+        # decade; on one atom every simplex is a single cell, so k=1 is
+        # always dense
+        def stepwise(resolution):
+            n_target = max(1, math.ceil(1.0 / resolution))
+            if math.comb(n_target + k - 1, k - 1) <= oracle.CELL_BUDGET:
+                return n_target, oracle.REFINE_PASSES, "dense"
+            n0 = 1
+            while math.comb(2 * n0 + k - 1, k - 1) <= oracle.CELL_BUDGET:
+                n0 *= 2
+            while math.comb(n0 + 1 + k - 1, k - 1) <= oracle.CELL_BUDGET:
+                n0 += 1
+            stages = max(0, math.ceil(math.log2(n_target / n0))) + oracle.REFINE_PASSES
+            return n0, stages, "coarse-to-fine"
+
+        modes = set()
+        for e in range(-3, 43):
+            resolution = 10.0 ** (-e / 3)
+            got = oracle._schedule(k, OracleConfig(resolution=resolution))
+            assert got == stepwise(resolution), resolution
+            modes.add(got[2])
+        assert modes == ({"dense"} if k == 1 else {"dense", "coarse-to-fine"})
+
     def test_neighbourhood_guard_fires_before_any_scan(self, monkeypatch):
         # k=16 atoms, coarse-to-fine: 5,196,627 offsets x 24 centres; the
         # guard reads only k, so neither the sample space nor the member
@@ -778,14 +825,6 @@ class TestSearchInternals:
         assert got.constraint_prob.hex() == want.constraint_prob.hex()
         assert got.witness.mass.tobytes() == want.witness.mass.tobytes()
         assert got.final_step == want.final_step
-
-    def test_neighbourhood_guard_spares_scans_without_refinement(self):
-        # a coarse dense scan on 15 atoms builds no neighbourhood
-        x = make_sample(SupportGrid(0.0, 1.0, 15), [0.5, 1.0])
-        coarse = OracleConfig(resolution=0.5, refine_passes=0)
-        assert pessimal_bound_oracle(x, LexiHigh(), 0.25, coarse).mode == "dense"
-        with pytest.raises(EnumerationGuardError, match="k=15"):
-            pessimal_bound_oracle(x, LexiHigh(), 0.25, OracleConfig(resolution=0.5))
 
     def test_kept_rows_are_int64_for_narrow_blocks(self):
         rows = np.concatenate(list(kernels.iter_composition_blocks(200, 2)))
