@@ -16,12 +16,14 @@ row slices of ``BLOCK_ROWS`` = 8,192, the fastest of 4,096, 8,192 and
 16,384 for the kernel on 2-core x86 (a block's factor arrays stay in
 cache). Next to each kept simplex sit its blocks' column minima and
 maxima, from which ``composition_floors`` bounds every block's scores
-from below without scoring a row. ``pow_table`` is the package's one
-power routine: the kernel takes each atom's powers of c / N from it, and
-``dist.omega_pmf`` its powers of the atom masses, so every power is the
-same left-to-right product. None of this changes a bit of the results:
-rows come out in the same lexicographic order and every probability is
-the same product of the same factors in the same order.
+from below without scoring a row, and ``composition_ceilings`` bounds
+every block's probabilities from above, for up-closed terms, with one
+kernel call over the blocks' top-greedy points. ``pow_table`` is the
+package's one power routine: the kernel takes each atom's powers of c / N
+from it, and ``dist.omega_pmf`` its powers of the atom masses, so every
+power is the same left-to-right product. None of this changes a bit of
+the results: rows come out in the same lexicographic order and every
+probability is the same product of the same factors in the same order.
 """
 
 from __future__ import annotations
@@ -150,15 +152,56 @@ def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
     subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
     of the subtraction with room to spare.
     """
-    lo, hi = _block_bounds(N, k, BLOCK_ROWS)
-    best = lo.copy()
-    left = N - lo.sum(axis=1)
-    for j in np.argsort(values, kind="stable").tolist():
-        take = np.minimum(left, hi[:, j] - lo[:, j])
-        best[:, j] += take
-        left -= take
+    best = _box_greedy(N, k, np.argsort(values, kind="stable").tolist())
     margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
     return scaled_scores(best, values) - margin
+
+
+def composition_ceilings(N: int, k: int, coefs: np.ndarray, expts: np.ndarray) -> np.ndarray:
+    """For each block ``iter_composition_blocks(N, k)`` yields, a float no
+    smaller than any ``eval_probs(block, N, coefs, expts)`` entry, provided
+    the terms are up-closed: each exponent row with e[j] > 0 still has a
+    member after one unit moves from atom j to atom j + 1.
+
+    The terms are then the probability that n iid draws from the atoms, at
+    masses c / N, form a multiset in an up-set of the componentwise order,
+    which can only rise when mass moves to a higher atom. Every row c of a
+    block lies in the block's column box lo <= c <= hi and sums to N, so
+    the box's top-greedy point g, lo plus the N - sum(lo) left filled into
+    the highest atoms first, each up to hi - lo, has every tail sum
+    g[j:] >= c[j:] and exact probability at least c's.
+
+    With u = eps / 2, a computed term is its coefficient, rounded once from
+    the exact multinomial, times at most 2n rounded operations (n the
+    largest exponent-row sum): a division c / N and e - 1 products per
+    power, and one product per factor. Its relative error is at most
+    (1 + u) ** (2n + 1) - 1. The T nonnegative terms are summed left to
+    right from zero, which adds T - 1 roundings. With M = 2n + T, a row's
+    computed probability is at most (1 + u) ** M times its exact one, and
+    g's at least (1 - u) ** M times, so a row's computed probability is at
+    most g's computed one times ((1 + u) / (1 - u)) ** M, about 1 + M *
+    eps. The factor applied, ``1 + 4 * M * eps``, covers that and the
+    rounding of the product with room to spare: a block whose ceiling is
+    below alpha holds no row whose computed probability reaches alpha.
+    """
+    top = _box_greedy(N, k, range(k - 1, -1, -1))
+    n = int(expts.sum(axis=1).max(initial=0))
+    factor = 1 + 4 * (2 * n + coefs.shape[0]) * np.finfo(np.float64).eps
+    return eval_probs(top, N, coefs, expts) * factor
+
+
+def _box_greedy(N: int, k: int, atoms) -> np.ndarray:
+    """Per block of ``iter_composition_blocks(N, k)``, int64: the column
+    minima lo plus the N - sum(lo) left filled into ``atoms`` in turn, each
+    up to the block's column range hi - lo."""
+    lo, hi = _block_bounds(N, k, BLOCK_ROWS)
+    point = lo.copy()
+    left = N - lo.sum(axis=1)
+    for j in atoms:
+        take = np.minimum(left, hi[:, j] - lo[:, j])
+        point[:, j] += take
+        left -= take
+    return point
 
 
 @functools.lru_cache(maxsize=4)

@@ -14,14 +14,22 @@ candidates walks through step halvings down to the requested resolution
 lexicographic order, lowest means first, and scores and runs the
 probability kernel only on blocks with a row that can still enter the
 beam; a simplex block is ruled out from its column bounds before any of
-its rows is scored. The beam's rows are the next stage's centres; the
-most probable row stands in only when no row is feasible. Doubled, a full
-beam's rows keep their probabilities and twice their scores, so the next
-beam's cut is at most twice this one, and a refinement neighbourhood
-drops every centre + offset pair scoring above that before it builds a
-key. Every stage is deterministic, and ties between equal means, and
-between equal top probabilities, are broken toward the lexicographically
-smallest mass vector, so results do not depend on evaluation order.
+its rows is scored. When the upper set's members on the support are
+closed under moving one unit of a sample to the next atom up (the
+lexicographic and quantile orders; the pointwise one only at the
+all-top sample), the probability only rises as mass moves up, so the
+first scan also skips each simplex block whose probability ceiling, its
+top-greedy point's probability times a stated rounding factor, is below
+alpha: no row in it is feasible. The beam's
+rows are the next stage's centres; the most probable row stands in only
+when no row is feasible, which never happens under such members.
+Doubled, a full beam's rows keep their probabilities and twice their
+scores, so the next beam's cut is at most twice this one, and a
+refinement neighbourhood drops every centre + offset pair scoring above
+that before it builds a key. Every stage is deterministic, and ties
+between equal means, and between equal top probabilities, are broken
+toward the lexicographically smallest mass vector, so results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -247,7 +255,8 @@ class _Reducer:
         return self._beam_rows
 
 
-def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reducer:
+def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None,
+                 ceilings=None) -> _Reducer:
     """Reduce the blocks in reverse order, skipping the kernel on a block
     whose scores all lie above the reducer's cut.
 
@@ -256,17 +265,24 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
     fills near the feasibility boundary early. ``floors``, one per block
     (``kernels.composition_floors`` for a simplex), lets a block whose
     floor is above the cut skip scoring too; a block without one is
-    scored first. A skipped block holds no row that can enter the beam.
-    The cut stays open until the beam is full, so a scan that ends with an
-    empty beam has evaluated every block, and its top row is the rescue
-    the caller needs.
+    scored first. ``ceilings``, one per block
+    (``kernels.composition_ceilings``), skips a block whose ceiling is
+    below alpha before it is scored: it holds no feasible row. A skipped
+    block holds no row that can enter the beam. Without ceilings the cut
+    stays open until the beam is full, so a scan that ends with an empty
+    beam has evaluated every block, and its top row is the rescue the
+    caller needs; a caller passes ceilings only where the beam cannot end
+    empty.
     """
     red = _Reducer(alpha, BEAM_WIDTH)
     blocks = list(blocks)
     if floors is None:
         floors = np.full(len(blocks), -math.inf)
-    for rows, floor in zip(reversed(blocks), reversed(floors.tolist())):
-        if floor > red.cut:
+    if ceilings is None:
+        ceilings = np.full(len(blocks), math.inf)
+    for rows, floor, ceiling in zip(reversed(blocks), reversed(floors.tolist()),
+                                    reversed(ceilings.tolist())):
+        if ceiling < alpha or floor > red.cut:
             continue
         scores = kernels.scaled_scores(rows, values)
         if scores.min() > red.cut:
@@ -274,6 +290,24 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
         probs = kernels.eval_probs(rows, N, coefs, expts)
         red.consume(rows, scores, probs)
     return red
+
+
+def _up_closed(expts: np.ndarray) -> bool:
+    """True when there are terms and every exponent row with e[j] > 0 is
+    still a row after one unit moves from atom j to atom j + 1: the
+    members on the atoms are an up-set of the componentwise order, so the
+    constraint probability can only rise when mass moves up. No terms is
+    False: the probability is 0 everywhere, and the scan must keep its
+    rescue row."""
+    if not expts.shape[0]:
+        return False
+    rows, atoms = np.nonzero(expts[:, :-1])
+    moved = expts[rows]
+    moved[np.arange(rows.size), atoms] -= 1
+    moved[np.arange(rows.size), atoms + 1] += 1
+    # each row's bytes as one key, equal exactly when the rows are equal
+    key = np.dtype((np.void, moved.itemsize * expts.shape[1]))
+    return bool(np.isin(moved.view(key), np.ascontiguousarray(expts, moved.dtype).view(key)).all())
 
 
 @functools.cache
@@ -363,8 +397,10 @@ def _schedule(k: int, cfg: OracleConfig) -> tuple[int, int, str]:
     finest whose simplex fits ``CELL_BUDGET`` but no finer than the
     requested one, and the refinement stages after it, the halvings down
     to the requested step and then ``REFINE_PASSES``; EnumerationGuardError
-    if a stage's neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows."""
-    n_target = max(1, math.ceil(1.0 / cfg.resolution))
+    if a stage's neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows.
+    A resolution whose reciprocal overflows a double asks for the largest
+    double's step count, which the caller's precision guard refuses."""
+    n_target = max(1, math.ceil(min(1.0 / cfg.resolution, sys.float_info.max)))
     n0, hi = 1, n_target
     while n0 < hi:
         mid = (n0 + hi + 1) // 2
@@ -385,10 +421,21 @@ def _schedule(k: int, cfg: OracleConfig) -> tuple[int, int, str]:
 def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
               alpha: float, n0: int, stages: int):
     """Minimize the mean over the quantized simplex subject to the
-    constraint probability being >= alpha. Returns (counts, N)."""
+    constraint probability being >= alpha. Returns (counts, N).
+
+    When the terms are up-closed, the first scan skips the blocks whose
+    probability ceiling is below alpha. The rescue is then never needed:
+    up-closed terms include the all-top-atom member, so at the all-top-atom
+    row that term, coefficient 1 times (N / N) ** n, is exactly 1.0 and
+    every other term has a factor 0 / N; the row's probability computes to
+    exactly 1.0 > alpha, its block's ceiling is at least that, so the
+    first beam and every beam after it hold a feasible row, and
+    ``top_row`` is never read.
+    """
     k = values.shape[0]
+    ceilings = kernels.composition_ceilings(n0, k, coefs, expts) if _up_closed(expts) else None
     red = _scan_blocks(kernels.iter_composition_blocks(n0, k), n0, coefs, expts, values,
-                       alpha, kernels.composition_floors(n0, k, values))
+                       alpha, kernels.composition_floors(n0, k, values), ceilings)
 
     n_cur = n0
     # the offsets' scores, fixed for the call

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orderbound import cli, enumerate_omega
+from orderbound import cli, enumerate_omega, oracle
 from orderbound.cli import main
 
 
@@ -130,11 +130,15 @@ class TestOracle:
         assert err.startswith("error:") and "k=1000" in err and "16777216" in err
         assert len(err) < 120
 
-    @pytest.mark.parametrize("resolution", ["1e-17", "1e-19"])
-    def test_resolution_past_the_precision_limit_fails(self, capsys, resolution):
+    @pytest.mark.parametrize("resolution", ["1e-17", "1e-19", "1e-320"])
+    def test_resolution_past_the_precision_limit_fails(self, capsys, monkeypatch, resolution):
+        # 1 / 1e-320 overflows a double; the step count is still formed and
+        # refused by the precision guard before the sample space is built
+        built = []
+        monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: built.append(a))
         code = main(["oracle", "--order", "lexi-low", "--m", "2", "--sample", "0,1",
                      "--alpha", "0.25", "--resolution", resolution])
-        assert code == 2
+        assert code == 2 and built == []
         err = capsys.readouterr().err
         assert err.startswith(f"error: resolution {resolution} ends on steps of 1/")
         assert "rounding bound" in err
@@ -219,6 +223,17 @@ class TestVerify:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"alpha must be in [0, 1), got {float(alpha)}" in err
+
+    def test_all_refuses_a_resolution_whose_reciprocal_overflows(self, capsys, monkeypatch):
+        # 1 / 1e-320 overflows a double: the first oracle call's precision
+        # guard refuses it before the oracle builds its sample space
+        built = []
+        monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: built.append(a))
+        code = main(["verify", "all", "--m", "3", "--n", "2", "--resolution", "1e-320"])
+        assert code == 2 and built == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: resolution 1e-320 ends on steps of 1/")
+        assert "rounding bound" in err
 
     @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
     def test_all_with_twelve_extensions(self, capsys, m, n):

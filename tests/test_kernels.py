@@ -300,6 +300,121 @@ class TestCompositionFloors:
         assert np.array_equal(hi, [b.max(axis=0) for b in blocks])
 
 
+def _ceiling_cases():
+    """(grid, sample, order, full support?) for up-closed member terms on
+    every simplex the oracle-dense and oracle-c2f benchmarks scan: quantile
+    calls on their refined supports (k <= 3 atoms, N = 1000) and calls on
+    five atoms at the coarse-to-fine n0, on the grids of ``_floor_cases``."""
+    from orderbound import LexiHigh, LexiLow, Quantile
+
+    grids = [(0.0, 1.0, 5), (-2.0, -1.0, 5), (2.0, 3.0, 5), (-2.5, 0.75, 5), (0.0, 999.0, 1000)]
+    for grid in grids:
+        if grid[2] == 5:
+            calls = [((1, 2, 3, 3), Quantile(1), False), ((1, 2, 3, 3), Quantile(3), False),
+                     ((0, 4), Quantile(2), False), ((4,), Quantile(1), False),
+                     ((1, 3), LexiHigh(), True), ((0, 2, 4), LexiLow(), True)]
+        else:
+            calls = [((300, 500), Quantile(1), False), ((0, 999), Quantile(2), False),
+                     ((999,), Quantile(1), False), ((300, 500), LexiLow(), False)]
+        for idx, order, full in calls:
+            yield pytest.param(grid, idx, order, full,
+                               id=f"{grid}-{order.name}-{','.join(map(str, idx))}-{full}")
+
+
+class TestCompositionCeilings:
+    @pytest.mark.parametrize("grid,idx,order,full", list(_ceiling_cases()))
+    def test_ceiling_is_at_least_every_computed_probability(self, grid, idx, order, full):
+        from orderbound import Sample, SupportGrid
+        from orderbound.dist import full_support
+        from orderbound.oracle import (OracleConfig, _member_terms, _schedule, _up_closed,
+                                       refined_support)
+        from orderbound.orders import enumerate_omega, upper_set
+
+        x = Sample(SupportGrid(*grid), idx)
+        atoms = (full_support(x.grid) if full else refined_support(x, order)).indices
+        k = len(atoms)
+        N = _schedule(k, OracleConfig())[0]
+        assert (k <= 3) == (N == 1000)
+        coefs, expts = _member_terms(upper_set(x, order, enumerate_omega(x.grid, x.n)), atoms)
+        assert _up_closed(expts)
+        ceilings = kernels.composition_ceilings(N, k, coefs, expts)
+        blocks = list(kernels.iter_composition_blocks(N, k))
+        assert ceilings.shape == (len(blocks),)
+        highs = np.array([kernels.eval_probs(b, N, coefs, expts).max() for b in blocks])
+        assert (ceilings >= highs).all()
+        # the first row puts all N on the top atom, probability exactly 1
+        # (other rows may compute a bit above 1, and the ceiling covers them)
+        assert blocks[0][0, -1] == N
+        assert kernels.eval_probs(blocks[0][:1], N, coefs, expts).tolist() == [1.0]
+        assert ceilings[0] >= 1.0
+
+    def test_ceiling_is_the_top_point_times_the_factor(self, monkeypatch):
+        # the whole simplex in one block: its top-greedy point puts all N on
+        # the highest atom, probability exactly 1 under up-closed terms, and
+        # the factor is 1 + 4 * (2n + T) * eps for n = 2, T = 3 terms
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 1 << 20)
+        coefs = np.array([2.0, 1.0, 1.0])
+        expts = np.array([[0, 1, 1], [0, 2, 0], [0, 0, 2]])
+        eps = np.finfo(np.float64).eps
+        assert kernels.composition_ceilings(100, 3, coefs, expts).tolist() == [1 + 28 * eps]
+
+    def test_terms_that_are_not_up_closed_can_exceed_the_top_point(self):
+        # the negative control: pointwise at x = (0, 1) on two atoms is the
+        # single member {0, 1}, 2 p (1 - p), which falls when mass moves up;
+        # the top point (0, N) has probability 0 and the block's maximum,
+        # at p = 1/2, is 1/2
+        from orderbound import Pointwise, Sample, SupportGrid
+        from orderbound.oracle import _member_terms, _up_closed
+        from orderbound.orders import enumerate_omega, upper_set
+
+        grid = SupportGrid(0.0, 1.0, 2)
+        x = Sample(grid, (0, 1))
+        coefs, expts = _member_terms(upper_set(x, Pointwise(x), enumerate_omega(grid, 2)), (0, 1))
+        assert not _up_closed(expts)
+        [block] = kernels.iter_composition_blocks(1000, 2)
+        [raw] = kernels.composition_ceilings(1000, 2, coefs, expts)
+        assert raw == 0.0 < kernels.eval_probs(block, 1000, coefs, expts).max() == 0.5
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 2)])
+    def test_up_closure_per_order(self, m, n):
+        # on full and refined supports, for every sample: the lexicographic
+        # and quantile orders are up-closed, the pointwise order is not
+        # (n >= 2 and x off the all-top sample), nor is an empty polynomial
+        from orderbound import LexiHigh, LexiLow, Pointwise, Quantile, SupportGrid
+        from orderbound.dist import full_support
+        from orderbound.oracle import _member_terms, _up_closed, refined_support
+        from orderbound.orders import CustomTable, enumerate_omega, upper_set
+
+        grid = SupportGrid(0.0, 1.0, m)
+        omega = enumerate_omega(grid, n)
+        reverse = CustomTable.from_ranking(list(omega)[::-1])
+        for x in omega:
+            for order in [LexiLow(), LexiHigh(), Pointwise(x), reverse] + [
+                    Quantile(i) for i in range(1, n + 1)]:
+                U = upper_set(x, order, omega)
+                for support in (full_support(grid), refined_support(x, order)):
+                    _, expts = _member_terms(U, support.indices)
+                    got = _up_closed(expts)
+                    assert got == _up_closed_reference(expts), (x.idx, order.name)
+                    if isinstance(order, (LexiLow, LexiHigh, Quantile)):
+                        assert got, (x.idx, order.name)
+                    if isinstance(order, Pointwise) and support.indices == tuple(range(m)):
+                        assert got == (x.idx == (m - 1,) * n), x.idx
+        assert not _up_closed(np.zeros((0, 3), dtype=np.int64))
+        assert not _up_closed_reference(np.zeros((0, 3), dtype=np.int64))
+
+
+def _up_closed_reference(expts):
+    """Non-empty, and every row with a unit on atom j < k - 1 is still a
+    row with that unit moved to atom j + 1, by Python sets of tuples."""
+    rows = {tuple(r) for r in expts.tolist()}
+    for r in rows:
+        for j in range(len(r) - 1):
+            if r[j] and tuple(r[:j]) + (r[j] - 1, r[j + 1] + 1) + tuple(r[j + 2:]) not in rows:
+                return False
+    return bool(rows)
+
+
 def _compositions(N, k):
     """Compositions of N into k parts in lexicographic order, by stars and
     bars: increasing bar positions give increasing count vectors."""

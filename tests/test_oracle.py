@@ -271,12 +271,13 @@ class TestConfig:
     def test_final_step_below_the_rounding_bound_is_refused(self, monkeypatch, unit2):
         # steps of 1e-15 on two atoms end on a grid of about 2**53.2 steps,
         # where the value's rounding error can exceed final_step * range;
-        # such grids, down to the 2**66 steps of 1e-19, are refused before
+        # such grids, down to the 2**66 steps of 1e-19 and past the steps of
+        # 1e-320, whose reciprocal overflows a double, are refused before
         # the sample space is built
         x = Sample(unit2, (0, 1))
         built = []
         monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: built.append(a))
-        for res in (1e-15, 1e-17, 1e-19):
+        for res in (1e-15, 1e-17, 1e-19, 1e-320, 5e-324):
             with pytest.raises(ValueError, match=(
                     rf"^resolution {res!r} ends on steps of 1/\d+: final step times"
                     r" \(s_max - s_min\) = \S+ is below the value's rounding bound 3.33e-16$")):
@@ -700,27 +701,51 @@ class TestSearchInternals:
         keys = tuple(rows[feas][:, c] for c in range(len(atoms) - 1, -1, -1))
         want = rows[feas][np.lexsort(keys + (scores[feas],))[:oracle.BEAM_WIDTH]]
         assert feas.any() != isinstance(order, Pointwise)
-        # scored first, and ruled out by the blocks' score floors first
-        for floors in (None, kernels.composition_floors(N, len(atoms), values)):
-            red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, floors)
+        # the pointwise terms are not up-closed and get no ceilings
+        floors = kernels.composition_floors(N, len(atoms), values)
+        ceilings = None
+        if oracle._up_closed(expts):
+            ceilings = kernels.composition_ceilings(N, len(atoms), coefs, expts)
+        assert (ceilings is None) == isinstance(order, Pointwise)
+        # scored first, and ruled out by the blocks' score floors or
+        # probability ceilings first
+        for bounds in ((None, None), (floors, None), (None, ceilings), (floors, ceilings)):
+            red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, *bounds)
             assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
             if not feas.any():
                 assert np.array_equal(red.top_row, rows[np.argmax(probs)])
                 assert red.top_prob == probs.max()
 
+    @pytest.mark.parametrize("order", [LexiLow(), LexiHigh(), Quantile(1)], ids=lambda o: o.name)
+    def test_empty_terms_keep_the_rescue_path(self, order):
+        # on atoms {0, 1} no member of x = (2, 2)'s upper set survives: the
+        # polynomial is empty, and although vacuously closed under moving
+        # mass up it gets no ceilings (every block's would be 0), so the scan
+        # keeps its rescue row and the error names the closest probability
+        # reached
+        x = Sample(SupportGrid(0.0, 1.0, 3), (2, 2))
+        cfg = OracleConfig(support_override=SupportSet.of([0, 1]))
+        with pytest.raises(InfeasibleError) as exc:
+            pessimal_bound_oracle(x, order, 0.3, cfg)
+        assert str(exc.value) == (
+            f"sample (2, 2), order {order.name}: no mass vector at step 1/8000 reaches"
+            " constraint probability 0.3 (closest achieved 0)")
+        assert pessimal_bound_oracle(x, order, 0.0, cfg).value.hex() == "0x0.0p+0"
+
     def test_dense_scan_skips_most_kernel_blocks(self, monkeypatch, unit5):
         # Quantile(1) at (1, 2, 3, 3) scans the N=1000 simplex on 3 atoms in
-        # 62 blocks; visited low means first, the beam fills early and most
-        # blocks score above its cut, so they never reach the kernel, and
-        # most are ruled out by their score floors before any row is scored
-        # (the simplex blocks are the uint16 calls; refinement slices are
-        # int64)
+        # 62 blocks; visited low means first, the blocks that hold no
+        # feasible row are ruled out by their probability ceilings, and the
+        # beam fills early, so most blocks score above its cut; either way
+        # they never reach the kernel, and most are ruled out before any
+        # row is scored (the simplex blocks are the uint16 calls; the
+        # ceilings' top-greedy points and refinement slices are int64)
         assert len(list(kernels.iter_composition_blocks(1000, 3))) == 62
         seen, scored = [], []
         real, real_scores = kernels.eval_probs, kernels.scaled_scores
 
         def spy(counts, N, coefs, expts):
-            if N == 1000:
+            if counts.dtype == np.uint16:
                 seen.append(counts.shape[0])
             return real(counts, N, coefs, expts)
 
@@ -733,7 +758,7 @@ class TestSearchInternals:
         monkeypatch.setattr(kernels, "scaled_scores", scores_spy)
         res = pessimal_bound_oracle(Sample(unit5, (1, 2, 3, 3)), Quantile(1), 0.05)
         assert res.mode == "dense"
-        assert 0 < len(seen) <= len(scored) < 31
+        assert 0 < len(seen) <= len(scored) < 4
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_offsets_equal_the_product_filter(self, k):
