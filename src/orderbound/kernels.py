@@ -14,16 +14,20 @@ the smallest unsigned dtype that holds N, for the next scan of the same
 simplex; the oracle's fixed cell budget bounds each one. Scans read it in
 row slices of ``BLOCK_ROWS`` = 8,192, the fastest of 4,096, 8,192 and
 16,384 for the kernel on 2-core x86 (a block's factor arrays stay in
-cache). Next to each kept simplex sit its blocks' column minima and
-maxima, from which ``composition_floors`` bounds every block's scores
-from below without scoring a row, and ``composition_ceilings`` bounds
-every block's probabilities from above, for up-closed terms, with one
-kernel call over the blocks' top-greedy points. ``pow_table`` is the
-package's one power routine: the kernel takes each atom's powers of c / N
-from it, and ``dist.omega_pmf`` its powers of the atom masses, so every
-power is the same left-to-right product. None of this changes a bit of
-the results: rows come out in the same lexicographic order and every
-probability is the same product of the same factors in the same order.
+cache). Next to each kept simplex sit the column minima and maxima of its
+boxes, the runs of ``BOX_ROWS`` = 512 rows counted from its first row,
+and each box's two greedy points: ``composition_floors`` bounds every
+box's scores from below without scoring a row, and
+``composition_ceilings`` bounds every box's probabilities from above, for
+up-closed terms, with one kernel call over the boxes' top-greedy points.
+Both bounds hold for any subset of a box's rows, so a scan may cut a box
+at a block edge and send only the live boxes to the kernel.
+``pow_table`` is the package's one power routine: the kernel takes each
+atom's powers of c / N from it, and ``dist.omega_pmf`` its powers of the
+atom masses, so every power is the same left-to-right product. None of
+this changes a bit of the results: rows come out in the same
+lexicographic order and every probability is the same product of the
+same factors in the same order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ import numpy as np
 #: Rows per kernel block: the enumeration default, the neighbourhood slice
 #: and, divided by |omega|, the trials in one ``verify_agreement`` chunk.
 BLOCK_ROWS = 1 << 13
+#: Rows per box of a simplex, the granularity of ``composition_floors`` and
+#: ``composition_ceilings``: box b is rows [b * BOX_ROWS, (b + 1) * BOX_ROWS)
+#: of the simplex, whatever ``BLOCK_ROWS`` is. Of 256, 512 and 1,024, 512
+#: made coarse-to-fine calls fastest.
+BOX_ROWS = 1 << 9
 
 
 def eval_probs(counts: np.ndarray, N: int, coefs: np.ndarray,
@@ -138,38 +147,40 @@ def iter_composition_blocks(N: int, k: int) -> Iterator[np.ndarray]:
 
 
 def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
-    """For each block ``iter_composition_blocks(N, k)`` yields, a float no
-    larger than any ``scaled_scores(block, values)`` entry.
+    """For each box of ``BOX_ROWS`` rows of the simplex
+    ``iter_composition_blocks(N, k)`` yields, a float no larger than the
+    ``scaled_scores(rows, values)`` entry of any of its rows.
 
-    Every row c of a block lies in the block's column box lo <= c <= hi
-    and sums to N, so its exact score is at least the box's smallest one:
-    lo plus the N - sum(lo) left filled into the lowest-valued atoms
-    first, each up to hi - lo (the greedy solution of that linear
-    program, an integer vector). Computed left to right, a k-term score
-    of counts summing to N is within g = k u / (1 - k u) * N * max|v| of
-    its exact value (u = eps / 2), so a computed row score is at least the
-    computed greedy score less 2 g, about k * eps * N * max|v|; the margin
+    Every row c of a box lies in the box's column range lo <= c <= hi and
+    sums to N, so its exact score is at least the range's smallest one: lo
+    plus the N - sum(lo) left filled into the lowest-valued atoms first,
+    each up to hi - lo (the greedy solution of that linear program, an
+    integer vector). Computed left to right, a k-term score of counts
+    summing to N is within g = k u / (1 - k u) * N * max|v| of its exact
+    value (u = eps / 2), so a computed row score is at least the computed
+    greedy score less 2 g, about k * eps * N * max|v|; the margin
     subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
     of the subtraction with room to spare.
     """
-    best = _box_greedy(N, k, np.argsort(values, kind="stable").tolist())
+    bottom = _box_greedy(N, k, BOX_ROWS, tuple(np.argsort(values, kind="stable").tolist()))
     margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
-    return scaled_scores(best, values) - margin
+    return scaled_scores(bottom, values) - margin
 
 
 def composition_ceilings(N: int, k: int, coefs: np.ndarray, expts: np.ndarray) -> np.ndarray:
-    """For each block ``iter_composition_blocks(N, k)`` yields, a float no
-    smaller than any ``eval_probs(block, N, coefs, expts)`` entry, provided
-    the terms are up-closed: each exponent row with e[j] > 0 still has a
-    member after one unit moves from atom j to atom j + 1.
+    """For each box of ``BOX_ROWS`` rows of the simplex
+    ``iter_composition_blocks(N, k)`` yields, a float no smaller than the
+    ``eval_probs(rows, N, coefs, expts)`` entry of any of its rows,
+    provided the terms are up-closed: each exponent row with e[j] > 0 still
+    has a member after one unit moves from atom j to atom j + 1.
 
     The terms are then the probability that n iid draws from the atoms, at
     masses c / N, form a multiset in an up-set of the componentwise order,
     which can only rise when mass moves to a higher atom. Every row c of a
-    block lies in the block's column box lo <= c <= hi and sums to N, so
-    the box's top-greedy point g, lo plus the N - sum(lo) left filled into
-    the highest atoms first, each up to hi - lo, has every tail sum
-    g[j:] >= c[j:] and exact probability at least c's.
+    box lies in the box's column range lo <= c <= hi and sums to N, so the
+    box's top-greedy point g, lo plus the N - sum(lo) left filled into the
+    highest atoms first, each up to hi - lo, has every tail sum g[j:] >=
+    c[j:] and exact probability at least c's.
 
     With u = eps / 2, a computed term is its coefficient, rounded once from
     the exact multinomial, times at most 2n rounded operations (n the
@@ -181,34 +192,38 @@ def composition_ceilings(N: int, k: int, coefs: np.ndarray, expts: np.ndarray) -
     g's at least (1 - u) ** M times, so a row's computed probability is at
     most g's computed one times ((1 + u) / (1 - u)) ** M, about 1 + M *
     eps. The factor applied, ``1 + 4 * M * eps``, covers that and the
-    rounding of the product with room to spare: a block whose ceiling is
+    rounding of the product with room to spare: a box whose ceiling is
     below alpha holds no row whose computed probability reaches alpha.
     """
-    top = _box_greedy(N, k, range(k - 1, -1, -1))
+    top = _box_greedy(N, k, BOX_ROWS, tuple(range(k - 1, -1, -1)))
     n = int(expts.sum(axis=1).max(initial=0))
     factor = 1 + 4 * (2 * n + coefs.shape[0]) * np.finfo(np.float64).eps
     return eval_probs(top, N, coefs, expts) * factor
 
 
-def _box_greedy(N: int, k: int, atoms) -> np.ndarray:
-    """Per block of ``iter_composition_blocks(N, k)``, int64: the column
-    minima lo plus the N - sum(lo) left filled into ``atoms`` in turn, each
-    up to the block's column range hi - lo."""
-    lo, hi = _block_bounds(N, k, BLOCK_ROWS)
+@functools.lru_cache(maxsize=8)
+def _box_greedy(N: int, k: int, rows: int, atoms: tuple[int, ...]) -> np.ndarray:
+    """Per ``rows``-row box of ``_simplex(N, k)``, int64 and read-only: the
+    column minima lo plus the N - sum(lo) left filled into ``atoms`` in
+    turn, each up to the box's column range hi - lo. It depends on the
+    values only through the fill order, so it is kept for the next call on
+    the same simplex, one point per fill order."""
+    lo, hi = _block_bounds(N, k, rows)
     point = lo.copy()
     left = N - lo.sum(axis=1)
     for j in atoms:
         take = np.minimum(left, hi[:, j] - lo[:, j])
         point[:, j] += take
         left -= take
+    point.flags.writeable = False
     return point
 
 
 @functools.lru_cache(maxsize=4)
 def _block_bounds(N: int, k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column minima and maxima, int64 (blocks, k), of the ``rows``-row
-    blocks of ``_simplex(N, k)``; keyed on the block size so they always
-    line up with the blocks a scan reads."""
+    """Column minima and maxima, int64 (boxes, k), of the ``rows``-row
+    boxes of ``_simplex(N, k)``, the last one possibly shorter; keyed on
+    the box size, which the callers read from ``BOX_ROWS``."""
     simplex = _simplex(N, k)
     starts = np.arange(0, simplex.shape[0], rows)
     lo = np.minimum.reduceat(simplex, starts, axis=0).astype(np.int64)

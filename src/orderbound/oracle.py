@@ -10,15 +10,16 @@ suffices for the preorder at hand, and then sharpens the incumbent with
 The first scan enumerates the finest simplex that fits ``CELL_BUDGET``,
 the requested one when it fits (dense mode); otherwise a beam of the best
 candidates walks through step halvings down to the requested resolution
-(coarse to fine) before the refinement rounds. Each scan visits its blocks in reverse
-lexicographic order, lowest means first, and scores and runs the
-probability kernel only on blocks with a row that can still enter the
-beam; a simplex block is ruled out from its column bounds before any of
-its rows is scored. When the upper set's members on the support are
-closed under moving one unit of a sample to the next atom up (the
-lexicographic and quantile orders; the pointwise one only at the
-all-top sample), the probability only rises as mass moves up, so the
-first scan also skips each simplex block whose probability ceiling, its
+(coarse to fine) before the refinement rounds. Each scan visits its
+blocks in reverse lexicographic order, lowest means first, and scores
+and runs the probability kernel only on rows that can still enter the
+beam. The first scan rules out each 512-row box of the simplex from its
+column bounds before any of its rows is scored, and gathers the rows of
+the boxes left into full kernel batches. When the upper set's members
+on the support are closed under moving one unit of a sample to the next
+atom up (the lexicographic and quantile orders; the pointwise one only
+at the all-top sample), the probability only rises as mass moves up, so
+the first scan also skips each box whose probability ceiling, its
 top-greedy point's probability times a stated rounding factor, is below
 alpha: no row in it is feasible. The beam's
 rows are the next stage's centres; the most probable row stands in only
@@ -219,6 +220,11 @@ class _Reducer:
         """Highest score that can still enter the beam."""
         return self._cut
 
+    @property
+    def full(self) -> bool:
+        """True once the beam holds ``beam_width`` rows and the cut is set."""
+        return self._beam_scores.size == self.beam_width
+
     def consume(self, rows: np.ndarray, scores: np.ndarray, probs: np.ndarray) -> None:
         # the lex-smallest row at the block's top probability, compared with
         # the kept one explicitly on a tie, so no block order can change it
@@ -257,39 +263,84 @@ class _Reducer:
 
 def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None,
                  ceilings=None) -> _Reducer:
-    """Reduce the blocks in reverse order, skipping the kernel on a block
-    whose scores all lie above the reducer's cut.
+    """Reduce the blocks in reverse order, sending to the kernel only the
+    rows of boxes that can still hold a beam row, gathered into batches of
+    at least ``kernels.BLOCK_ROWS`` rows.
 
     Blocks come in lexicographic order and the atoms' values increase, so
     the reverse order meets mass on the lowest atoms first and the beam
-    fills near the feasibility boundary early. ``floors``, one per block
-    (``kernels.composition_floors`` for a simplex), lets a block whose
-    floor is above the cut skip scoring too; a block without one is
-    scored first. ``ceilings``, one per block
-    (``kernels.composition_ceilings``), skips a block whose ceiling is
-    below alpha before it is scored: it holds no feasible row. A skipped
-    block holds no row that can enter the beam. Without ceilings the cut
-    stays open until the beam is full, so a scan that ends with an empty
-    beam has evaluated every block, and its top row is the rescue the
-    caller needs; a caller passes ceilings only where the beam cannot end
-    empty.
+    fills near the feasibility boundary early. The blocks' rows are cut
+    into boxes of ``kernels.BOX_ROWS`` rows, counted from the first
+    block's first row, so a box may straddle two blocks. ``floors``, one
+    per box (``kernels.composition_floors`` for a simplex), bounds each
+    box's scores from below, and ``ceilings``
+    (``kernels.composition_ceilings``) its probabilities from above; both
+    hold for any of the box's rows. A box is live while its ceiling
+    reaches alpha and its floor is at most the reducer's cut; a block with
+    no live box is skipped by one float compare on its least live floor.
+    The live boxes' rows join a pending batch, which is scored and, unless
+    every score lies above the cut, run through the kernel and the
+    reducer, once it holds ``BLOCK_ROWS`` rows, and after every block
+    while the beam is not full, so the cut closes as early as it would
+    block by block. Batching changes no bit of the result: the reducer
+    does not depend on order or partition, and a cut that has not yet seen
+    the pending rows is only looser.
+
+    Without bounds every box is live and each block is scored in turn.
+    Without ceilings the cut stays open until the beam is full, so a
+    scan that ends with an empty beam has evaluated every row, and its top
+    row is the rescue the caller needs; a caller passes ceilings only where
+    the beam cannot end empty.
     """
     red = _Reducer(alpha, BEAM_WIDTH)
     blocks = list(blocks)
-    if floors is None:
-        floors = np.full(len(blocks), -math.inf)
-    if ceilings is None:
-        ceilings = np.full(len(blocks), math.inf)
-    for rows, floor, ceiling in zip(reversed(blocks), reversed(floors.tolist()),
-                                    reversed(ceilings.tolist())):
-        if ceiling < alpha or floor > red.cut:
+    box = kernels.BOX_ROWS
+    if ceilings is not None:
+        # a box below alpha holds no feasible row: no cut admits it
+        floors = np.where(ceilings >= alpha, -math.inf if floors is None else floors, math.inf)
+    if floors is not None:
+        # block i holds boxes starts[i] // box to hi[i] - 1, whose least
+        # floor is least[i]; block i + 1 may start in block i's last box
+        sizes = np.array([rows.shape[0] for rows in blocks], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts, hi = ends - sizes, -(-ends // box)
+        least = np.minimum(np.minimum.reduceat(floors, starts // box), floors[hi - 1]).tolist()
+        starts, hi = starts.tolist(), hi.tolist()
+    batch, held = [], 0
+    for i in range(len(blocks) - 1, -1, -1):
+        rows, cut = blocks[i], red.cut
+        if floors is None:
+            parts = [rows]
+        elif least[i] > cut:
             continue
-        scores = kernels.scaled_scores(rows, values)
-        if scores.min() > red.cut:
-            continue
-        probs = kernels.eval_probs(rows, N, coefs, expts)
-        red.consume(rows, scores, probs)
+        else:
+            # one slice per run [a, z) of consecutive live boxes
+            start, runs = starts[i], []
+            for b, floor in enumerate(floors[start // box:hi[i]].tolist(), start // box):
+                if floor <= cut:
+                    if runs and runs[-1][1] == b:
+                        runs[-1][1] = b + 1
+                    else:
+                        runs.append([b, b + 1])
+            parts = [rows[max(a * box - start, 0):z * box - start] for a, z in runs]
+        batch += parts
+        held += sum(part.shape[0] for part in parts)
+        if held >= kernels.BLOCK_ROWS or not red.full:
+            _reduce_batch(red, batch, N, coefs, expts, values)
+            batch, held = [], 0
+    if batch:
+        _reduce_batch(red, batch, N, coefs, expts, values)
     return red
+
+
+def _reduce_batch(red: _Reducer, batch, N, coefs, expts, values) -> None:
+    """Score the rows of the batch's parts and, unless every score lies
+    above the reducer's cut, run them through the kernel and the reducer."""
+    rows = batch[0] if len(batch) == 1 else np.concatenate(batch)
+    scores = kernels.scaled_scores(rows, values)
+    if scores.min() > red.cut:
+        return
+    red.consume(rows, scores, kernels.eval_probs(rows, N, coefs, expts))
 
 
 def _up_closed(expts: np.ndarray) -> bool:
@@ -423,14 +474,15 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
     """Minimize the mean over the quantized simplex subject to the
     constraint probability being >= alpha. Returns (counts, N).
 
-    When the terms are up-closed, the first scan skips the blocks whose
-    probability ceiling is below alpha. The rescue is then never needed:
-    up-closed terms include the all-top-atom member, so at the all-top-atom
-    row that term, coefficient 1 times (N / N) ** n, is exactly 1.0 and
-    every other term has a factor 0 / N; the row's probability computes to
-    exactly 1.0 > alpha, its block's ceiling is at least that, so the
-    first beam and every beam after it hold a feasible row, and
-    ``top_row`` is never read.
+    The first scan skips the simplex boxes whose score floor is above the
+    beam's cut and, when the terms are up-closed, those whose probability
+    ceiling is below alpha. The rescue is then never needed: up-closed
+    terms include the all-top-atom member, so at the all-top-atom row that
+    term, coefficient 1 times (N / N) ** n, is exactly 1.0 and every other
+    term has a factor 0 / N; the row's probability computes to exactly
+    1.0 > alpha, its box's ceiling is at least that, so the first beam and
+    every beam after it hold a feasible row, and ``top_row`` is never
+    read.
     """
     k = values.shape[0]
     ceilings = kernels.composition_ceilings(n0, k, coefs, expts) if _up_closed(expts) else None
@@ -463,6 +515,17 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
             f" (closest achieved {red.top_prob:.6g})"
         )
     return beam[0], n_cur
+
+
+def _step_count(steps: int) -> str:
+    """A step count for a message: exact up to 2**53, to four significant
+    digits above, where the count of a resolution whose reciprocal
+    overflows a double would take 310 digits (1.646e+309)."""
+    if steps <= 1 << 53:
+        return str(steps)
+    from decimal import Decimal  # only a refused resolution reaches here
+
+    return f"{Decimal(steps):.4g}"
 
 
 def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
@@ -504,8 +567,9 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     span = (grid.s_max - grid.s_min) * (1 / (n0 << stages))
     if span < rounding:
         raise ValueError(
-            f"resolution {cfg.resolution!r} ends on steps of 1/{n0 << stages}: final step times"
-            f" (s_max - s_min) = {span:.3g} is below the value's rounding bound {rounding:.3g}"
+            f"resolution {cfg.resolution!r} ends on steps of 1/{_step_count(n0 << stages)}:"
+            f" final step times (s_max - s_min) = {span:.3g} is below the value's rounding"
+            f" bound {rounding:.3g}"
         )
     omega = enumerate_omega(grid, x.n)
     U = upper_set(x, order, omega)

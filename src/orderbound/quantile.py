@@ -146,16 +146,17 @@ def quantile_bound(
     epsilon of the exact bound (not so for ``paper_literal_tail``, which
     solves for the wrong tail); with alpha = 0 the search collapses to
     p_hat = 0 and the bound to the grid minimum. Raises ValueError when
-    epsilon is so small that the grid points near the critical mass are
-    not doubles.
+    epsilon is not a positive finite float (an infinite one would make
+    delta NaN), or so small that the grid points near the critical mass
+    are not doubles.
     """
     n = x.n
     if not 1 <= i <= n:
         raise ValueError(f"order statistic index {i} outside [1, {n}]")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
     grid = x.grid
     value = grid.point(x.order_stat(i))

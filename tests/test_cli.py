@@ -71,6 +71,16 @@ class TestBound:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_quantile_epsilon_must_be_finite(self, capsys, epsilon):
+        # an infinite epsilon used to print "epsilon": Infinity and
+        # "delta": NaN, which strict JSON parsers reject
+        code = main(["bound", "--method", "quantile", "--m", "5", "--sample", "0.25,0.75",
+                     "--i", "1", "--epsilon", epsilon])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: epsilon must be positive and finite, got {float(epsilon)}\n"
+
     def test_quantile_literal_tail_differs(self, capsys):
         _, default = _run_json(
             capsys, "bound", "--method", "quantile",
@@ -140,8 +150,13 @@ class TestOracle:
                      "--alpha", "0.25", "--resolution", resolution])
         assert code == 2 and built == []
         err = capsys.readouterr().err
-        assert err.startswith(f"error: resolution {resolution} ends on steps of 1/")
-        assert "rounding bound" in err
+        # a short message naming the resolution, the compact step count and
+        # both sides of the refused comparison
+        assert re.fullmatch(
+            rf"error: resolution {resolution} ends on steps of 1/\d\.\d{{3}}e\+\d+: final"
+            r" step times \(s_max - s_min\) = \S+ is below the value's rounding bound"
+            r" 3\.33e-16\n", err)
+        assert len(err) < 200
 
     def test_refine_passes_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -232,8 +247,10 @@ class TestVerify:
         code = main(["verify", "all", "--m", "3", "--n", "2", "--resolution", "1e-320"])
         assert code == 2 and built == []
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: resolution 1e-320 ends on steps of 1/")
-        assert "rounding bound" in err
+        assert out == "" and re.fullmatch(
+            r"error: resolution 1e-320 ends on steps of 1/\d\.\d{3}e\+309: final step times"
+            r" \(s_max - s_min\) = \S+ is below the value's rounding bound \S+\n", err)
+        assert len(err) < 200
 
     @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
     def test_all_with_twelve_extensions(self, capsys, m, n):

@@ -259,45 +259,67 @@ def _floor_cases():
             yield pytest.param(N, points[atoms], id=f"{N}-[{s_min},{s_max}]-{','.join(map(str, atoms))}")
 
 
+def _boxes(N, k):
+    """The rows of ``iter_composition_blocks(N, k)`` in boxes of
+    ``kernels.BOX_ROWS`` rows counted from the first row, whatever the
+    blocks are."""
+    rows = np.concatenate(list(kernels.iter_composition_blocks(N, k)))
+    return np.split(rows, range(kernels.BOX_ROWS, rows.shape[0], kernels.BOX_ROWS))
+
+
 class TestCompositionFloors:
     @pytest.mark.parametrize("N,values", list(_floor_cases()))
     def test_floor_is_at_most_every_computed_score(self, N, values):
         k = values.size
         floors = kernels.composition_floors(N, k, values)
-        blocks = list(kernels.iter_composition_blocks(N, k))
-        assert floors.shape == (len(blocks),)
-        lows = np.array([kernels.scaled_scores(b, values).min() for b in blocks])
+        boxes = _boxes(N, k)
+        assert floors.shape == (len(boxes),)
+        lows = np.array([kernels.scaled_scores(b, values).min() for b in boxes])
         assert (floors <= lows).all()
 
-    @pytest.mark.parametrize("block_rows", [500, 7, 1 << 20])
-    def test_floors_line_up_with_the_current_blocks(self, monkeypatch, block_rows):
+    @pytest.mark.parametrize("block_rows,box_rows", [(500, 512), (7, 512), (1 << 20, 512),
+                                                     (500, 7), (7, 500), (1 << 13, 1 << 20)])
+    def test_floors_line_up_with_the_boxes_whatever_the_blocks(self, monkeypatch, block_rows,
+                                                               box_rows):
         values = np.array([-2.0, -1.75, -1.0])
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(kernels, "BOX_ROWS", box_rows)
         floors = kernels.composition_floors(200, 3, values)
-        blocks = list(kernels.iter_composition_blocks(200, 3))
-        assert floors.shape == (len(blocks),)
-        lows = np.array([kernels.scaled_scores(b, values).min() for b in blocks])
+        boxes = _boxes(200, 3)
+        assert floors.shape == (-(-20_301 // box_rows),) == (len(boxes),)
+        lows = np.array([kernels.scaled_scores(b, values).min() for b in boxes])
         assert (floors <= lows).all()
 
     def test_floor_is_the_box_minimum_less_the_margin(self, monkeypatch):
-        # the whole simplex in one block: the box is the simplex, whose
+        # the whole simplex in one box: the box is the simplex, whose
         # least score puts all N on the lowest atom; the margin is
         # 8 * k * eps * N * max|v|
-        monkeypatch.setattr(kernels, "BLOCK_ROWS", 1 << 20)
+        monkeypatch.setattr(kernels, "BOX_ROWS", 1 << 20)
         values = np.array([2.0, 2.25, 2.5, 3.0])
         margin = 8 * 4 * np.finfo(np.float64).eps * 100 * 3.0
         assert kernels.composition_floors(100, 4, values).tolist() == [200.0 - margin]
 
-    def test_bounds_are_kept_per_block_size(self, monkeypatch):
+    def test_bounds_and_greedy_points_are_kept_per_box_size(self, monkeypatch):
         kernels._block_bounds.cache_clear()
+        kernels._box_greedy.cache_clear()
         lo, hi = kernels._block_bounds(30, 3, 7)
         assert lo.dtype == hi.dtype == np.int64 and not lo.flags.writeable
-        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
-        kernels.composition_floors(30, 3, np.array([0.0, 1.0, 2.0]))
+        monkeypatch.setattr(kernels, "BOX_ROWS", 7)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 5)
+        first = kernels.composition_floors(30, 3, np.array([0.0, 1.0, 2.0]))
         assert kernels._block_bounds.cache_info().hits == 1
-        blocks = list(kernels.iter_composition_blocks(30, 3))
-        assert np.array_equal(lo, [b.min(axis=0) for b in blocks])
-        assert np.array_equal(hi, [b.max(axis=0) for b in blocks])
+        boxes = _boxes(30, 3)
+        assert np.array_equal(lo, [b.min(axis=0) for b in boxes])
+        assert np.array_equal(hi, [b.max(axis=0) for b in boxes])
+        # the bottom-greedy point depends on the values only through their
+        # order, so other increasing values reuse it, read-only
+        second = kernels.composition_floors(30, 3, np.array([0.0, 1.5, 2.0]))
+        info = kernels._box_greedy.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        bottom = kernels._box_greedy(30, 3, 7, (0, 1, 2))
+        assert bottom.dtype == np.int64 and not bottom.flags.writeable
+        assert (bottom.sum(axis=1) == 30).all()
+        assert first.tolist() != second.tolist()
 
 
 def _ceiling_cases():
@@ -338,21 +360,41 @@ class TestCompositionCeilings:
         coefs, expts = _member_terms(upper_set(x, order, enumerate_omega(x.grid, x.n)), atoms)
         assert _up_closed(expts)
         ceilings = kernels.composition_ceilings(N, k, coefs, expts)
-        blocks = list(kernels.iter_composition_blocks(N, k))
-        assert ceilings.shape == (len(blocks),)
-        highs = np.array([kernels.eval_probs(b, N, coefs, expts).max() for b in blocks])
+        boxes = _boxes(N, k)
+        assert ceilings.shape == (len(boxes),)
+        highs = np.array([kernels.eval_probs(b, N, coefs, expts).max() for b in boxes])
         assert (ceilings >= highs).all()
         # the first row puts all N on the top atom, probability exactly 1
         # (other rows may compute a bit above 1, and the ceiling covers them)
-        assert blocks[0][0, -1] == N
-        assert kernels.eval_probs(blocks[0][:1], N, coefs, expts).tolist() == [1.0]
+        assert boxes[0][0, -1] == N
+        assert kernels.eval_probs(boxes[0][:1], N, coefs, expts).tolist() == [1.0]
         assert ceilings[0] >= 1.0
 
+    @pytest.mark.parametrize("block_rows,box_rows", [(500, 512), (7, 500), (1 << 20, 512)])
+    def test_ceilings_line_up_with_the_boxes_whatever_the_blocks(self, monkeypatch, block_rows,
+                                                                 box_rows):
+        # LexiHigh at x = (1, 3) on the five unit atoms, at the dense N = 60
+        from orderbound import LexiHigh, Sample, SupportGrid
+        from orderbound.oracle import _member_terms
+        from orderbound.orders import enumerate_omega, upper_set
+
+        x = Sample(SupportGrid(0.0, 1.0, 5), (1, 3))
+        coefs, expts = _member_terms(upper_set(x, LexiHigh(), enumerate_omega(x.grid, 2)),
+                                     tuple(range(5)))
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(kernels, "BOX_ROWS", box_rows)
+        ceilings = kernels.composition_ceilings(60, 5, coefs, expts)
+        boxes = _boxes(60, 5)
+        assert ceilings.shape == (-(-635_376 // box_rows),) == (len(boxes),)
+        highs = np.array([kernels.eval_probs(b, 60, coefs, expts).max() for b in boxes])
+        assert (ceilings >= highs).all()
+        assert (ceilings < 0.25).any() and (ceilings >= 0.25).any()
+
     def test_ceiling_is_the_top_point_times_the_factor(self, monkeypatch):
-        # the whole simplex in one block: its top-greedy point puts all N on
+        # the whole simplex in one box: its top-greedy point puts all N on
         # the highest atom, probability exactly 1 under up-closed terms, and
         # the factor is 1 + 4 * (2n + T) * eps for n = 2, T = 3 terms
-        monkeypatch.setattr(kernels, "BLOCK_ROWS", 1 << 20)
+        monkeypatch.setattr(kernels, "BOX_ROWS", 1 << 20)
         coefs = np.array([2.0, 1.0, 1.0])
         expts = np.array([[0, 1, 1], [0, 2, 0], [0, 0, 2]])
         eps = np.finfo(np.float64).eps
@@ -361,8 +403,8 @@ class TestCompositionCeilings:
     def test_terms_that_are_not_up_closed_can_exceed_the_top_point(self):
         # the negative control: pointwise at x = (0, 1) on two atoms is the
         # single member {0, 1}, 2 p (1 - p), which falls when mass moves up;
-        # the top point (0, N) has probability 0 and the block's maximum,
-        # at p = 1/2, is 1/2
+        # the first box, rows (0, N) to (511, N - 511), has top point
+        # (0, N), probability 0, and its maximum, at p = 1/2, is 1/2
         from orderbound import Pointwise, Sample, SupportGrid
         from orderbound.oracle import _member_terms, _up_closed
         from orderbound.orders import enumerate_omega, upper_set
@@ -371,9 +413,9 @@ class TestCompositionCeilings:
         x = Sample(grid, (0, 1))
         coefs, expts = _member_terms(upper_set(x, Pointwise(x), enumerate_omega(grid, 2)), (0, 1))
         assert not _up_closed(expts)
-        [block] = kernels.iter_composition_blocks(1000, 2)
-        [raw] = kernels.composition_ceilings(1000, 2, coefs, expts)
-        assert raw == 0.0 < kernels.eval_probs(block, 1000, coefs, expts).max() == 0.5
+        first = _boxes(1000, 2)[0]
+        raw = kernels.composition_ceilings(1000, 2, coefs, expts)[0]
+        assert raw == 0.0 < kernels.eval_probs(first, 1000, coefs, expts).max() == 0.5
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 2)])
     def test_up_closure_per_order(self, m, n):

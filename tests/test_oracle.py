@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -273,16 +274,27 @@ class TestConfig:
         # where the value's rounding error can exceed final_step * range;
         # such grids, down to the 2**66 steps of 1e-19 and past the steps of
         # 1e-320, whose reciprocal overflows a double, are refused before
-        # the sample space is built
+        # the sample space is built; every count there is above 2**53, so
+        # the message gives it to four digits (the capped count of 1e-320
+        # has 310), and stays short
         x = Sample(unit2, (0, 1))
         built = []
         monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: built.append(a))
-        for res in (1e-15, 1e-17, 1e-19, 1e-320, 5e-324):
+        for res, steps in ((1e-15, "1.031e+16"), (1e-17, "1.319e+18"), (1e-19, "8.444e+19"),
+                           (1e-320, "1.646e+309"), (5e-324, "1.646e+309")):
             with pytest.raises(ValueError, match=(
-                    rf"^resolution {res!r} ends on steps of 1/\d+: final step times"
-                    r" \(s_max - s_min\) = \S+ is below the value's rounding bound 3.33e-16$")):
+                    rf"^resolution {res!r} ends on steps of 1/{re.escape(steps)}: final step"
+                    r" times \(s_max - s_min\) = \d\.?\d*e-\d+ is below the value's rounding"
+                    r" bound 3.33e-16$")) as exc:
                 pessimal_bound_oracle(x, LexiLow(), 0.25, OracleConfig(resolution=res))
+            assert len(str(exc.value)) < 200
         assert built == []
+
+    def test_step_counts_are_exact_up_to_2_to_the_53(self):
+        assert oracle._step_count(599_999 << 3) == "4799992"
+        assert oracle._step_count(1 << 53) == "9007199254740992"
+        assert oracle._step_count((1 << 53) + 1) == "9.007e+15"
+        assert oracle._step_count(16458 * 10**305) == "1.646e+309"
 
     @pytest.mark.parametrize("grid", [SupportGrid(0.0, 1.0, 2), SupportGrid(-999.0, 999.0, 2),
                                       SupportGrid(-2.5, 0.75, 2)], ids=["unit", "wide", "neg"])
@@ -680,12 +692,13 @@ class TestSearchInternals:
         ((1, 3), "pointwise", 0.9), ((0, 2, 4), 2, 0.05), ((0, 2, 4), "lexi-low", 0.25),
         ((1, 2, 3, 3), 1, 0.05), ((1, 2, 3, 3), 3, 0.9), ((1, 2, 3, 3), "lexi-low", 0.25),
     ])
-    def test_pruned_scan_equals_the_full_reduction(self, unit5, idx, order, alpha):
-        # the skipped blocks hold no row of the beam: the scan's beam is the
+    def test_pruned_scan_equals_the_full_reduction(self, monkeypatch, unit5, idx, order, alpha):
+        # the skipped boxes hold no row of the beam: the scan's beam is the
         # (score, row) lexsort of every feasible row of the simplex, and a
         # scan with no feasible row (the pointwise case: 2 p (1 - p) <= 1/2)
         # skipped nothing, so its top row is the lex-first argmax over the
-        # whole simplex
+        # whole simplex; so with blocks of 500 rows, which cut through the
+        # 512-row boxes
         x = Sample(unit5, idx)
         order = {"lexi-low": LexiLow(), "pointwise": Pointwise(x)}.get(order) or Quantile(order)
         atoms = refined_support(x, order).indices
@@ -693,8 +706,7 @@ class TestSearchInternals:
         coefs, expts = oracle._member_terms(U, atoms)
         values = np.array([unit5.point(a) for a in atoms])
         N = 1000 if len(atoms) <= 3 else 40
-        blocks = list(kernels.iter_composition_blocks(N, len(atoms)))
-        rows = np.concatenate(blocks)
+        rows = np.concatenate(list(kernels.iter_composition_blocks(N, len(atoms))))
         probs = kernels.eval_probs(rows, N, coefs, expts)
         scores = kernels.scaled_scores(rows, values)
         feas = probs >= alpha
@@ -707,14 +719,18 @@ class TestSearchInternals:
         if oracle._up_closed(expts):
             ceilings = kernels.composition_ceilings(N, len(atoms), coefs, expts)
         assert (ceilings is None) == isinstance(order, Pointwise)
-        # scored first, and ruled out by the blocks' score floors or
-        # probability ceilings first
-        for bounds in ((None, None), (floors, None), (None, ceilings), (floors, ceilings)):
-            red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, *bounds)
-            assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
-            if not feas.any():
-                assert np.array_equal(red.top_row, rows[np.argmax(probs)])
-                assert red.top_prob == probs.max()
+        # every box live, and boxes ruled out by their score floors, their
+        # probability ceilings or both, the live ones reaching the kernel in
+        # batches
+        for block_rows in (kernels.BLOCK_ROWS, 500):
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+            blocks = list(kernels.iter_composition_blocks(N, len(atoms)))
+            for bounds in ((None, None), (floors, None), (None, ceilings), (floors, ceilings)):
+                red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, *bounds)
+                assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
+                if not feas.any():
+                    assert np.array_equal(red.top_row, rows[np.argmax(probs)])
+                    assert red.top_prob == probs.max()
 
     @pytest.mark.parametrize("order", [LexiLow(), LexiHigh(), Quantile(1)], ids=lambda o: o.name)
     def test_empty_terms_keep_the_rescue_path(self, order):
@@ -759,6 +775,79 @@ class TestSearchInternals:
         res = pessimal_bound_oracle(Sample(unit5, (1, 2, 3, 3)), Quantile(1), 0.05)
         assert res.mode == "dense"
         assert 0 < len(seen) <= len(scored) < 4
+        # the first block fills the beam and is sent alone, so the next
+        # blocks meet its cut: fewer rows than one block reach the kernel
+        assert sum(seen) < kernels.BLOCK_ROWS
+
+    @pytest.mark.parametrize("block_rows", [1 << 13, 500])
+    @pytest.mark.parametrize("idx,order,alpha", [
+        ((0, 2, 4), "lexi-high", 0.25), ((1, 2, 3, 3), 1, 0.05), ((1, 3), "pointwise", 0.05)])
+    def test_scan_sends_every_row_of_every_live_box(self, monkeypatch, unit5, block_rows,
+                                                    idx, order, alpha):
+        # the rows scored, the kernel's candidates: every row once without
+        # bounds; with bounds, each box's share of each block whole or not
+        # at all, and every share held back has a floor above the final cut
+        # (the cut only falls) or a ceiling below alpha
+        x = Sample(unit5, idx)
+        order = {"lexi-high": LexiHigh(), "pointwise": Pointwise(x)}.get(order) or Quantile(order)
+        atoms = tuple(range(5)) if isinstance(order, LexiHigh) else refined_support(x, order).indices
+        k = len(atoms)
+        N = oracle._schedule(k, OracleConfig())[0]
+        coefs, expts = oracle._member_terms(upper_set(x, order, enumerate_omega(unit5, x.n)), atoms)
+        values = np.array([unit5.point(a) for a in atoms])
+        floors = kernels.composition_floors(N, k, values)
+        ceilings = np.full(floors.shape, math.inf)
+        if oracle._up_closed(expts):
+            ceilings = kernels.composition_ceilings(N, k, coefs, expts)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+        blocks = list(kernels.iter_composition_blocks(N, k))
+        radix = (N + 1) ** np.arange(k - 1, -1, -1)
+        keys = np.concatenate(blocks) @ radix  # increasing: the rows are in lex order
+        scored = []
+        real = kernels.scaled_scores
+
+        def spy(counts, values):
+            scored.append(np.searchsorted(keys, counts @ radix))
+            return real(counts, values)
+
+        monkeypatch.setattr(kernels, "scaled_scores", spy)
+        oracle._scan_blocks(blocks, N, coefs, expts, values, alpha)
+        assert np.array_equal(np.sort(np.concatenate(scored)), np.arange(keys.size))
+        scored.clear()
+        red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, floors, ceilings)
+        got = np.bincount(np.concatenate(scored), minlength=keys.size)
+        assert got.max() == 1 and 0 < got.sum() < keys.size
+        # one segment per (block, box) pair
+        row = np.arange(keys.size)
+        starts = np.cumsum([0] + [b.shape[0] for b in blocks])
+        segment = np.cumsum(np.isin(row, starts) | (row % kernels.BOX_ROWS == 0)) - 1
+        share = np.bincount(segment, got) / np.bincount(segment)
+        assert set(share.tolist()) == {0.0, 1.0}
+        held = np.unique(row[share[segment] == 0] // kernels.BOX_ROWS)
+        assert ((floors[held] > red.cut) | (ceilings[held] < alpha)).all()
+
+    def test_first_c2f_scan_sends_only_live_boxes_to_the_kernel(self, monkeypatch, unit5):
+        # LexiHigh at (0, 2, 4), alpha 0.25, on the five unit atoms: the
+        # first scan of the N = 59 simplex, 595,665 uint8 rows in 73 blocks,
+        # sends its live 512-row boxes to the kernel in a few full batches
+        # (39 calls over 319,488 rows when whole blocks were skipped or
+        # sent); the refinement slices and the ceilings' top points are
+        # int64, and the value is unchanged
+        x = Sample(unit5, (0, 2, 4))
+        seen = []
+        real = kernels.eval_probs
+
+        def spy(counts, N, coefs, expts):
+            if counts.dtype == np.uint8:
+                seen.append(counts.shape[0])
+            return real(counts, N, coefs, expts)
+
+        monkeypatch.setattr(kernels, "eval_probs", spy)
+        res = pessimal_bound_oracle(x, LexiHigh(), 0.25)
+        assert res.mode == "coarse-to-fine"
+        assert 0 < len(seen) <= 16 and sum(seen) <= 160_000
+        assert max(seen) < 2 * kernels.BLOCK_ROWS
+        assert res.value.hex() == "0x1.23eea4e1a08aep-2"
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_offsets_equal_the_product_filter(self, k):

@@ -368,6 +368,16 @@ class TestCertificationWalk:
         with pytest.raises(ValueError, match="too small"):
             quantile_bound(x, 1, 0.25, 1e-18)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1e-4, -math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, unit5, eps):
+        # an infinite epsilon used to give delta = inf / inf = NaN with one
+        # iteration, where the largest finite one gives delta 1.0 and none
+        x = homogeneous_sample(unit5, 1, 3)
+        with pytest.raises(ValueError, match=f"^epsilon must be positive and finite, got {eps}$"):
+            quantile_bound(x, 1, 0.05, eps)
+        res = quantile_bound(x, 1, 0.05, sys.float_info.max)
+        assert (res.delta, res.iterations) == (1.0, 0)
+
     def test_underflowing_delta_raises(self):
         x = homogeneous_sample(SupportGrid(0.0, 4.0, 5), 4, 2)
         with pytest.raises(ValueError, match="too small"):
