@@ -23,11 +23,14 @@ the first scan also skips each box whose probability ceiling, its
 top-greedy point's probability times a stated rounding factor, is below
 alpha: no row in it is feasible. The beam's
 rows are the next stage's centres; the most probable row stands in only
-when no row is feasible, which never happens under such members.
-Doubled, a full beam's rows keep their probabilities and twice their
-scores, so the next beam's cut is at most twice this one, and a
-refinement neighbourhood drops every centre + offset pair scoring above
-that before it builds a key. Every stage is deterministic, and ties
+when no row is feasible, which never happens under such members, and it
+is tracked only while the beam is empty. A refinement neighbourhood
+pairs each centre only with the offsets that keep it non-negative, read
+from a byte-bounded memo keyed by the centre's entries clipped to the
+radius. Doubled, a full beam's rows keep their probabilities and twice
+their scores, so the next beam's cut is at most twice this one, and the
+neighbourhood drops every pair scoring above that before it builds a
+key. Every stage is deterministic, and ties
 between equal means, and between equal top probabilities, are broken
 toward the lexicographically smallest mass vector, so results do not
 depend on evaluation order.
@@ -64,6 +67,9 @@ CELL_BUDGET = 600_000
 BEAM_WIDTH = 24
 #: Most rows one refinement neighbourhood may materialize before dedup.
 NEIGHBORHOOD_MAX_ROWS = 1 << 24
+#: Most bytes of valid offset indices kept across neighbourhoods; one
+#: pattern's indices take at most 2.5 MB (616,227 int32 at k = 14).
+VALID_OFFSETS_BYTES = 1 << 22
 #: Step-halving polish rounds around the incumbent after the requested
 #: resolution is reached.
 REFINE_PASSES = 3
@@ -192,13 +198,18 @@ class _Reducer:
     """Deterministic reduction over candidate blocks, in any block order and
     any partition: a beam of the best ``beam_width`` feasible rows in
     (score, row) order, whose first row is the feasible minimum (the
-    lex-smallest on exact ties), and the highest-probability row, the
-    lex-smallest on ties, for infeasibility rescue.
+    lex-smallest on exact ties), and, for infeasibility rescue, the
+    highest-probability row, the lex-smallest on ties.
+
+    The rescue row (``top_row``, its probability ``top_prob``) is tracked
+    only while the beam is empty: it is defined when no consumed block had
+    a feasible row, and is then the most probable row consumed. Once the
+    beam holds a row it never empties, so the rescue is never read, and no
+    later block is searched for its top probability.
 
     Once the beam is full, a row scoring above its last score (``cut``) can
     never enter it, so a block whose best feasible score lies above the cut
-    is dropped after the top probability is read, without a partition or a
-    sort.
+    is dropped without a partition or a sort.
 
     Rows may arrive in any integer dtype (enumerated blocks are uint8 or
     uint16); every kept row is int64, so refinement can double it without
@@ -226,18 +237,12 @@ class _Reducer:
         return self._beam_scores.size == self.beam_width
 
     def consume(self, rows: np.ndarray, scores: np.ndarray, probs: np.ndarray) -> None:
-        # the lex-smallest row at the block's top probability, compared with
-        # the kept one explicitly on a tie, so no block order can change it
-        top = float(probs.max())
-        if top >= self.top_prob:
-            ties = np.flatnonzero(probs == top)
-            row = rows[ties[_lex_order(rows[ties], probs[ties])[0]]].astype(np.int64)
-            if top > self.top_prob or row.tolist() < self.top_row.tolist():
-                self.top_prob, self.top_row = top, row
         # infeasible rows score +inf, so no row is gathered to find the
         # feasible minimum
         masked = np.where(probs >= self.alpha, scores, math.inf)
         if masked.min() > self._cut:  # no feasible row, or none that can enter the beam
+            if self._beam_rows is None:  # no feasible row yet: keep the rescue row
+                self._keep_top(rows, probs)
             return
         keep = np.flatnonzero(masked <= self._cut)
         if keep.size > self.beam_width:
@@ -254,6 +259,16 @@ class _Reducer:
         self._beam_rows, self._beam_scores = cand_rows[order], cand_scores[order]
         if order.size == self.beam_width:
             self._cut = float(self._beam_scores[-1])
+
+    def _keep_top(self, rows: np.ndarray, probs: np.ndarray) -> None:
+        # the lex-smallest row at the block's top probability, compared with
+        # the kept one explicitly on a tie, so no block order can change it
+        top = float(probs.max())
+        if top >= self.top_prob:
+            ties = np.flatnonzero(probs == top)
+            row = rows[ties[_lex_order(rows[ties], probs[ties])[0]]].astype(np.int64)
+            if top > self.top_prob or row.tolist() < self.top_row.tolist():
+                self.top_prob, self.top_row = top, row
 
     def beam(self) -> np.ndarray:
         if self._beam_rows is None:
@@ -374,12 +389,58 @@ def _offset_needs(k: int, radius: int) -> np.ndarray:
     return need
 
 
+class _ByteBoundedMemo:
+    """Arrays by key, the least recently used dropped first while they hold
+    more than ``limit`` bytes; an array larger than the limit is not kept."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._arrays: dict = {}
+
+    def get(self, key, make) -> np.ndarray:
+        """The array kept for key, else ``make()``, kept as the most recent."""
+        array = self._arrays.pop(key, None)
+        if array is None:
+            array = make()
+            if array.nbytes > self.limit:
+                return array
+            self.nbytes += array.nbytes
+            while self.nbytes > self.limit:
+                self.nbytes -= self._arrays.pop(next(iter(self._arrays))).nbytes
+        self._arrays[key] = array
+        return array
+
+
+_VALID_OFFSETS = _ByteBoundedMemo(VALID_OFFSETS_BYTES)
+
+
+def _valid_offsets(k: int, radius: int, have: int) -> np.ndarray:
+    """Increasing indices (read-only int32) of the ``_zero_sum_offsets(k,
+    radius)`` that keep non-negative a centre whose unary code is ``have``:
+    those that need no bit of ``_offset_needs`` the code lacks. Memoized per
+    (k, radius, have) within ``VALID_OFFSETS_BYTES``."""
+    def make():
+        idx = np.flatnonzero((_offset_needs(k, radius) & ~have) == 0).astype(np.int32)
+        idx.flags.writeable = False
+        return idx
+
+    return _VALID_OFFSETS.get((k, radius, have), make)
+
+
 def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray,
                   offset_scores: np.ndarray, limit: float) -> np.ndarray:
     """Distinct non-negative rows centre + offset, in lexicographic order,
     less the rows whose score must exceed ``limit`` (+inf drops none).
 
-    A (centre, offset) pair is dropped before any key is built when the
+    Each centre is paired only with the offsets that keep it non-negative,
+    ``_valid_offsets`` of its unary code, so no pair is tested for sign. On
+    the first 48 ``oracle-c2f`` benchmark items (384 stages at k = 5, 74
+    distinct codes) that is 4,140,772 of the 13,372,416 centre x offset
+    pairs; 1,997,248 of them pass the score bound, and they dedup to
+    441,393 rows.
+
+    A pair is dropped before any key is built when the
     offset's score (``offset_scores``, the ``scaled_scores`` of
     ``_zero_sum_offsets``) exceeds ``limit`` plus a margin less the
     centre's score. The margin, ``8 * k * eps * N *
@@ -402,7 +463,7 @@ def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray,
     sort in the rows' order. Packing is a product with the entries' bit
     weights, linear while entries stay non-negative: a candidate's keys
     are its centre's keys plus its offset's keys, and no candidate row is
-    built.
+    built. A single key is sorted alone, several lexicographically.
     """
     radius = _neighbor_radius(k)
     offs = _zero_sum_offsets(k, radius)
@@ -424,19 +485,27 @@ def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray,
     for j, (w, bit) in enumerate(place):
         weight[w, j] = 1 << bit
 
-    # a centre entry v holds the low min(v, radius) bits of its field; a
-    # pair stays non-negative when its offset needs no bit the centre lacks
+    # a centre entry v holds the low min(v, radius) bits of its field, and
+    # the offsets that keep it non-negative depend on it only through them
     have = ((1 << np.minimum(centers, radius)) - 1) @ ((1 << radius) ** np.arange(k))
-    ok = (_offset_needs(k, radius) & ~have[:, None]) == 0
+    valid = [_valid_offsets(k, radius, code) for code in have.tolist()]
+    sizes = [v.size for v in valid]
+    oi = np.concatenate(valid, dtype=np.intp)
     margin = 8 * k * sys.float_info.epsilon * total * max(map(abs, values.tolist()))
-    ok &= offset_scores <= (limit + margin - centers @ values)[:, None]
-    ci, oi = np.divmod(np.flatnonzero(ok), offs.shape[0])
-    keys = (weight @ (heads - lo).T)[:, ci] + (weight @ offs[:, :-1].T)[:, oi]
-    keys = keys[:, np.lexsort(keys)]
-    fresh = np.ones(keys.shape[1], dtype=bool)
-    fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    keys = keys[:, fresh]
-    rows = np.empty((keys.shape[1], k), dtype=np.int64)
+    keep = offset_scores[oi] <= np.repeat(limit + margin - centers @ values, sizes)
+    oi = oi[keep]
+    # one 1-d array per key, the last the most significant
+    keys = [np.repeat(c, sizes)[keep] + o[oi]
+            for c, o in zip(weight @ (heads - lo).T, weight @ offs[:, :-1].T)]
+    if len(keys) == 1:
+        keys = [np.sort(keys[0])]
+    else:
+        order = np.lexsort(keys)
+        keys = [key[order] for key in keys]
+    fresh = np.ones(keys[0].size, dtype=bool)
+    fresh[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+    keys = [key[fresh] for key in keys]
+    rows = np.empty((keys[0].size, k), dtype=np.int64)
     for j, (w, bit) in enumerate(place):
         rows[:, j] = (keys[w] >> bit & (1 << widths[j]) - 1) + lo[j]
     rows[:, -1] = total - rows[:, :-1].sum(axis=1)
@@ -505,7 +574,7 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
         n_cur *= 2
         cands = _neighborhood(centers * 2, k, values, offset_scores, 2 * red.cut)
         # kernel-sized slices; the reducer does not depend on the partition
-        blocks = np.split(cands, range(kernels.BLOCK_ROWS, len(cands), kernels.BLOCK_ROWS))
+        blocks = [cands[i:i + kernels.BLOCK_ROWS] for i in range(0, len(cands), kernels.BLOCK_ROWS)]
         red = _scan_blocks(blocks, n_cur, coefs, expts, values, alpha)
 
     beam = red.beam()

@@ -385,6 +385,35 @@ def test_full_grid_results_are_pinned(unit5, name, idx, value, mass, step):
     assert res.final_step == float.fromhex(step)
 
 
+# Full-grid LexiHigh calls at x = (1, m - 2), alpha 0.25, on the unit grids
+# of m = 6, 7 and 10 atoms, all coarse-to-fine, so the refinement stages
+# build radius-2 (k = 6) and radius-1 (k >= 7) neighbourhoods: (m,
+# value.hex(), witness.mass.tobytes().hex(), final_step.hex()).
+WIDE_GOLDEN = [
+    (6, "0x1.1296969696969p-3",
+     "a6a5a5a5a5b5eb3f0000000000000000000000000000000000000000000000000000000000000000"
+     "696969696929c13f",
+     "0x1.e1e1e1e1e1e1ep-14"),
+    (7, "0x1.1280000000000p-3",
+     "0000000000b6eb3f0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000028c13f",
+     "0x1.5555555555555p-14"),
+    (10, "0x1.1276276276276p-3",
+     "6227766227b6eb3f0000000000000000000000000000000000000000000000000000000000000000"
+     "0000000000000000000000000000000000000000000000000000000000000000766227766227c13f",
+     "0x1.3b13b13b13b14p-14"),
+]
+
+
+@pytest.mark.parametrize("m,value,mass,step", WIDE_GOLDEN, ids=[f"m{g[0]}" for g in WIDE_GOLDEN])
+def test_wide_grid_results_are_pinned(m, value, mass, step):
+    res = pessimal_bound_oracle(Sample(SupportGrid(0.0, 1.0, m), (1, m - 2)), LexiHigh(), 0.25)
+    assert res.mode == "coarse-to-fine"
+    assert res.value == float.fromhex(value)
+    assert res.witness.mass.tobytes() == bytes.fromhex(mass)
+    assert res.final_step == float.fromhex(step)
+
+
 # Dense calls (k <= 3 support atoms) at the default resolution, step 1/8000
 # after the refinement passes: (grid size m, sample, order, alpha,
 # value.hex(), witness.mass.tobytes().hex()).
@@ -483,6 +512,12 @@ def test_rescue_results_are_pinned(monkeypatch, unit2, steps, value, mass, final
     assert res.witness.mass.tobytes() == bytes.fromhex(mass)
     assert res.final_step == float.fromhex(final_step)
     assert res.constraint_prob >= 0.49
+
+
+def _unary_code(pattern, radius: int) -> int:
+    """A centre's unary code from its entries clipped to the radius: field
+    j, bits radius * j up, holds entry j's count of low bits."""
+    return sum(((1 << v) - 1) << (radius * j) for j, v in enumerate(pattern))
 
 
 def _spread_centres(n_cur: int, k: int) -> np.ndarray:
@@ -646,15 +681,24 @@ class TestSearchInternals:
         rows_f, scores_f = rows[feas], scores[feas]
         keys = tuple(rows_f[:, c] for c in range(3, -1, -1)) + (scores_f,)
         order = np.lexsort(keys)
-        assert (probs == probs.max()).sum() > 1
         for blocks in _block_orders(np.arange(0, rows.shape[0], 50), beam_width):
             red = _Reducer(0.3, beam_width)
             for lo in blocks:
                 red.consume(rows[lo:lo + 50], scores[lo:lo + 50], probs[lo:lo + 50])
             assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
             assert np.array_equal(red.beam()[0], rows_f[order[0]])
-            assert np.array_equal(red.top_row, rows[np.argmax(probs)])
-            assert red.top_prob == probs.max()
+        # the rescue row is defined only while no block held a feasible row:
+        # over the infeasible rows alone, whose probabilities tie at 0.2, it
+        # is the lex-first of their most probable rows, in any block order
+        rows_i, scores_i, probs_i = rows[~feas], scores[~feas], probs[~feas]
+        assert (probs_i == probs_i.max()).sum() > 1
+        for blocks in _block_orders(np.arange(0, rows_i.shape[0], 50), beam_width):
+            red = _Reducer(0.3, beam_width)
+            for lo in blocks:
+                red.consume(rows_i[lo:lo + 50], scores_i[lo:lo + 50], probs_i[lo:lo + 50])
+            assert red.beam().size == 0
+            assert np.array_equal(red.top_row, rows_i[np.argmax(probs_i)])
+            assert red.top_prob == probs_i.max()
 
     def test_block_partition_does_not_change_the_reducer(self):
         # integer scores tie across rows and blocks, and probabilities tie
@@ -674,18 +718,26 @@ class TestSearchInternals:
         feas = probs >= alpha
         keys = tuple(rows_all[feas][:, c] for c in range(2, -1, -1)) + (scores[feas],)
         want = rows_all[feas][np.lexsort(keys)[:oracle.BEAM_WIDTH]]
-        for size in (7, 100, kernels.BLOCK_ROWS):
-            blocks = np.split(rows_all, range(size, len(rows_all), size))
-            for order in _block_orders(np.arange(len(blocks)), size):
-                red = _Reducer(alpha, oracle.BEAM_WIDTH)
-                for i in order:
-                    rows = blocks[i]
-                    red.consume(rows, kernels.scaled_scores(rows, values), probs_of(rows))
-                # every partition and order agrees with one full lexsort
-                assert np.array_equal(red.beam(), want)
-                assert kernels.scaled_scores(red.beam()[:1], values)[0] == 0.0
-                assert np.array_equal(red.top_row, rows_all[np.argmax(probs)])
-                assert red.top_prob == 1.0
+        # the infeasible rows alone keep the rescue row: the lex-first of
+        # those at probability 39/80
+        rows_i = rows_all[~feas]
+        assert (probs_of(rows_i) == 39 / 80).sum() > 1
+        for rows_in, feasible in ((rows_all, True), (rows_i, False)):
+            for size in (7, 100, kernels.BLOCK_ROWS):
+                blocks = np.split(rows_in, range(size, len(rows_in), size))
+                for order in _block_orders(np.arange(len(blocks)), size):
+                    red = _Reducer(alpha, oracle.BEAM_WIDTH)
+                    for i in order:
+                        rows = blocks[i]
+                        red.consume(rows, kernels.scaled_scores(rows, values), probs_of(rows))
+                    if feasible:
+                        # every partition and order agrees with one full lexsort
+                        assert np.array_equal(red.beam(), want)
+                        assert kernels.scaled_scores(red.beam()[:1], values)[0] == 0.0
+                    else:
+                        assert red.beam().size == 0
+                        assert np.array_equal(red.top_row, rows_i[np.argmax(probs_of(rows_i))])
+                        assert red.top_prob == 39 / 80
 
     @pytest.mark.parametrize("idx,order,alpha", [
         ((1, 3), 1, 0.05), ((1, 3), 2, 0.25), ((1, 3), "lexi-low", 0.9),
@@ -858,6 +910,52 @@ class TestSearchInternals:
         assert got.dtype == np.int64 and not got.flags.writeable
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_valid_offsets_equal_the_brute_force_filter(self, k):
+        # every pattern at k <= 6, 200 sampled ones above: a centre entry
+        # below the radius fixes its field, and any entry from the radius up
+        # gives the full field; the memo's indices are the offsets that keep
+        # a centre with that pattern non-negative
+        radius = _neighbor_radius(k)
+        offs = _zero_sum_offsets(k, radius)
+        rng = np.random.default_rng(k)
+        if k <= 6:
+            patterns = np.array(list(itertools.product(range(radius + 1), repeat=k)))
+        else:
+            patterns = rng.integers(0, radius + 1, size=(200, k))
+        for pattern in patterns.tolist():
+            centre = np.array([v if v < radius else v + int(rng.integers(0, 4)) for v in pattern])
+            got = oracle._valid_offsets(k, radius, _unary_code(pattern, radius))
+            assert got.dtype == np.int32 and not got.flags.writeable
+            assert np.array_equal(got, np.flatnonzero((centre + offs >= 0).all(axis=1)))
+
+    def test_valid_offset_memo_is_bounded(self, monkeypatch):
+        # the largest pattern the neighbourhood guard admits (k = 14, radius
+        # 1, every offset) fits the default bound, which is a few MB
+        assert 4 * _count_zero_sum_offsets(14, 1) <= oracle.VALID_OFFSETS_BYTES <= 8 << 20
+        # every pattern at k = 5 (1.45 MB of indices in all), then at k = 10
+        # (4.47 MB), under the default bound and a 100 kB one: the memo
+        # never holds more than its bound, keeps each pattern as the most
+        # recent, and drops the least recently used first
+        for limit in (oracle.VALID_OFFSETS_BYTES, 100_000):
+            memo = oracle._ByteBoundedMemo(limit)
+            monkeypatch.setattr(oracle, "_VALID_OFFSETS", memo)
+            for k in (5, 10):
+                radius = _neighbor_radius(k)
+                keys = [(k, radius, _unary_code(p, radius))
+                        for p in itertools.product(range(radius + 1), repeat=k)]
+                for key in keys:
+                    got = oracle._valid_offsets(*key)
+                    assert memo.nbytes <= limit
+                    assert oracle._valid_offsets(*key) is got
+                assert memo.nbytes == sum(a.nbytes for a in memo._arrays.values())
+            kept = list(memo._arrays)
+            assert kept == keys[-len(kept):] and len(kept) < len(keys)
+        # an array above the bound is returned but not kept
+        memo = oracle._ByteBoundedMemo(100)
+        assert memo.get("big", lambda: np.zeros(26, dtype=np.int32)).size == 26
+        assert memo.nbytes == 0 and not memo._arrays
+
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_offset_count_needs_no_offsets(self, radius):
         for k in range(1, 8):
@@ -946,11 +1044,16 @@ class TestSearchInternals:
         probs = rows[:, 1] / 200.0
         red = _Reducer(0.5, 4)
         red.consume(rows, rows[:, 0].astype(np.float64), probs)
-        for kept in (red.beam()[0], red.top_row, red.beam()):
+        for kept in (red.beam()[0], red.beam()):
             assert kept.dtype == np.int64
         assert red.beam()[0].tolist() == [0, 200]
         # doubling a kept row for the next refinement stage must not wrap
         assert (red.beam() * 2).max() == 400
+        # nor the rescue row, kept while no row is feasible
+        rescue = _Reducer(1.5, 4)
+        rescue.consume(rows, rows[:, 0].astype(np.float64), probs)
+        assert rescue.top_row.dtype == np.int64
+        assert (rescue.top_row * 2).tolist() == [0, 400]
 
     def test_narrow_blocks_give_the_int64_result(self, monkeypatch, unit3):
         # N = 200 at this resolution: uint8 blocks, and the witnesses put
