@@ -28,7 +28,7 @@ from .orders import (
     monotone_linear_extensions,
     upper_set,
 )
-from .quantile import QuantileBoundResult, binom_cdf, quantile_bound, tail_prob
+from .quantile import QuantileBoundResult, quantile_bound, tail_prob
 from .support import Sample, SupportGrid, homogeneous_sample, make_sample
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "SupportSet",
     "UpperSet",
     "augment",
-    "binom_cdf",
     "enumerate_omega",
     "homogeneous_sample",
     "lexi_high_homogeneous_bracket",

@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, default=1, help="sample size (closed forms)")
     b.add_argument("--sample", help="sample values, 'a,b,c' or JSON array (quantile)")
     b.add_argument("--epsilon", type=float, default=1e-4, help="quantile search accuracy")
-    b.add_argument("--paper-literal-tail", action="store_true",
-                   help="use the off-by-one literal binomial tail (for inspection)")
     b.set_defaults(handler=_cmd_bound)
 
     o = sub.add_parser("oracle", help="search-based ground-truth bound")
@@ -111,13 +109,11 @@ def _cmd_bound(args) -> dict:
         if not args.sample:
             raise GridError("quantile bound needs --sample")
         x = make_sample(grid, parse_sample_values(args.sample))
-        res = quantile_bound(x, args.i, args.alpha, args.epsilon,
-                             paper_literal_tail=args.paper_literal_tail)
+        res = quantile_bound(x, args.i, args.alpha, args.epsilon)
         base.update({
             "sample": list(x.values), "i": args.i,
             "p_hat": res.p_hat, "bound": res.bound, "epsilon": res.epsilon,
             "c": res.c, "iterations": res.iterations, "delta": res.delta,
-            "paper_literal_tail": args.paper_literal_tail,
         })
         return base
     base.update({"i": args.i, "n": args.n})

@@ -157,22 +157,28 @@ def exact_coverage(F: Distribution, bound_fn, n: int, alpha: float,
 
 def mc_coverage(F: Distribution, bound_fn, n: int, trials: int, seed: int,
                 alpha: float, method: str = "custom") -> CoverageReport:
-    """Coverage by seeded simulation; deterministic given the seed."""
+    """Coverage by seeded simulation; deterministic given the seed.
+
+    Trials are drawn and tallied in chunks of ``kernels.BLOCK_ROWS`` rows
+    of one stream, so the draws never take more than one chunk's memory
+    however many trials run; the tally keeps one count per distinct
+    sample, and the bound is evaluated once per distinct sample, in
+    sample order."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = make_rng(seed)
-    u = rng.random((trials, n))
     cum = np.cumsum(F.mass)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, F.grid.m - 1)
-    idx.sort(axis=1)
+    tally: dict[tuple[int, ...], int] = {}
+    for start in range(0, trials, kernels.BLOCK_ROWS):
+        u = rng.random((min(kernels.BLOCK_ROWS, trials - start), n))
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), F.grid.m - 1)
+        idx.sort(axis=1)
+        uniq, counts = np.unique(idx, axis=0, return_counts=True)
+        for row, c in zip(map(tuple, uniq.tolist()), counts.tolist()):
+            tally[row] = tally.get(row, 0) + c
     mu = mean(F)
-    uniq, counts = np.unique(idx, axis=0, return_counts=True)
-    covered = 0
-    for row, c in zip(uniq, counts):
-        x = Sample(F.grid, tuple(int(i) for i in row))
-        if bound_fn(x) <= mu + COVERED_SLACK:
-            covered += int(c)
+    covered = sum(c for row, c in sorted(tally.items())
+                  if bound_fn(Sample(F.grid, row)) <= mu + COVERED_SLACK)
     return CoverageReport(method, alpha, n, F, covered / trials, "MONTE_CARLO",
                           trials=trials, seed=seed)
 

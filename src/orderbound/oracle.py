@@ -613,7 +613,10 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows (k >= 15 atoms).
     A resolution whose final step times ``s_max - s_min`` is below the
     value's rounding bound raises ValueError at the same point: on two
-    atoms of [0, 1], steps of 1e-14 run and 1e-15 are refused.
+    atoms of [0, 1], steps of 1e-14 run and 1e-15 are refused. So is a grid
+    on which scores could overflow a double, the final step count times
+    max(|s_min|, |s_max|) near the largest double: at the default
+    resolution, [0, 1e304] runs and [0, 1e305] is refused.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -632,13 +635,33 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     # 1) u / (1 - (k + 1) u), u = eps / 2; a final step times the range of at
     # least that also keeps N <= 2 / g < 2**53, as the range is at most 2 M
     ku = (len(atoms) + 1) * sys.float_info.epsilon / 2
-    rounding = ku / (1 - ku) * max(abs(grid.s_min), abs(grid.s_max))
+    top = max(abs(grid.s_min), abs(grid.s_max))
+    rounding = ku / (1 - ku) * top
     span = (grid.s_max - grid.s_min) * (1 / (n0 << stages))
     if span < rounding:
         raise ValueError(
             f"resolution {cfg.resolution!r} ends on steps of 1/{_step_count(n0 << stages)}:"
             f" final step times (s_max - s_min) = {span:.3g} is below the value's rounding"
             f" bound {rounding:.3g}"
+        )
+    # a score's partial sums are within a factor 1 + g of their exact values
+    # (g as above), which are at most N M for a row, whose counts total at
+    # most N = n0 << stages, and S M for an offset, whose entries' sizes
+    # total at most S = 2 r floor(k / 2) on radius r. The value's dot
+    # product is a row's score, the doubled cut is a score at N / 2 doubled
+    # exactly, and a floor subtracts, and a neighbourhood adds, a margin of
+    # 8 k eps N M. So all of them stay finite while max(N, S) M (1 + 16 k
+    # eps) does. Past that a row can score +inf, which no cut admits, and a
+    # scan can end with neither a beam nor a rescue row. The neighbourhood's
+    # bound, the doubled cut plus the margin less a centre's score, is not
+    # negative, as no centre scores above the cut: it can overflow only to
+    # +inf, which drops no pair.
+    k = len(atoms)
+    units = max(n0 << stages, 2 * _neighbor_radius(k) * (k // 2))
+    if units * top * (1 + 16 * k * sys.float_info.epsilon) > sys.float_info.max:
+        raise ValueError(
+            f"scores overflow a double: {units} times max(|s_min|, |s_max|) = {top:.3g}"
+            f" exceeds the largest double, on final steps of 1/{n0 << stages}"
         )
     omega = enumerate_omega(grid, x.n)
     U = upper_set(x, order, omega)

@@ -41,34 +41,14 @@ betaincinv = _load_scipy("betaincinv")
 _PLACEHOLDERS = (betainc, betaincinv)
 
 
-def binom_cdf(k: int, n: int, p: float) -> float:
-    """P[X <= k] for X ~ Binomial(n, p), via the regularized incomplete beta.
-
-    Stable for n up to at least 1e4; k < 0 gives 0 and k >= n gives 1.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
-    # P[X <= k] = I_{1-p}(n - k, k + 1)
-    return float(betainc(n - k, k + 1, 1.0 - p))
-
-
-def tail_prob(i: int, n: int, p: float, *, paper_literal: bool = False) -> float:
+def tail_prob(i: int, n: int, p: float) -> float:
     """Probability that the i-th smallest of n two-atom draws is the high atom.
 
     With X counting draws on the high atom, the i-th order statistic
     reaches it iff at most i - 1 draws land below, i.e. X > k with
-    ``k = n - i``. The ``paper_literal`` variant takes ``k = n - i - 1``
-    instead and is kept only for inspection; it is off by one draw.
-
-    The tail ``P[X > k] = I_p(k + 1, n - k)`` is evaluated directly:
-    ``1 - binom_cdf(k, n, p)`` cancels to 0 once the tail falls below about
-    1e-16. k < 0 gives 1 and k >= n gives 0.
+    ``k = n - i``. The tail ``P[X > k] = I_p(k + 1, n - k)`` is evaluated
+    directly: one minus the binomial cdf cancels to 0 once the tail falls
+    below about 1e-16.
 
     Non-decreasing in p for every fixed (i, n).
     """
@@ -76,11 +56,7 @@ def tail_prob(i: int, n: int, p: float, *, paper_literal: bool = False) -> float
         raise ValueError(f"order statistic index {i} outside [1, {n}]")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    k = (n - i - 1) if paper_literal else (n - i)
-    if k < 0:
-        return 1.0
-    if k >= n:
-        return 0.0
+    k = n - i
     return float(betainc(k + 1, n - k, p))
 
 
@@ -120,8 +96,6 @@ def quantile_bound(
     i: int,
     alpha: float,
     epsilon: float,
-    *,
-    paper_literal_tail: bool = False,
 ) -> QuantileBoundResult:
     """Approximate the i-th quantile-preorder bound at sample x.
 
@@ -143,8 +117,7 @@ def quantile_bound(
 
     The two-atom family holds the exact bound for this preorder, and p_hat
     lies within h <= delta of the critical mass, so the result is within
-    epsilon of the exact bound (not so for ``paper_literal_tail``, which
-    solves for the wrong tail); with alpha = 0 the search collapses to
+    epsilon of the exact bound; with alpha = 0 the search collapses to
     p_hat = 0 and the bound to the grid minimum. Raises ValueError when
     epsilon is not a positive finite float (an infinite one would make
     delta NaN), or so small that the grid points near the critical mass
@@ -163,8 +136,8 @@ def quantile_bound(
     delta = epsilon / max(value - grid.s_min, epsilon)
     # delta = f * 2**e with f in [0.5, 1), so 2**-t <= delta iff t >= 1 - e
     t = 1 - math.frexp(delta)[1]
-    k = (n - i - 1) if paper_literal_tail else (n - i)
-    p_star = 0.0 if k < 0 or alpha == 0.0 else float(betaincinv(k + 1, n - k, alpha))
+    k = n - i
+    p_star = 0.0 if alpha == 0.0 else float(betaincinv(k + 1, n - k, alpha))
     if not math.isfinite(p_star):
         raise FloatingPointError(f"betaincinv({k + 1}, {n - k}, {alpha!r}) returned {p_star}")
     # p_hat = lo * 2**-t with lo < 2**t, and both ends of its grid cell are
@@ -174,7 +147,7 @@ def quantile_bound(
     top = 2**t
 
     def below(m: int) -> bool:
-        return tail_prob(i, n, math.ldexp(m, -t), paper_literal=paper_literal_tail) < alpha
+        return tail_prob(i, n, math.ldexp(m, -t)) < alpha
 
     # Certify the grid cell [lo, hi] * 2**-t: lo == 0 or below(lo), and
     # hi == top or not below(hi). When rounding put p_star in a neighbouring

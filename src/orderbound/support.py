@@ -42,6 +42,12 @@ class SupportGrid:
             raise GridError("grid endpoints must be finite")
         if not self.s_min < self.s_max:
             raise GridError(f"need s_min < s_max, got [{self.s_min}, {self.s_max}]")
+        # an infinite range gives an infinite spacing, and make_sample's
+        # tolerance of 1e-9 spacings would then snap any value to s_min
+        if not math.isfinite(self.s_max - self.s_min):
+            raise GridError(
+                f"range s_max - s_min of [{self.s_min}, {self.s_max}] overflows a double"
+            )
 
     @property
     def spacing(self) -> float:

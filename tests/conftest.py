@@ -21,11 +21,10 @@ def unit5():
     return SupportGrid(0.0, 1.0, 5)
 
 
-def binom_cdf_by_summation(k: int, n: int, p: float) -> float:
-    """Independent reference: direct term-by-term summation."""
-    if k < 0:
-        return 0.0
-    return sum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(min(k, n) + 1))
+def binom_tail_by_summation(k: int, n: int, p: float) -> float:
+    """Independent reference: P[X > k] for X ~ Binomial(n, p), summed term
+    by term over the upper tail (not one minus the cdf, which cancels)."""
+    return sum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(k + 1, n + 1))
 
 
 def criterion_4_calls():

@@ -81,17 +81,30 @@ class TestBound:
         assert code == 2 and out == ""
         assert err == f"error: epsilon must be positive and finite, got {float(epsilon)}\n"
 
-    def test_quantile_literal_tail_differs(self, capsys):
-        _, default = _run_json(
+    def test_quantile_payload_keys(self, capsys):
+        code, payload = _run_json(
             capsys, "bound", "--method", "quantile",
             "--m", "2", "--sample", "1,1", "--i", "2", "--alpha", "0.25",
         )
-        _, literal = _run_json(
-            capsys, "bound", "--method", "quantile",
-            "--m", "2", "--sample", "1,1", "--i", "2", "--alpha", "0.25",
-            "--paper-literal-tail",
-        )
-        assert default["bound"] != literal["bound"]
+        assert code == 0
+        assert list(payload) == ["schema_version", "method", "grid", "alpha", "sample", "i",
+                                 "p_hat", "bound", "epsilon", "c", "iterations", "delta"]
+
+    def test_paper_literal_tail_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--method", "quantile", "--m", "2", "--sample", "1,1",
+                  "--i", "2", "--paper-literal-tail"])
+        assert exc.value.code == 2
+        assert "--paper-literal-tail" in capsys.readouterr().err
+
+    def test_range_overflowing_a_double_fails(self, capsys):
+        # the spacing 1e308 of this range is infinite in a double, and the
+        # sample 0.5 used to snap silently to -1e308
+        code = main(["bound", "--method", "quantile", "--m", "3", "--i", "1",
+                     "--sample=0.5", "--s-min=-1e308", "--s-max=1e308"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "overflows a double" in err
 
 
 class TestOracle:
@@ -251,6 +264,14 @@ class TestVerify:
             r"error: resolution 1e-320 ends on steps of 1/\d\.\d{3}e\+309: final step times"
             r" \(s_max - s_min\) = \S+ is below the value's rounding bound \S+\n", err)
         assert len(err) < 200
+
+    def test_all_refuses_scores_that_overflow_a_double(self, capsys):
+        # every score on [0, 1e308] overflowed, and the first oracle call
+        # died with a TypeError on its missing rescue row
+        code = main(["verify", "all", "--m", "3", "--n", "2", "--s-max=1e308"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: scores overflow a double: 8000 times")
 
     @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
     def test_all_with_twelve_extensions(self, capsys, m, n):

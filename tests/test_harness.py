@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,32 @@ class TestMcCoverage:
     def test_trials_validation(self, unit3):
         with pytest.raises(ValueError):
             mc_coverage(uniform(unit3), lambda x: 0.0, 2, 0, 5, 0.1)
+
+    @pytest.mark.parametrize("trials,chunks", [(1, (1, 7, 8192)), (7, (1, 7, 8192)),
+                                               (10_000, (7, 8192)), (50_000, (8192,))])
+    @pytest.mark.parametrize("seed", [5, 123])
+    def test_chunks_reproduce_the_one_shot_draw(self, monkeypatch, unit3, trials, chunks, seed):
+        # the one-shot reference draws every trial at once; a sample is
+        # covered iff its mean is at most F's, 0.35
+        F = Distribution(unit3, np.array([0.5, 0.3, 0.2]))
+        bound = lambda x: sum(x.values) / x.n  # noqa: E731
+        idx = np.searchsorted(np.cumsum(F.mass), make_rng(seed).random((trials, 2)), side="right")
+        pts = np.asarray(unit3.points)[np.sort(np.minimum(idx, 2), axis=1)]
+        want = int(((pts[:, 0] + pts[:, 1]) / 2 <= F.mean + harness.COVERED_SLACK).sum())
+        for chunk in chunks:
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", chunk)
+            assert mc_coverage(F, bound, 2, trials, seed, 0.1).coverage == want / trials
+
+    def test_memory_stays_flat(self, unit3):
+        # the 200,000 x 2 uniforms of a one-shot draw alone take 3.2 MB
+        tracemalloc.start()
+        try:
+            report = mc_coverage(uniform(unit3), lambda x: unit3.s_min, 2, 200_000, 5, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.coverage == 1.0
+        assert peak < 2 << 20
 
 
 class TestSandwich:

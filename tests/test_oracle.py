@@ -290,6 +290,38 @@ class TestConfig:
             assert len(str(exc.value)) < 200
         assert built == []
 
+    @pytest.mark.parametrize("s_max,sample,alpha", [(1e305, (2, 2), 0.9), (1e306, (0, 2), 0.05)])
+    def test_scores_overflowing_a_double_are_refused(self, monkeypatch, s_max, sample, alpha):
+        # 8,000 final steps times 1e305 overflow: every score of a row on
+        # the top atom was +inf, so the first scan dropped every batch above
+        # the cut and kept no rescue row (a TypeError), or at (0, 1e306)
+        # reported a false InfeasibleError
+        built = []
+        monkeypatch.setattr(oracle, "enumerate_omega", lambda *a: built.append(a))
+        x = Sample(SupportGrid(0.0, s_max, 3), sample)
+        with pytest.raises(ValueError) as exc:
+            pessimal_bound_oracle(x, LexiLow(), alpha)
+        assert str(exc.value) == (
+            f"scores overflow a double: 8000 times max(|s_min|, |s_max|) = {s_max:.3g}"
+            " exceeds the largest double, on final steps of 1/8000")
+        assert built == []
+
+    def test_scores_just_inside_a_double_keep_their_value(self):
+        # 8,000 steps times 1e304 is 8e307, below the largest double
+        x = Sample(SupportGrid(0.0, 1e304, 3), (2, 2))
+        res = pessimal_bound_oracle(x, LexiLow(), 0.9)
+        assert (res.value, res.final_step) == (9.487499999999999e+303, 1 / 8000)
+
+    def test_offset_scores_overflowing_a_double_are_refused(self):
+        # at resolution 1 the search ends on 8 steps, but an offset on 14
+        # atoms can move 7 units from values near -2e307 to values near
+        # 2e307, a score of about 2.8e308, which overflowed in scaled_scores
+        grid = SupportGrid(-2e307, 2e307, 1001)
+        support = SupportSet.of([*range(7), *range(994, 1001)])
+        cfg = OracleConfig(resolution=1.0, support_override=support)
+        with pytest.raises(ValueError, match=r"^scores overflow a double: 14 times .* 1/8$"):
+            pessimal_bound_oracle(Sample(grid, (0, 1000)), LexiHigh(), 0.05, cfg)
+
     def test_step_counts_are_exact_up_to_2_to_the_53(self):
         assert oracle._step_count(599_999 << 3) == "4799992"
         assert oracle._step_count(1 << 53) == "9007199254740992"

@@ -14,7 +14,6 @@ import orderbound.quantile
 from orderbound import (
     Sample,
     SupportGrid,
-    binom_cdf,
     enumerate_omega,
     homogeneous_sample,
     make_sample,
@@ -23,47 +22,7 @@ from orderbound import (
 )
 from orderbound.quantile import QuantileBoundResult
 
-from conftest import binom_cdf_by_summation, criterion_4_calls, exact_quantile_bound
-
-
-class TestBinomCdf:
-    def test_edges(self):
-        assert binom_cdf(5, 5, 0.3) == 1.0
-        assert binom_cdf(7, 5, 0.3) == 1.0
-        assert binom_cdf(-1, 5, 0.3) == 0.0
-        assert binom_cdf(0, 5, 0.0) == 1.0
-        assert binom_cdf(4, 5, 1.0) == 0.0
-
-    def test_small_example(self):
-        # C(2,0)*0.25 + C(2,1)*0.25 = 0.75
-        assert abs(binom_cdf(1, 2, 0.5) - 0.75) < 1e-15
-
-    def test_p_validation(self):
-        with pytest.raises(ValueError):
-            binom_cdf(1, 2, 1.5)
-
-    @given(
-        n=st.integers(1, 150),
-        k_frac=st.floats(0, 1),
-        p=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_direct_summation(self, n, k_frac, p):
-        k = int(round(k_frac * n))
-        assert abs(binom_cdf(k, n, p) - binom_cdf_by_summation(k, n, p)) < 1e-12
-
-    def test_large_n_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        n = 10_000
-        for k, p in [(5000, 0.5), (4800, 0.47), (9999, 0.999), (120, 0.01)]:
-            want = float(
-                sum(
-                    mpmath.binomial(n, j) * mpmath.mpf(p) ** j * mpmath.mpf(1 - p) ** (n - j)
-                    for j in range(k + 1)
-                )
-            )
-            assert abs(binom_cdf(k, n, p) - want) < 1e-12
+from conftest import binom_tail_by_summation, criterion_4_calls, exact_quantile_bound
 
 
 def _tail_by_enumeration(i, n, p):
@@ -113,10 +72,47 @@ class TestTailProb:
             with pytest.raises(ValueError):
                 tail_prob(1, 2, p)
 
-    def test_paper_literal_variant_differs(self):
-        # the literal variant is off by one draw and saturates here
-        assert tail_prob(2, 2, 0.5, paper_literal=True) == 1.0
-        assert tail_prob(2, 2, 0.5) == 0.75
+    def test_off_by_one_reading_is_a_different_event(self):
+        # the paper's text puts the tail at P[X > n - i - 1], X the draws on
+        # the high atom: one draw fewer than the i-th smallest needs. At
+        # (i, n, p) = (2, 2, 0.5) that is P[X >= 0], certain, while the
+        # larger of two draws lands on the high atom with probability 0.75
+        i, n, p = 2, 2, 0.5
+        off_by_one = sum(math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n - i, n + 1))
+        assert off_by_one == 1.0
+        assert tail_prob(i, n, p) == _tail_by_enumeration(i, n, p) == 0.75
+
+    def test_edges(self):
+        for n in (1, 2, 5, 150):
+            for i in range(1, n + 1):
+                assert tail_prob(i, n, 0.0) == 0.0
+                assert tail_prob(i, n, 1.0) == 1.0
+
+    @given(
+        n=st.integers(1, 150),
+        i_frac=st.floats(0, 1),
+        p=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_direct_summation(self, n, i_frac, p):
+        i = 1 + int(round(i_frac * (n - 1)))
+        assert abs(tail_prob(i, n, p) - binom_tail_by_summation(n - i, n, p)) < 1e-12
+
+    def test_large_n_against_mpmath(self):
+        # P[X > k] at n = 10,000 against a 40-digit sum of the tail terms,
+        # each the last times (n - j) / (j + 1) * p / (1 - p)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        n = 10_000
+        for k, p in [(5000, 0.5), (4800, 0.47), (9999, 0.999), (120, 0.01)]:
+            q = mpmath.mpf(p)
+            ratio = q / (1 - q)
+            term = mpmath.binomial(n, k + 1) * q ** (k + 1) * (1 - q) ** (n - k - 1)
+            want = mpmath.mpf(0)
+            for j in range(k + 1, n + 1):
+                want += term
+                term = term * (n - j) / (j + 1) * ratio
+            assert tail_prob(n - k, n, p) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(11)
@@ -205,8 +201,6 @@ def _bisect_reference(
     i: int,
     alpha: float,
     epsilon: float,
-    *,
-    paper_literal_tail: bool = False,
 ) -> QuantileBoundResult:
     """The bisection quantile_bound used to run, kept verbatim as the
     reference its closed form must reproduce bit for bit."""
@@ -226,7 +220,7 @@ def _bisect_reference(
     iterations = 0
     while b - a > delta:
         mid = a + (b - a) / 2.0
-        if tail_prob(i, n, mid, paper_literal=paper_literal_tail) < alpha:
+        if tail_prob(i, n, mid) < alpha:
             a = mid
         else:
             b = mid
@@ -260,27 +254,23 @@ def _same(res: QuantileBoundResult, ref: QuantileBoundResult) -> bool:
 
 class TestClosedFormEqualsBisection:
     def test_every_small_sample(self, unit5):
-        """Every m=5 sample with n <= 6, every i, alpha, epsilon and tail
-        variant. The bisection reads x only through n and the grid index of
-        its i-th order statistic, so one reference call serves every sample
-        sharing them."""
+        """Every m=5 sample with n <= 6, every i, alpha and epsilon. The
+        bisection reads x only through n and the grid index of its i-th
+        order statistic, so one reference call serves every sample sharing
+        them."""
         refs = {}
         checked = 0
         for n in range(1, 7):
             for x in enumerate_omega(unit5, n):
                 for i in range(1, n + 1):
-                    for alpha, eps, literal in itertools.product(
-                        SWEEP_ALPHAS, SWEEP_EPSILONS, (False, True)
-                    ):
-                        key = (n, i, x.order_stat(i), alpha, eps, literal)
+                    for alpha, eps in itertools.product(SWEEP_ALPHAS, SWEEP_EPSILONS):
+                        key = (n, i, x.order_stat(i), alpha, eps)
                         if key not in refs:
-                            refs[key] = _bisect_reference(
-                                x, i, alpha, eps, paper_literal_tail=literal
-                            )
-                        res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
-                        assert _same(res, refs[key]), (x.idx, i, alpha, eps, literal)
+                            refs[key] = _bisect_reference(x, i, alpha, eps)
+                        res = quantile_bound(x, i, alpha, eps)
+                        assert _same(res, refs[key]), (x.idx, i, alpha, eps)
                         checked += 1
-        assert checked == 2310 * 7 * 4 * 2
+        assert checked == 2310 * 7 * 4
 
     @pytest.mark.parametrize("n", [50, 1000, 10_000])
     def test_large_samples_on_shifted_grid(self, n):
@@ -290,12 +280,10 @@ class TestClosedFormEqualsBisection:
             idx = np.sort(rng.choice(grid.m, size=n, p=rng.dirichlet(np.ones(grid.m))))
             x = Sample(grid, tuple(int(v) for v in idx))
             for i in sorted({1, max(1, n // 10), n // 2, (9 * n) // 10, n}):
-                for alpha, eps, literal in itertools.product(
-                    SWEEP_ALPHAS, SWEEP_EPSILONS, (False, True)
-                ):
-                    res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
-                    ref = _bisect_reference(x, i, alpha, eps, paper_literal_tail=literal)
-                    assert _same(res, ref), (n, i, alpha, eps, literal)
+                for alpha, eps in itertools.product(SWEEP_ALPHAS, SWEEP_EPSILONS):
+                    res = quantile_bound(x, i, alpha, eps)
+                    ref = _bisect_reference(x, i, alpha, eps)
+                    assert _same(res, ref), (n, i, alpha, eps)
 
 
 def _walk_cases(unit5):
@@ -324,21 +312,27 @@ class TestCertificationWalk:
         )
         for x, i, alpha in _walk_cases(unit5):
             for eps in SWEEP_EPSILONS:
-                for literal in (False, True):
-                    ref = _bisect_reference(x, i, alpha, eps, paper_literal_tail=literal)
-                    offset = shift * math.ldexp(1.0, -ref.iterations)
-                    res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
-                    assert _same(res, ref), (x.idx, i, alpha, eps, literal)
+                ref = _bisect_reference(x, i, alpha, eps)
+                offset = shift * math.ldexp(1.0, -ref.iterations)
+                res = quantile_bound(x, i, alpha, eps)
+                assert _same(res, ref), (x.idx, i, alpha, eps)
 
     @pytest.mark.parametrize("p_star", [0.0, 1.0 - 1e-15])
     def test_critical_mass_at_either_end_walks_across(self, monkeypatch, unit5, p_star):
         monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: p_star)
         for x, i, alpha in _walk_cases(unit5):
             for eps in SWEEP_EPSILONS:
-                for literal in (False, True):
-                    res = quantile_bound(x, i, alpha, eps, paper_literal_tail=literal)
-                    ref = _bisect_reference(x, i, alpha, eps, paper_literal_tail=literal)
-                    assert _same(res, ref), (x.idx, i, alpha, eps, literal)
+                res = quantile_bound(x, i, alpha, eps)
+                ref = _bisect_reference(x, i, alpha, eps)
+                assert _same(res, ref), (x.idx, i, alpha, eps)
+
+    def test_walk_up_past_exact_grid_points_raises(self, monkeypatch, unit5):
+        # on steps of 2**-57 only the cells below 2**-4 have double ends; a
+        # critical mass misplaced at 0 passes the up-front check, and the
+        # walk up toward the true one, 1 - sqrt(0.75), stops at 2**53 steps
+        monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: 0.0)
+        with pytest.raises(ValueError, match="too small"):
+            quantile_bound(homogeneous_sample(unit5, 4, 2), 2, 0.25, 1e-17)
 
     def test_nan_critical_mass_raises(self, monkeypatch, unit5):
         monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: math.nan)

@@ -49,6 +49,15 @@ class TestGrid:
         with pytest.raises(GridError):
             SupportGrid(0, 1, 3).point(3)
 
+    def test_range_overflowing_a_double_rejected(self):
+        # an infinite spacing made make_sample's tolerance infinite, and
+        # [0.5, 12345.0] snapped silently to indices (0, 0)
+        with pytest.raises(GridError, match="overflows a double"):
+            SupportGrid(-1e308, 1e308, 3)
+        # a range of 1.6e308 is finite and still resolves values exactly
+        g = SupportGrid(-8e307, 8e307, 3)
+        assert make_sample(g, [0.0, 8e307]).idx == (1, 2)
+
 
 class TestMakeSample:
     def test_sorts(self, unit2):
