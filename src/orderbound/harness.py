@@ -162,10 +162,12 @@ def mc_coverage(F: Distribution, bound_fn, n: int, trials: int, seed: int,
     Trials are drawn and tallied in chunks of ``kernels.BLOCK_ROWS`` rows
     of one stream, so the draws never take more than one chunk's memory
     however many trials run; the tally keeps one count per distinct
-    sample, and the bound is evaluated once per distinct sample, in
-    sample order."""
+    sample, read off the runs of equal rows in each chunk's lexsort, and
+    the bound is evaluated once per distinct sample, in sample order."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng = make_rng(seed)
     cum = np.cumsum(F.mass)
     tally: dict[tuple[int, ...], int] = {}
@@ -173,8 +175,11 @@ def mc_coverage(F: Distribution, bound_fn, n: int, trials: int, seed: int,
         u = rng.random((min(kernels.BLOCK_ROWS, trials - start), n))
         idx = np.minimum(np.searchsorted(cum, u, side="right"), F.grid.m - 1)
         idx.sort(axis=1)
-        uniq, counts = np.unique(idx, axis=0, return_counts=True)
-        for row, c in zip(map(tuple, uniq.tolist()), counts.tolist()):
+        # equal rows in runs: sorted by the first column, ties by the next
+        idx = idx[np.lexsort(idx.T[::-1])]
+        starts = np.flatnonzero(np.r_[True, (idx[1:] != idx[:-1]).any(axis=1)])
+        counts = np.diff(starts, append=idx.shape[0])
+        for row, c in zip(map(tuple, idx[starts].tolist()), counts.tolist()):
             tally[row] = tally.get(row, 0) + c
     mu = mean(F)
     covered = sum(c for row, c in sorted(tally.items())

@@ -21,7 +21,20 @@ box's scores from below without scoring a row, and
 ``composition_ceilings`` bounds every box's probabilities from above, for
 up-closed terms, with one kernel call over the boxes' top-greedy points.
 Both bounds hold for any subset of a box's rows, so a scan may cut a box
-at a block edge and send only the live boxes to the kernel.
+at a block edge and send only the live boxes to the kernel. Neither
+depends on alpha, and a search repeated at another alpha asks for the same
+ones, so the eight most recent of each are kept, read-only: the floors per
+(N, k, ``BOX_ROWS``, values' bytes), the ceilings per (N, k, ``BOX_ROWS``,
+``Terms.key``), one float per box each.
+
+The probability is one fixed polynomial per search, given as multinomial
+coefficients and exponent rows. ``Terms`` is everything the kernel and the
+ceilings read of it: the per-atom top exponents, each term's plan of
+(atom, power) factors, the degree n, whether the terms are up-closed and
+the ceilings' rounding factor. It is built once per term set and the eight
+most recent are kept, keyed by the shape and bytes of the exponents and
+the bytes of the coefficients (``Terms.of``), so ``eval_probs`` keeps its
+array arguments and finds the plan by one lookup.
 ``pow_table`` is the package's one power routine: the kernel takes each
 atom's powers of c / N from it, and ``dist.omega_pmf`` its powers of the
 atom masses, so every power is the same left-to-right product. None of
@@ -34,6 +47,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +59,65 @@ BLOCK_ROWS = 1 << 13
 #: of the simplex, whatever ``BLOCK_ROWS`` is. Of 256, 512 and 1,024, 512
 #: made coarse-to-fine calls fastest.
 BOX_ROWS = 1 << 9
+
+
+@dataclass(frozen=True)
+class Terms:
+    """A constraint polynomial sum_t coefs[t] * prod_j (c_j / N) ** expts[t, j]
+    and what the kernel and the ceilings read of it, built once per term
+    set by ``Terms.of``. Equal and hashed by ``key`` alone.
+
+    coefs    : read-only float64 (T,) multinomial coefficients, member order
+    expts    : read-only int64 (T, k) per-atom occurrence counts
+    tops     : per atom, its largest exponent (0 when no term uses it)
+    plan     : per term, (coefficient, its factors): a factor (j, e - 1)
+               reads atom j's power e from ``pow_table``; exponent-zero
+               factors, exactly 1.0, are left out
+    n        : the degree, the largest exponent-row sum (0 with no terms)
+    up_closed: True when there are terms and every exponent row with
+               e[j] > 0 is still a row after one unit moves from atom j to
+               atom j + 1: the members on the atoms are an up-set of the
+               componentwise order, so the probability can only rise when
+               mass moves up. No terms is False: the probability is 0
+               everywhere, and a scan must keep its rescue row.
+    ceiling_factor: 1 + 4 * (2n + T) * eps, the rounding factor of
+               ``composition_ceilings``
+    key      : (expts.shape, coefs' bytes, expts' bytes)
+    """
+
+    key: tuple
+    coefs: np.ndarray = field(compare=False, repr=False)
+    expts: np.ndarray = field(compare=False, repr=False)
+    tops: tuple[int, ...] = field(compare=False)
+    plan: tuple[tuple[float, tuple[tuple[int, int], ...]], ...] = field(compare=False, repr=False)
+    n: int = field(compare=False)
+    up_closed: bool = field(compare=False)
+    ceiling_factor: float = field(compare=False)
+
+    @staticmethod
+    def of(coefs: np.ndarray, expts: np.ndarray) -> Terms:
+        """The terms of float64 ``coefs`` (T,) and int64 ``expts`` (T, k),
+        one of the eight most recently asked for when the bytes match."""
+        coefs = np.asarray(coefs, dtype=np.float64)
+        expts = np.asarray(expts, dtype=np.int64)
+        return _terms(expts.shape, coefs.tobytes(), expts.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _terms(shape: tuple[int, int], coef_bytes: bytes, expt_bytes: bytes) -> Terms:
+    coefs = np.frombuffer(coef_bytes, dtype=np.float64)
+    expts = np.frombuffer(expt_bytes, dtype=np.int64).reshape(shape)
+    rows = expts.tolist()
+    plan = tuple((coef, tuple((j, e - 1) for j, e in enumerate(row) if e))
+                 for coef, row in zip(coefs.tolist(), rows))
+    n = max(map(sum, rows), default=0)
+    present = set(map(tuple, rows))
+    up_closed = bool(present) and all(
+        (*row[:j], row[j] - 1, row[j + 1] + 1, *row[j + 2:]) in present
+        for row in present for j in range(len(row) - 1) if row[j])
+    factor = 1 + 4 * (2 * n + len(rows)) * float(np.finfo(np.float64).eps)
+    return Terms((shape, coef_bytes, expt_bytes), coefs, expts,
+                 tuple(expts.max(axis=0, initial=0).tolist()), plan, n, up_closed, factor)
 
 
 def eval_probs(counts: np.ndarray, N: int, coefs: np.ndarray,
@@ -61,22 +134,24 @@ def eval_probs(counts: np.ndarray, N: int, coefs: np.ndarray,
     exponent zero is exactly 1.0 and is skipped. Every other factor
     (c / N) ** e is read from ``pow_table(counts[:, j] / N, top)``, built
     once per call and atom up to the atom's top exponent, so it is the
-    base times itself e - 1 times, left to right.
+    base times itself e - 1 times, left to right. The factors and top
+    exponents come from the plan ``Terms.of(coefs, expts)`` keeps.
     """
+    terms = Terms.of(coefs, expts)
     B = counts.shape[0]
     acc = np.zeros(B)
     # powers[j][e - 1] = (counts[:, j] / N) ** e, up to atom j's top exponent
     powers = [pow_table(counts[:, j] / N, top) if top else None
-              for j, top in enumerate(expts.max(axis=0, initial=0).tolist())]
+              for j, top in enumerate(terms.tops)]
     term = np.empty(B)
-    for coef, row in zip(coefs.tolist(), expts.tolist()):
-        factors = [powers[j][e - 1] for j, e in enumerate(row) if e]
+    for coef, factors in terms.plan:
         if not factors:
             acc += coef
             continue
-        np.multiply(factors[0], coef, out=term)
-        for f in factors[1:]:
-            np.multiply(term, f, out=term)
+        j, i = factors[0]
+        np.multiply(powers[j][i], coef, out=term)
+        for j, i in factors[1:]:
+            np.multiply(term, powers[j][i], out=term)
         acc += term
     return acc
 
@@ -160,19 +235,28 @@ def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
     value (u = eps / 2), so a computed row score is at least the computed
     greedy score less 2 g, about k * eps * N * max|v|; the margin
     subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
-    of the subtraction with room to spare.
+    of the subtraction with room to spare. Read-only, and kept for the
+    next call with the same (N, k, ``BOX_ROWS``) and float64 values.
     """
-    bottom = _box_greedy(N, k, BOX_ROWS, tuple(np.argsort(values, kind="stable").tolist()))
+    return _floors(N, k, BOX_ROWS, np.asarray(values, dtype=np.float64).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _floors(N: int, k: int, rows: int, value_bytes: bytes) -> np.ndarray:
+    values = np.frombuffer(value_bytes, dtype=np.float64)
+    bottom = _box_greedy(N, k, rows, tuple(np.argsort(values, kind="stable").tolist()))
     margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
-    return scaled_scores(bottom, values) - margin
+    floors = scaled_scores(bottom, values) - margin
+    floors.flags.writeable = False
+    return floors
 
 
-def composition_ceilings(N: int, k: int, coefs: np.ndarray, expts: np.ndarray) -> np.ndarray:
+def composition_ceilings(N: int, k: int, terms: Terms) -> np.ndarray:
     """For each box of ``BOX_ROWS`` rows of the simplex
     ``iter_composition_blocks(N, k)`` yields, a float no smaller than the
-    ``eval_probs(rows, N, coefs, expts)`` entry of any of its rows,
-    provided the terms are up-closed: each exponent row with e[j] > 0 still
-    has a member after one unit moves from atom j to atom j + 1.
+    ``eval_probs(rows, N, terms.coefs, terms.expts)`` entry of any of its
+    rows, provided ``terms.up_closed``: each exponent row with e[j] > 0
+    still has a member after one unit moves from atom j to atom j + 1.
 
     The terms are then the probability that n iid draws from the atoms, at
     masses c / N, form a multiset in an up-set of the componentwise order,
@@ -191,14 +275,21 @@ def composition_ceilings(N: int, k: int, coefs: np.ndarray, expts: np.ndarray) -
     computed probability is at most (1 + u) ** M times its exact one, and
     g's at least (1 - u) ** M times, so a row's computed probability is at
     most g's computed one times ((1 + u) / (1 - u)) ** M, about 1 + M *
-    eps. The factor applied, ``1 + 4 * M * eps``, covers that and the
-    rounding of the product with room to spare: a box whose ceiling is
-    below alpha holds no row whose computed probability reaches alpha.
+    eps. The factor applied, ``terms.ceiling_factor`` = ``1 + 4 * M *
+    eps``, covers that and the rounding of the product with room to spare:
+    a box whose ceiling is below alpha holds no row whose computed
+    probability reaches alpha. Read-only, and kept for the next call with
+    the same (N, k, ``BOX_ROWS``, ``terms.key``).
     """
-    top = _box_greedy(N, k, BOX_ROWS, tuple(range(k - 1, -1, -1)))
-    n = int(expts.sum(axis=1).max(initial=0))
-    factor = 1 + 4 * (2 * n + coefs.shape[0]) * np.finfo(np.float64).eps
-    return eval_probs(top, N, coefs, expts) * factor
+    return _ceilings(N, k, BOX_ROWS, terms)
+
+
+@functools.lru_cache(maxsize=8)
+def _ceilings(N: int, k: int, rows: int, terms: Terms) -> np.ndarray:
+    top = _box_greedy(N, k, rows, tuple(range(k - 1, -1, -1)))
+    ceilings = eval_probs(top, N, terms.coefs, terms.expts) * terms.ceiling_factor
+    ceilings.flags.writeable = False
+    return ceilings
 
 
 @functools.lru_cache(maxsize=8)

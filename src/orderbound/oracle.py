@@ -358,24 +358,6 @@ def _reduce_batch(red: _Reducer, batch, N, coefs, expts, values) -> None:
     red.consume(rows, scores, kernels.eval_probs(rows, N, coefs, expts))
 
 
-def _up_closed(expts: np.ndarray) -> bool:
-    """True when there are terms and every exponent row with e[j] > 0 is
-    still a row after one unit moves from atom j to atom j + 1: the
-    members on the atoms are an up-set of the componentwise order, so the
-    constraint probability can only rise when mass moves up. No terms is
-    False: the probability is 0 everywhere, and the scan must keep its
-    rescue row."""
-    if not expts.shape[0]:
-        return False
-    rows, atoms = np.nonzero(expts[:, :-1])
-    moved = expts[rows]
-    moved[np.arange(rows.size), atoms] -= 1
-    moved[np.arange(rows.size), atoms + 1] += 1
-    # each row's bytes as one key, equal exactly when the rows are equal
-    key = np.dtype((np.void, moved.itemsize * expts.shape[1]))
-    return bool(np.isin(moved.view(key), np.ascontiguousarray(expts, moved.dtype).view(key)).all())
-
-
 @functools.cache
 def _offset_needs(k: int, radius: int) -> np.ndarray:
     """Per offset, what it needs of a centre to keep the row non-negative,
@@ -554,7 +536,8 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
     read.
     """
     k = values.shape[0]
-    ceilings = kernels.composition_ceilings(n0, k, coefs, expts) if _up_closed(expts) else None
+    terms = kernels.Terms.of(coefs, expts)
+    ceilings = kernels.composition_ceilings(n0, k, terms) if terms.up_closed else None
     red = _scan_blocks(kernels.iter_composition_blocks(n0, k), n0, coefs, expts, values,
                        alpha, kernels.composition_floors(n0, k, values), ceilings)
 

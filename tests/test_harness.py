@@ -116,6 +116,31 @@ class TestMcCoverage:
         with pytest.raises(ValueError):
             mc_coverage(uniform(unit3), lambda x: 0.0, 2, 0, 5, 0.1)
 
+    def test_sample_size_validation(self, unit3):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            mc_coverage(uniform(unit3), lambda x: 0.0, 0, 10, 5, 0.1)
+
+    @pytest.mark.parametrize("chunk", [64, 8192])
+    def test_tally_counts_every_distinct_sample(self, monkeypatch, unit3, chunk):
+        # each sample's tally, read back as the coverage of a bound that
+        # covers it alone, is its count among the one-shot draw's rows by
+        # np.unique; the bound is asked once per distinct sample, in order
+        F = Distribution(unit3, np.array([0.5, 0.3, 0.2]))
+        idx = np.searchsorted(np.cumsum(F.mass), make_rng(9).random((20_000, 3)), side="right")
+        rows, counts = np.unique(np.sort(np.minimum(idx, 2), axis=1), axis=0, return_counts=True)
+        rows = list(map(tuple, rows.tolist()))
+        assert len(rows) == 10
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", chunk)
+        for row, count in zip(rows, counts.tolist()):
+            asked = []
+
+            def bound(x, row=row):
+                asked.append(x.idx)
+                return unit3.s_min if x.idx == row else math.inf
+
+            assert mc_coverage(F, bound, 3, 20_000, 9, 0.1).coverage == count / 20_000
+            assert asked == rows
+
     @pytest.mark.parametrize("trials,chunks", [(1, (1, 7, 8192)), (7, (1, 7, 8192)),
                                                (10_000, (7, 8192)), (50_000, (8192,))])
     @pytest.mark.parametrize("seed", [5, 123])

@@ -302,6 +302,7 @@ class TestCompositionFloors:
     def test_bounds_and_greedy_points_are_kept_per_box_size(self, monkeypatch):
         kernels._block_bounds.cache_clear()
         kernels._box_greedy.cache_clear()
+        kernels._floors.cache_clear()
         lo, hi = kernels._block_bounds(30, 3, 7)
         assert lo.dtype == hi.dtype == np.int64 and not lo.flags.writeable
         monkeypatch.setattr(kernels, "BOX_ROWS", 7)
@@ -348,8 +349,7 @@ class TestCompositionCeilings:
     def test_ceiling_is_at_least_every_computed_probability(self, grid, idx, order, full):
         from orderbound import Sample, SupportGrid
         from orderbound.dist import full_support
-        from orderbound.oracle import (OracleConfig, _member_terms, _schedule, _up_closed,
-                                       refined_support)
+        from orderbound.oracle import OracleConfig, _member_terms, _schedule, refined_support
         from orderbound.orders import enumerate_omega, upper_set
 
         x = Sample(SupportGrid(*grid), idx)
@@ -358,8 +358,9 @@ class TestCompositionCeilings:
         N = _schedule(k, OracleConfig())[0]
         assert (k <= 3) == (N == 1000)
         coefs, expts = _member_terms(upper_set(x, order, enumerate_omega(x.grid, x.n)), atoms)
-        assert _up_closed(expts)
-        ceilings = kernels.composition_ceilings(N, k, coefs, expts)
+        terms = kernels.Terms.of(coefs, expts)
+        assert terms.up_closed
+        ceilings = kernels.composition_ceilings(N, k, terms)
         boxes = _boxes(N, k)
         assert ceilings.shape == (len(boxes),)
         highs = np.array([kernels.eval_probs(b, N, coefs, expts).max() for b in boxes])
@@ -383,7 +384,7 @@ class TestCompositionCeilings:
                                      tuple(range(5)))
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(kernels, "BOX_ROWS", box_rows)
-        ceilings = kernels.composition_ceilings(60, 5, coefs, expts)
+        ceilings = kernels.composition_ceilings(60, 5, kernels.Terms.of(coefs, expts))
         boxes = _boxes(60, 5)
         assert ceilings.shape == (-(-635_376 // box_rows),) == (len(boxes),)
         highs = np.array([kernels.eval_probs(b, 60, coefs, expts).max() for b in boxes])
@@ -398,7 +399,9 @@ class TestCompositionCeilings:
         coefs = np.array([2.0, 1.0, 1.0])
         expts = np.array([[0, 1, 1], [0, 2, 0], [0, 0, 2]])
         eps = np.finfo(np.float64).eps
-        assert kernels.composition_ceilings(100, 3, coefs, expts).tolist() == [1 + 28 * eps]
+        terms = kernels.Terms.of(coefs, expts)
+        assert (terms.n, terms.ceiling_factor) == (2, 1 + 28 * eps)
+        assert kernels.composition_ceilings(100, 3, terms).tolist() == [1 + 28 * eps]
 
     def test_terms_that_are_not_up_closed_can_exceed_the_top_point(self):
         # the negative control: pointwise at x = (0, 1) on two atoms is the
@@ -406,15 +409,16 @@ class TestCompositionCeilings:
         # the first box, rows (0, N) to (511, N - 511), has top point
         # (0, N), probability 0, and its maximum, at p = 1/2, is 1/2
         from orderbound import Pointwise, Sample, SupportGrid
-        from orderbound.oracle import _member_terms, _up_closed
+        from orderbound.oracle import _member_terms
         from orderbound.orders import enumerate_omega, upper_set
 
         grid = SupportGrid(0.0, 1.0, 2)
         x = Sample(grid, (0, 1))
         coefs, expts = _member_terms(upper_set(x, Pointwise(x), enumerate_omega(grid, 2)), (0, 1))
-        assert not _up_closed(expts)
+        terms = kernels.Terms.of(coefs, expts)
+        assert not terms.up_closed
         first = _boxes(1000, 2)[0]
-        raw = kernels.composition_ceilings(1000, 2, coefs, expts)[0]
+        raw = kernels.composition_ceilings(1000, 2, terms)[0]
         assert raw == 0.0 < kernels.eval_probs(first, 1000, coefs, expts).max() == 0.5
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 2)])
@@ -424,7 +428,7 @@ class TestCompositionCeilings:
         # (n >= 2 and x off the all-top sample), nor is an empty polynomial
         from orderbound import LexiHigh, LexiLow, Pointwise, Quantile, SupportGrid
         from orderbound.dist import full_support
-        from orderbound.oracle import _member_terms, _up_closed, refined_support
+        from orderbound.oracle import _member_terms, refined_support
         from orderbound.orders import CustomTable, enumerate_omega, upper_set
 
         grid = SupportGrid(0.0, 1.0, m)
@@ -435,15 +439,17 @@ class TestCompositionCeilings:
                     Quantile(i) for i in range(1, n + 1)]:
                 U = upper_set(x, order, omega)
                 for support in (full_support(grid), refined_support(x, order)):
-                    _, expts = _member_terms(U, support.indices)
-                    got = _up_closed(expts)
+                    coefs, expts = _member_terms(U, support.indices)
+                    got = kernels.Terms.of(coefs, expts).up_closed
                     assert got == _up_closed_reference(expts), (x.idx, order.name)
+                    assert got == _up_closed_isin(expts), (x.idx, order.name)
                     if isinstance(order, (LexiLow, LexiHigh, Quantile)):
                         assert got, (x.idx, order.name)
                     if isinstance(order, Pointwise) and support.indices == tuple(range(m)):
                         assert got == (x.idx == (m - 1,) * n), x.idx
-        assert not _up_closed(np.zeros((0, 3), dtype=np.int64))
+        assert not kernels.Terms.of(np.zeros(0), np.zeros((0, 3), dtype=np.int64)).up_closed
         assert not _up_closed_reference(np.zeros((0, 3), dtype=np.int64))
+        assert not _up_closed_isin(np.zeros((0, 3), dtype=np.int64))
 
 
 def _up_closed_reference(expts):
@@ -455,6 +461,131 @@ def _up_closed_reference(expts):
             if r[j] and tuple(r[:j]) + (r[j] - 1, r[j + 1] + 1) + tuple(r[j + 2:]) not in rows:
                 return False
     return bool(rows)
+
+
+def _up_closed_isin(expts):
+    """The same test by ``np.isin`` over each row's bytes as one void key,
+    the derivation the oracle used before ``Terms`` kept the answer."""
+    if not expts.shape[0]:
+        return False
+    rows, atoms = np.nonzero(expts[:, :-1])
+    moved = expts[rows]
+    moved[np.arange(rows.size), atoms] -= 1
+    moved[np.arange(rows.size), atoms + 1] += 1
+    key = np.dtype((np.void, moved.itemsize * expts.shape[1]))
+    return bool(np.isin(moved.view(key), np.ascontiguousarray(expts, moved.dtype).view(key)).all())
+
+
+def _criterion_term_sets():
+    """Member terms of every oracle call of the criterion 3, 4 and 7
+    acceptance sweeps on the unit five-point grid (samples of sizes 1 to 4;
+    Quantile(i), LexiLow, LexiHigh and Pointwise), on refined and on full
+    supports."""
+    from orderbound import LexiHigh, LexiLow, Pointwise, Quantile, SupportGrid
+    from orderbound.dist import full_support
+    from orderbound.oracle import _member_terms, refined_support
+    from orderbound.orders import enumerate_omega, upper_set
+
+    grid = SupportGrid(0.0, 1.0, 5)
+    for n in (1, 2, 3, 4):
+        omega = enumerate_omega(grid, n)
+        for x in omega:
+            for order in [LexiLow(), LexiHigh(), Pointwise(x)] + [
+                    Quantile(i) for i in range(1, n + 1)]:
+                U = upper_set(x, order, omega)
+                for support in (refined_support(x, order), full_support(grid)):
+                    yield x, order, _member_terms(U, support.indices)
+
+
+class TestTerms:
+    def test_up_closed_equals_the_isin_derivation_on_the_criterion_sweeps(self):
+        from orderbound import Pointwise
+
+        seen = 0
+        for x, order, (coefs, expts) in _criterion_term_sets():
+            got = kernels.Terms.of(coefs, expts).up_closed
+            assert got == _up_closed_isin(expts), (x.idx, order.name)
+            if not isinstance(order, Pointwise):
+                assert got, (x.idx, order.name)
+            elif expts.shape[1] == 5:
+                assert got == (x.idx == (4,) * x.n), x.idx
+            seen += 1
+        assert seen == 2 * (5 * 4 + 15 * 5 + 35 * 6 + 70 * 7)
+
+    def test_non_monotone_table_and_pointwise(self):
+        # the reversed ranking's upper set of the all-bottom sample is that
+        # sample alone, (2, 0, 0), which moving one draw up leaves; that of
+        # the all-top sample is all of omega, an up-set; pointwise terms are
+        # up-closed only at the all-top sample
+        from orderbound import Pointwise, Sample, SupportGrid
+        from orderbound.oracle import _member_terms
+        from orderbound.orders import CustomTable, enumerate_omega, is_monotone, upper_set
+
+        grid = SupportGrid(0.0, 1.0, 3)
+        omega = enumerate_omega(grid, 2)
+        reverse = CustomTable.from_ranking(list(omega)[::-1])
+        assert not is_monotone(reverse, omega)
+        for idx, order, want in [((0, 0), reverse, False), ((2, 2), reverse, True),
+                                 ((0, 2), Pointwise(Sample(grid, (0, 2))), False),
+                                 ((2, 2), Pointwise(Sample(grid, (2, 2))), True)]:
+            x = Sample(grid, idx)
+            coefs, expts = _member_terms(upper_set(x, order, omega), (0, 1, 2))
+            assert kernels.Terms.of(coefs, expts).up_closed is want, idx
+            assert _up_closed_isin(expts) is want, idx
+
+    def test_fields(self):
+        coefs = np.array([2.0, 1.0, 1.0])
+        expts = np.array([[0, 1, 1], [0, 2, 0], [0, 0, 2]], dtype=np.int32)
+        terms = kernels.Terms.of(coefs, expts)
+        assert terms.tops == (0, 2, 2) and terms.n == 2 and terms.up_closed
+        assert terms.plan == ((2.0, ((1, 0), (2, 0))), (1.0, ((1, 1),)), (1.0, ((2, 1),)))
+        assert terms.expts.dtype == np.int64 and terms.coefs.dtype == np.float64
+        assert not terms.coefs.flags.writeable and not terms.expts.flags.writeable
+        # the same bytes give the same kept object, whatever the caller's
+        # dtype; equality and hashing read the key alone
+        again = kernels.Terms.of(coefs.copy(), expts.astype(np.int64))
+        assert again is terms and hash(again) == hash(terms)
+        other = kernels.Terms.of(coefs * 2, expts)
+        assert other != terms and other.plan[0][0] == 4.0 and other.expts.tolist() == expts.tolist()
+        # changing the caller's arrays afterwards does not reach the kept terms
+        coefs[0] = 7.0
+        assert terms.coefs.tolist() == [2.0, 1.0, 1.0]
+
+    def test_equal_exponents_other_coefficients_alternately(self):
+        # two polynomials with the same exponent rows, called in turn, each
+        # get their own probabilities, bit for bit the reference loop's
+        rng = np.random.default_rng(3)
+        counts, N, coefs, expts = _random_instance(rng)
+        while coefs.size == 0:
+            counts, N, coefs, expts = _random_instance(rng)
+        others = coefs[::-1] + 1.0
+        want = [_eval_probs_per_term(counts, N, c, expts) for c in (coefs, others)]
+        assert not np.array_equal(*want)
+        for _ in range(3):
+            for c, w in zip((coefs, others), want):
+                assert np.array_equal(kernels.eval_probs(counts, N, c, expts), w)
+
+    def test_kept_floors_and_ceilings_are_read_only_and_fresh(self):
+        # equal exponent rows, other coefficients: each term set gets its
+        # own ceilings, and each kept array equals one computed afresh
+        coefs = np.array([2.0, 1.0, 1.0])
+        expts = np.array([[0, 1, 1], [0, 2, 0], [0, 0, 2]])
+        values = np.array([0.0, 0.25, 1.0])
+        N, k = 120, 3
+        top = kernels._box_greedy(N, k, kernels.BOX_ROWS, (2, 1, 0))
+        for c in (coefs, coefs / 4, coefs, coefs / 4):
+            terms = kernels.Terms.of(c, expts)
+            ceilings = kernels.composition_ceilings(N, k, terms)
+            assert not ceilings.flags.writeable
+            fresh = kernels.eval_probs(top, N, c, expts) * terms.ceiling_factor
+            assert np.array_equal(ceilings, fresh)
+            assert kernels.composition_ceilings(N, k, terms) is ceilings
+        for v in (values, values + 0.5, values):
+            floors = kernels.composition_floors(N, k, v)
+            assert not floors.flags.writeable
+            fresh = kernels._floors.__wrapped__(N, k, kernels.BOX_ROWS, v.tobytes())
+            assert np.array_equal(floors, fresh)
+            assert kernels.composition_floors(N, k, v.copy()) is floors
 
 
 def _compositions(N, k):

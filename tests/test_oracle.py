@@ -589,14 +589,18 @@ class TestSearchInternals:
     def test_pruned_neighborhood_drops_only_rows_above_the_limit(self, n_cur):
         # values on a unit grid, a negative grid, a wide grid (as with
         # --s-max 999) and an integer grid whose row scores tie exactly;
-        # the limit is a row's own score, so that row must stay
+        # the limit is a row's own score, so that row must stay. A limit of
+        # +inf drops no pair, so the whole neighbourhood is the same for
+        # every grid and is built once per k
         for k in range(1, 11):
             centers = _spread_centres(n_cur, k)
             offs = _zero_sum_offsets(k, _neighbor_radius(k))
+            full = None
             for values in (np.linspace(0.0, 1.0, k), np.linspace(-3.5, -0.25, k),
                            np.linspace(-999.0, 999.0, k), np.arange(k) - 2.0):
                 offset_scores = kernels.scaled_scores(offs, values)
-                full = _neighborhood(centers, k, values, offset_scores, math.inf)
+                if full is None:
+                    full = _neighborhood(centers, k, values, offset_scores, math.inf)
                 scores = kernels.scaled_scores(full, values)
                 limit = float(np.sort(scores)[scores.size // 4])
                 got = _neighborhood(centers, k, values, offset_scores, limit)
@@ -604,7 +608,8 @@ class TestSearchInternals:
                 # each such row right after its copy in full
                 both = np.concatenate([full, got])
                 order = np.lexsort(both.T[::-1])
-                same = (both[order[1:]] == both[order[:-1]]).all(axis=1)
+                ranked = both[order]
+                same = (ranked[1:] == ranked[:-1]).all(axis=1)
                 kept = np.zeros(both.shape[0], dtype=bool)
                 kept[order[:-1][same]] = True
                 kept = kept[:full.shape[0]]
@@ -800,8 +805,9 @@ class TestSearchInternals:
         # the pointwise terms are not up-closed and get no ceilings
         floors = kernels.composition_floors(N, len(atoms), values)
         ceilings = None
-        if oracle._up_closed(expts):
-            ceilings = kernels.composition_ceilings(N, len(atoms), coefs, expts)
+        terms = kernels.Terms.of(coefs, expts)
+        if terms.up_closed:
+            ceilings = kernels.composition_ceilings(N, len(atoms), terms)
         assert (ceilings is None) == isinstance(order, Pointwise)
         # every box live, and boxes ruled out by their score floors, their
         # probability ceilings or both, the live ones reaching the kernel in
@@ -881,8 +887,9 @@ class TestSearchInternals:
         values = np.array([unit5.point(a) for a in atoms])
         floors = kernels.composition_floors(N, k, values)
         ceilings = np.full(floors.shape, math.inf)
-        if oracle._up_closed(expts):
-            ceilings = kernels.composition_ceilings(N, k, coefs, expts)
+        terms = kernels.Terms.of(coefs, expts)
+        if terms.up_closed:
+            ceilings = kernels.composition_ceilings(N, k, terms)
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
         blocks = list(kernels.iter_composition_blocks(N, k))
         radix = (N + 1) ** np.arange(k - 1, -1, -1)
