@@ -14,12 +14,14 @@ the smallest unsigned dtype that holds N, for the next scan of the same
 simplex; the oracle's fixed cell budget bounds each one. Scans read it in
 row slices of ``BLOCK_ROWS`` = 8,192, the fastest of 4,096, 8,192 and
 16,384 for the kernel on 2-core x86 (a block's factor arrays stay in
-cache). Next to each kept simplex sit the column minima and maxima of its
-boxes, the runs of ``BOX_ROWS`` = 512 rows counted from its first row,
-and each box's two greedy points: ``composition_floors`` bounds every
-box's scores from below without scoring a row, and
-``composition_ceilings`` bounds every box's probabilities from above, for
-up-closed terms, with one kernel call over the boxes' top-greedy points.
+cache). Next to each kept simplex sits its box table: for each box, a
+run of ``BOX_ROWS`` = 512 rows counted from its first row, the bottom-
+and top-greedy points of its column range, filled from the lowest atom
+up and from the highest down, as the atoms' values strictly increase.
+``composition_floors`` bounds every box's scores from below without
+scoring a row, and ``composition_ceilings`` bounds every box's
+probabilities from above, for up-closed terms, with one kernel call over
+the boxes' top-greedy points.
 Both bounds hold for any subset of a box's rows, so a scan may cut a box
 at a block edge and send only the live boxes to the kernel. Neither
 depends on alpha, and a search repeated at another alpha asks for the same
@@ -79,7 +81,8 @@ class Terms:
                atom j + 1: the members on the atoms are an up-set of the
                componentwise order, so the probability can only rise when
                mass moves up. No terms is False: the probability is 0
-               everywhere, and a scan must keep its rescue row.
+               everywhere, so no row is feasible and no box is ruled out
+               by a ceiling.
     ceiling_factor: 1 + 4 * (2n + T) * eps, the rounding factor of
                ``composition_ceilings``
     key      : (expts.shape, coefs' bytes, expts' bytes)
@@ -224,15 +227,16 @@ def iter_composition_blocks(N: int, k: int) -> Iterator[np.ndarray]:
 def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
     """For each box of ``BOX_ROWS`` rows of the simplex
     ``iter_composition_blocks(N, k)`` yields, a float no larger than the
-    ``scaled_scores(rows, values)`` entry of any of its rows.
+    ``scaled_scores(rows, values)`` entry of any of its rows. The values,
+    the atoms' points, strictly increase; ValueError otherwise.
 
     Every row c of a box lies in the box's column range lo <= c <= hi and
     sums to N, so its exact score is at least the range's smallest one: lo
-    plus the N - sum(lo) left filled into the lowest-valued atoms first,
-    each up to hi - lo (the greedy solution of that linear program, an
-    integer vector). Computed left to right, a k-term score of counts
-    summing to N is within g = k u / (1 - k u) * N * max|v| of its exact
-    value (u = eps / 2), so a computed row score is at least the computed
+    plus the N - sum(lo) left filled into the lowest atoms first, each up
+    to hi - lo (the greedy solution of that linear program, an integer
+    vector: the box's bottom-greedy point). Computed left to right, a
+    k-term score of counts summing to N is within g = k u / (1 - k u) * N
+    * max|v| of its exact value (u = eps / 2), so a computed row score is at least the computed
     greedy score less 2 g, about k * eps * N * max|v|; the margin
     subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
     of the subtraction with room to spare. Read-only, and kept for the
@@ -244,7 +248,9 @@ def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _floors(N: int, k: int, rows: int, value_bytes: bytes) -> np.ndarray:
     values = np.frombuffer(value_bytes, dtype=np.float64)
-    bottom = _box_greedy(N, k, rows, tuple(np.argsort(values, kind="stable").tolist()))
+    if not (values[1:] > values[:-1]).all():
+        raise ValueError("composition_floors needs strictly increasing atom values")
+    bottom = _box_points(N, k, rows)[0]
     margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
     floors = scaled_scores(bottom, values) - margin
     floors.flags.writeable = False
@@ -286,41 +292,34 @@ def composition_ceilings(N: int, k: int, terms: Terms) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _ceilings(N: int, k: int, rows: int, terms: Terms) -> np.ndarray:
-    top = _box_greedy(N, k, rows, tuple(range(k - 1, -1, -1)))
+    top = _box_points(N, k, rows)[1]
     ceilings = eval_probs(top, N, terms.coefs, terms.expts) * terms.ceiling_factor
     ceilings.flags.writeable = False
     return ceilings
 
 
-@functools.lru_cache(maxsize=8)
-def _box_greedy(N: int, k: int, rows: int, atoms: tuple[int, ...]) -> np.ndarray:
-    """Per ``rows``-row box of ``_simplex(N, k)``, int64 and read-only: the
-    column minima lo plus the N - sum(lo) left filled into ``atoms`` in
-    turn, each up to the box's column range hi - lo. It depends on the
-    values only through the fill order, so it is kept for the next call on
-    the same simplex, one point per fill order."""
-    lo, hi = _block_bounds(N, k, rows)
-    point = lo.copy()
-    left = N - lo.sum(axis=1)
-    for j in atoms:
-        take = np.minimum(left, hi[:, j] - lo[:, j])
-        point[:, j] += take
-        left -= take
-    point.flags.writeable = False
-    return point
-
-
 @functools.lru_cache(maxsize=4)
-def _block_bounds(N: int, k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column minima and maxima, int64 (boxes, k), of the ``rows``-row
-    boxes of ``_simplex(N, k)``, the last one possibly shorter; keyed on
-    the box size, which the callers read from ``BOX_ROWS``."""
+def _box_points(N: int, k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bottom-greedy and top-greedy points, int64 (boxes, k) and
+    read-only, of the ``rows``-row boxes of ``_simplex(N, k)``, the last
+    box possibly shorter: the box's column minima lo plus the N - sum(lo)
+    left filled into the atoms lowest first (bottom) or highest first
+    (top), each up to the box's column range hi - lo. Keyed on the box
+    size, which the callers read from ``BOX_ROWS``."""
     simplex = _simplex(N, k)
     starts = np.arange(0, simplex.shape[0], rows)
     lo = np.minimum.reduceat(simplex, starts, axis=0).astype(np.int64)
-    hi = np.maximum.reduceat(simplex, starts, axis=0).astype(np.int64)
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
+    span = np.maximum.reduceat(simplex, starts, axis=0) - lo
+    points = []
+    for atoms in (range(k), range(k - 1, -1, -1)):
+        point, left = lo.copy(), N - lo.sum(axis=1)
+        for j in atoms:
+            take = np.minimum(left, span[:, j])
+            point[:, j] += take
+            left -= take
+        point.flags.writeable = False
+        points.append(point)
+    return points[0], points[1]
 
 
 @functools.lru_cache(maxsize=4)

@@ -13,27 +13,29 @@ candidates walks through step halvings down to the requested resolution
 (coarse to fine) before the refinement rounds. Each scan visits its
 blocks in reverse lexicographic order, lowest means first, and scores
 and runs the probability kernel only on rows that can still enter the
-beam. The first scan rules out each 512-row box of the simplex from its
-column bounds before any of its rows is scored, and gathers the rows of
+beam. The first scan rules out each 512-row box of the simplex by a
+score floor before any of its rows is scored, and gathers the rows of
 the boxes left into full kernel batches. When the upper set's members
 on the support are closed under moving one unit of a sample to the next
 atom up (the lexicographic and quantile orders; the pointwise one only
 at the all-top sample), the probability only rises as mass moves up, so
 the first scan also skips each box whose probability ceiling, its
 top-greedy point's probability times a stated rounding factor, is below
-alpha: no row in it is feasible. The beam's
-rows are the next stage's centres; the most probable row stands in only
-when no row is feasible, which never happens under such members, and it
-is tracked only while the beam is empty. A refinement neighbourhood
-pairs each centre only with the offsets that keep it non-negative, read
-from a byte-bounded memo keyed by the centre's entries clipped to the
-radius. Doubled, a full beam's rows keep their probabilities and twice
-their scores, so the next beam's cut is at most twice this one, and the
-neighbourhood drops every pair scoring above that before it builds a
-key. Every stage is deterministic, and ties
-between equal means, and between equal top probabilities, are broken
-toward the lexicographically smallest mass vector, so results do not
-depend on evaluation order.
+alpha: no row in it is feasible. The beam's rows are the next stage's
+centres. Only when a stage ends with no feasible row, which never happens
+under such members, does a second pass over that stage's rows find the
+most probable one to stand in for them. A refinement neighbourhood pairs
+each centre only with the offsets that keep it non-negative, read from a byte-bounded
+memo keyed by the centre's entries clipped to the radius. Doubled, a
+full beam's rows keep their probabilities and twice their scores, so the
+next beam's cut is at most twice this one, and the neighbourhood drops
+every pair scoring above that before it builds a key. Every stage is
+deterministic, and ties between equal means, and between equal top
+probabilities, are broken toward the lexicographically smallest mass
+vector, so results do not depend on evaluation order. The witness's
+constraint probability is the kernel's value at its row, the number the
+search compared with alpha, so after the member terms are read the
+oracle never reads the sample space again.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .dist import Distribution, SupportSet, augment, full_support, prob_upper_set
+from .dist import Distribution, SupportSet, augment, full_support
 from .orders import (
     EnumerationGuardError,
     LexiLow,
@@ -101,6 +103,9 @@ class OracleConfig:
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
+    """``constraint_prob`` is the kernel's probability at the witness, the
+    number the search compared with alpha, so it is at least alpha."""
+
     value: float
     witness: Distribution
     constraint_prob: float
@@ -198,14 +203,8 @@ class _Reducer:
     """Deterministic reduction over candidate blocks, in any block order and
     any partition: a beam of the best ``beam_width`` feasible rows in
     (score, row) order, whose first row is the feasible minimum (the
-    lex-smallest on exact ties), and, for infeasibility rescue, the
-    highest-probability row, the lex-smallest on ties.
-
-    The rescue row (``top_row``, its probability ``top_prob``) is tracked
-    only while the beam is empty: it is defined when no consumed block had
-    a feasible row, and is then the most probable row consumed. Once the
-    beam holds a row it never empties, so the rescue is never read, and no
-    later block is searched for its top probability.
+    lex-smallest on exact ties). A reduction that met no feasible row has
+    an empty beam; ``_most_probable`` then finds the rescue row.
 
     Once the beam is full, a row scoring above its last score (``cut``) can
     never enter it, so a block whose best feasible score lies above the cut
@@ -218,8 +217,6 @@ class _Reducer:
     def __init__(self, alpha: float, beam_width: int):
         self.alpha = alpha
         self.beam_width = beam_width
-        self.top_row: np.ndarray | None = None
-        self.top_prob = -math.inf
         self._beam_rows: np.ndarray | None = None
         self._beam_scores = np.zeros(0)
         # largest finite double until the beam is full: every feasible
@@ -241,8 +238,6 @@ class _Reducer:
         # feasible minimum
         masked = np.where(probs >= self.alpha, scores, math.inf)
         if masked.min() > self._cut:  # no feasible row, or none that can enter the beam
-            if self._beam_rows is None:  # no feasible row yet: keep the rescue row
-                self._keep_top(rows, probs)
             return
         keep = np.flatnonzero(masked <= self._cut)
         if keep.size > self.beam_width:
@@ -260,24 +255,13 @@ class _Reducer:
         if order.size == self.beam_width:
             self._cut = float(self._beam_scores[-1])
 
-    def _keep_top(self, rows: np.ndarray, probs: np.ndarray) -> None:
-        # the lex-smallest row at the block's top probability, compared with
-        # the kept one explicitly on a tie, so no block order can change it
-        top = float(probs.max())
-        if top >= self.top_prob:
-            ties = np.flatnonzero(probs == top)
-            row = rows[ties[_lex_order(rows[ties], probs[ties])[0]]].astype(np.int64)
-            if top > self.top_prob or row.tolist() < self.top_row.tolist():
-                self.top_prob, self.top_row = top, row
-
     def beam(self) -> np.ndarray:
         if self._beam_rows is None:
             return np.zeros((0, 0), dtype=np.int64)
         return self._beam_rows
 
 
-def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None,
-                 ceilings=None) -> _Reducer:
+def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reducer:
     """Reduce the blocks in reverse order, sending to the kernel only the
     rows of boxes that can still hold a beam row, gathered into batches of
     at least ``kernels.BLOCK_ROWS`` rows.
@@ -287,12 +271,11 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None,
     fills near the feasibility boundary early. The blocks' rows are cut
     into boxes of ``kernels.BOX_ROWS`` rows, counted from the first
     block's first row, so a box may straddle two blocks. ``floors``, one
-    per box (``kernels.composition_floors`` for a simplex), bounds each
-    box's scores from below, and ``ceilings``
-    (``kernels.composition_ceilings``) its probabilities from above; both
-    hold for any of the box's rows. A box is live while its ceiling
-    reaches alpha and its floor is at most the reducer's cut; a block with
-    no live box is skipped by one float compare on its least live floor.
+    per box, bounds each box's feasible scores from below, for any of the
+    box's rows: ``kernels.composition_floors`` for a simplex, +inf for a
+    box that holds no feasible row. A box is live while its floor is at
+    most the reducer's cut; a block with no live box is skipped by one
+    float compare on its least floor.
     The live boxes' rows join a pending batch, which is scored and, unless
     every score lies above the cut, run through the kernel and the
     reducer, once it holds ``BLOCK_ROWS`` rows, and after every block
@@ -301,18 +284,11 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None,
     does not depend on order or partition, and a cut that has not yet seen
     the pending rows is only looser.
 
-    Without bounds every box is live and each block is scored in turn.
-    Without ceilings the cut stays open until the beam is full, so a
-    scan that ends with an empty beam has evaluated every row, and its top
-    row is the rescue the caller needs; a caller passes ceilings only where
-    the beam cannot end empty.
+    Without floors every box is live and each block is scored in turn.
     """
     red = _Reducer(alpha, BEAM_WIDTH)
     blocks = list(blocks)
     box = kernels.BOX_ROWS
-    if ceilings is not None:
-        # a box below alpha holds no feasible row: no cut admits it
-        floors = np.where(ceilings >= alpha, -math.inf if floors is None else floors, math.inf)
     if floors is not None:
         # block i holds boxes starts[i] // box to hi[i] - 1, whose least
         # floor is least[i]; block i + 1 may start in block i's last box
@@ -356,6 +332,19 @@ def _reduce_batch(red: _Reducer, batch, N, coefs, expts, values) -> None:
     if scores.min() > red.cut:
         return
     red.consume(rows, scores, kernels.eval_probs(rows, N, coefs, expts))
+
+
+def _most_probable(parts, N, coefs, expts) -> tuple[np.ndarray, float]:
+    """The most probable row of the parts, as int64, and its probability.
+    The parts come in lexicographic order, and the first maximum is kept,
+    so ties go to the lexicographically smallest row."""
+    row, prob = None, -math.inf
+    for rows in parts:
+        probs = kernels.eval_probs(rows, N, coefs, expts)
+        i = int(np.argmax(probs))
+        if probs[i] > prob:
+            row, prob = rows[i].astype(np.int64), float(probs[i])
+    return row, prob
 
 
 @functools.cache
@@ -527,28 +516,31 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
 
     The first scan skips the simplex boxes whose score floor is above the
     beam's cut and, when the terms are up-closed, those whose probability
-    ceiling is below alpha. The rescue is then never needed: up-closed
-    terms include the all-top-atom member, so at the all-top-atom row that
-    term, coefficient 1 times (N / N) ** n, is exactly 1.0 and every other
-    term has a factor 0 / N; the row's probability computes to exactly
-    1.0 > alpha, its box's ceiling is at least that, so the first beam and
-    every beam after it hold a feasible row, and ``top_row`` is never
-    read.
+    ceiling is below alpha, folded into the floors as +inf. A stage that
+    ends with an empty beam hands on the most probable of its rows, from a
+    second pass over them. Up-closed terms never need it: they include the
+    all-top-atom member, so at the all-top-atom row that term, coefficient
+    1 times (N / N) ** n, is exactly 1.0 and every other term has a factor
+    0 / N; the row's probability computes to exactly 1.0 > alpha, its
+    box's ceiling is at least that, so every beam holds a feasible row.
     """
     k = values.shape[0]
     terms = kernels.Terms.of(coefs, expts)
-    ceilings = kernels.composition_ceilings(n0, k, terms) if terms.up_closed else None
-    red = _scan_blocks(kernels.iter_composition_blocks(n0, k), n0, coefs, expts, values,
-                       alpha, kernels.composition_floors(n0, k, values), ceilings)
+    floors = kernels.composition_floors(n0, k, values)
+    if terms.up_closed:
+        # a box below alpha holds no feasible row: no cut admits it
+        floors = np.where(kernels.composition_ceilings(n0, k, terms) >= alpha, floors, math.inf)
+    n_cur, blocks = n0, list(kernels.iter_composition_blocks(n0, k))
+    red = _scan_blocks(blocks, n_cur, coefs, expts, values, alpha, floors)
 
-    n_cur = n0
     # the offsets' scores, fixed for the call
     offset_scores = kernels.scaled_scores(_zero_sum_offsets(k, _neighbor_radius(k)), values)
     for _ in range(stages):
         # the beam's distinct rows are the next centres; only when no row
         # was feasible does the most probable row stand in for them
-        beam = red.beam()
-        centers = beam if beam.size else red.top_row[None]
+        centers = red.beam()
+        if not centers.size:
+            centers = _most_probable(blocks, n_cur, coefs, expts)[0][None]
         # doubled, a full beam's rows keep their probabilities (2c / 2N is
         # the double c / N) and score exactly twice as much, and offset 0
         # keeps them in the neighbourhood: the next beam fills, and its cut
@@ -564,7 +556,7 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
     if not beam.size:
         raise InfeasibleError(
             f"no mass vector at step 1/{n_cur} reaches constraint probability {alpha}"
-            f" (closest achieved {red.top_prob:.6g})"
+            f" (closest achieved {_most_probable(blocks, n_cur, coefs, expts)[1]:.6g})"
         )
     return beam[0], n_cur
 
@@ -596,9 +588,10 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     neighbourhood could exceed ``NEIGHBORHOOD_MAX_ROWS`` rows (k >= 15 atoms).
     A resolution whose final step times ``s_max - s_min`` is below the
     value's rounding bound raises ValueError at the same point: on two
-    atoms of [0, 1], steps of 1e-14 run and 1e-15 are refused. So is a grid
-    on which scores could overflow a double, the final step count times
-    max(|s_min|, |s_max|) near the largest double: at the default
+    atoms of [0, 1], steps of 1e-14 run and 1e-15 are refused. So is a search
+    whose scores could overflow a double: the final step count times the
+    largest |value| of a support atom, or the neighbourhood radius times
+    the atoms' summed |values|, near the largest double. At the default
     resolution, [0, 1e304] runs and [0, 1e305] is refused.
     """
     if not 0.0 <= alpha < 1.0:
@@ -628,27 +621,30 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
             f" bound {rounding:.3g}"
         )
     # a score's partial sums are within a factor 1 + g of their exact values
-    # (g as above), which are at most N M for a row, whose counts total at
-    # most N = n0 << stages, and S M for an offset, whose entries' sizes
-    # total at most S = 2 r floor(k / 2) on radius r. The value's dot
-    # product is a row's score, the doubled cut is a score at N / 2 doubled
-    # exactly, and a floor subtracts, and a neighbourhood adds, a margin of
-    # 8 k eps N M. So all of them stay finite while max(N, S) M (1 + 16 k
-    # eps) does. Past that a row can score +inf, which no cut admits, and a
-    # scan can end with neither a beam nor a rescue row. The neighbourhood's
-    # bound, the doubled cut plus the margin less a centre's score, is not
-    # negative, as no centre scores above the cut: it can overflow only to
-    # +inf, which drops no pair.
+    # (g as above): at most N M for a row, whose counts total at most N = n0
+    # << stages, M the atoms' largest |v|, and r S for an offset on radius
+    # r, |o_j| <= r, S the atoms' summed |v|. The value's dot product is a
+    # row's score, the doubled cut a score at N / 2 doubled exactly, and a
+    # floor subtracts, and a neighbourhood adds, a margin of 8 k eps N M.
+    # So all stay finite while max(N M, r S) (1 + 16 k eps) does; past that
+    # a row can score +inf, which no cut admits. The neighbourhood's bound,
+    # the doubled cut plus the margin less a centre's score, is not negative
+    # as no centre scores above the cut: it can overflow only to +inf,
+    # which drops no pair.
     k = len(atoms)
-    units = max(n0 << stages, 2 * _neighbor_radius(k) * (k // 2))
-    if units * top * (1 + 16 * k * sys.float_info.epsilon) > sys.float_info.max:
+    values = np.array([grid.point(a) for a in atoms])
+    # Python floats overflow to inf without a warning
+    sizes = [abs(v) for v in values.tolist()]
+    radius, largest, summed = _neighbor_radius(k), max(sizes), sum(sizes)
+    reach = max((n0 << stages) * largest, radius * summed)
+    if reach * (1 + 16 * k * sys.float_info.epsilon) > sys.float_info.max:
         raise ValueError(
-            f"scores overflow a double: {units} times max(|s_min|, |s_max|) = {top:.3g}"
-            f" exceeds the largest double, on final steps of 1/{n0 << stages}"
+            f"scores overflow a double: {n0 << stages} steps times max|v| = {largest:.3g} on a row,"
+            f" or radius {radius} times sum|v| = {summed:.3g} on an offset, over the {k}"
+            f" support atoms exceeds the largest double"
         )
     omega = enumerate_omega(grid, x.n)
     U = upper_set(x, order, omega)
-    values = np.array([grid.point(a) for a in atoms])
     coefs, expts = _member_terms(U, atoms)
 
     try:
@@ -662,7 +658,7 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     return OracleResult(
         value=float(np.dot(counts, values) / n_final),
         witness=witness,
-        constraint_prob=prob_upper_set(witness, U),
+        constraint_prob=float(kernels.eval_probs(counts[None], n_final, coefs, expts)[0]),
         support_used=support,
         final_step=1.0 / n_final,
         mode=mode,

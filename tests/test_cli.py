@@ -271,7 +271,7 @@ class TestVerify:
         code = main(["verify", "all", "--m", "3", "--n", "2", "--s-max=1e308"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.startswith("error: scores overflow a double: 8000 times")
+        assert err.startswith("error: scores overflow a double: 8000 steps times")
 
     @pytest.mark.parametrize("m,n", [(4, 2), (3, 3)])
     def test_all_with_twelve_extensions(self, capsys, m, n):

@@ -299,28 +299,47 @@ class TestCompositionFloors:
         margin = 8 * 4 * np.finfo(np.float64).eps * 100 * 3.0
         assert kernels.composition_floors(100, 4, values).tolist() == [200.0 - margin]
 
-    def test_bounds_and_greedy_points_are_kept_per_box_size(self, monkeypatch):
-        kernels._block_bounds.cache_clear()
-        kernels._box_greedy.cache_clear()
+    def test_box_points_are_kept_per_box_size(self, monkeypatch):
+        kernels._box_points.cache_clear()
         kernels._floors.cache_clear()
-        lo, hi = kernels._block_bounds(30, 3, 7)
-        assert lo.dtype == hi.dtype == np.int64 and not lo.flags.writeable
+        bottom, top = kernels._box_points(30, 3, 7)
+        for point in (bottom, top):
+            assert point.dtype == np.int64 and not point.flags.writeable
+            assert (point.sum(axis=1) == 30).all()
         monkeypatch.setattr(kernels, "BOX_ROWS", 7)
         monkeypatch.setattr(kernels, "BLOCK_ROWS", 5)
         first = kernels.composition_floors(30, 3, np.array([0.0, 1.0, 2.0]))
-        assert kernels._block_bounds.cache_info().hits == 1
+        assert kernels._box_points.cache_info().hits == 1
+        # each point is its box's column minima plus the rest filled into
+        # the lowest atoms first (bottom) or the highest first (top), each
+        # up to the box's column maxima
         boxes = _boxes(30, 3)
-        assert np.array_equal(lo, [b.min(axis=0) for b in boxes])
-        assert np.array_equal(hi, [b.max(axis=0) for b in boxes])
-        # the bottom-greedy point depends on the values only through their
-        # order, so other increasing values reuse it, read-only
+        for point, atoms in ((bottom, (0, 1, 2)), (top, (2, 1, 0))):
+            want = []
+            for b in boxes:
+                lo, hi = b.min(axis=0).tolist(), b.max(axis=0).tolist()
+                left = 30 - sum(lo)
+                for j in atoms:
+                    take = min(left, hi[j] - lo[j])
+                    lo[j] += take
+                    left -= take
+                want.append(lo)
+            assert point.tolist() == want
+        # the table does not depend on the values, so other increasing
+        # values reuse it
         second = kernels.composition_floors(30, 3, np.array([0.0, 1.5, 2.0]))
-        info = kernels._box_greedy.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
-        bottom = kernels._box_greedy(30, 3, 7, (0, 1, 2))
-        assert bottom.dtype == np.int64 and not bottom.flags.writeable
-        assert (bottom.sum(axis=1) == 30).all()
+        info = kernels._box_points.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
         assert first.tolist() != second.tolist()
+
+    @pytest.mark.parametrize("values", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.5, 0.0]])
+    def test_values_that_do_not_strictly_increase_are_refused(self, values):
+        # the bottom-greedy point fills the lowest atoms first, a floor only
+        # when they are the lowest-valued ones
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kernels.composition_floors(30, 3, np.array(values))
+        assert kernels.composition_floors(30, 1, np.array([-1.0])).tolist() == [
+            -30.0 - 8 * np.finfo(np.float64).eps * 30]
 
 
 def _ceiling_cases():
@@ -572,7 +591,7 @@ class TestTerms:
         expts = np.array([[0, 1, 1], [0, 2, 0], [0, 0, 2]])
         values = np.array([0.0, 0.25, 1.0])
         N, k = 120, 3
-        top = kernels._box_greedy(N, k, kernels.BOX_ROWS, (2, 1, 0))
+        top = kernels._box_points(N, k, kernels.BOX_ROWS)[1]
         for c in (coefs, coefs / 4, coefs, coefs / 4):
             terms = kernels.Terms.of(c, expts)
             ceilings = kernels.composition_ceilings(N, k, terms)

@@ -28,7 +28,7 @@ from orderbound import (
     refined_support,
 )
 from orderbound import kernels, oracle
-from orderbound.dist import augment, full_support, restrict_to
+from orderbound.dist import augment, full_support, prob_upper_set, restrict_to
 from orderbound.harness import OracleCache, value_tolerance
 from orderbound.oracle import (
     _count_zero_sum_offsets,
@@ -44,6 +44,18 @@ from conftest import criterion_4_calls, exact_quantile_bound
 
 
 FAST = OracleConfig(resolution=1e-3)
+
+
+def _probs_by_row(rows, probs):
+    """An ``eval_probs`` stand-in that reads each row's probability from
+    ``probs``, for rows in lexicographic order."""
+    radix = (int(rows.max()) + 1) ** np.arange(rows.shape[1] - 1, -1, -1)
+    keys = rows.astype(np.int64) @ radix  # increasing: the rows are in lex order
+
+    def eval_probs(counts, N, coefs, expts):
+        return probs[np.searchsorted(keys, counts.astype(np.int64) @ radix)]
+
+    return eval_probs
 
 
 def _block_orders(blocks, seed):
@@ -232,6 +244,30 @@ class TestWitness:
             assert restrict_to(res.witness.mass, res.support_used)
             assert abs(float(res.witness.mass.sum()) - 1.0) < 1e-12
 
+    def test_constraint_prob_is_the_kernel_value_the_search_tested(self):
+        # on the criterion-4 sweep: the kernel's value at the witness's row,
+        # so it reaches alpha by construction, and within 4 ulps of the
+        # same probability summed over the whole sample space
+        # one search per support and upper set: they fix the result
+        calls, seen = 0, set()
+        for x, i, alpha in criterion_4_calls():
+            calls += 1
+            U = upper_set(x, Quantile(i), enumerate_omega(x.grid, x.n))
+            atoms = refined_support(x, Quantile(i)).indices
+            if (atoms, U.mask.tobytes(), alpha) in seen:
+                continue
+            seen.add((atoms, U.mask.tobytes(), alpha))
+            res = pessimal_bound_oracle(x, Quantile(i), alpha)
+            N = round(1 / res.final_step)
+            counts = np.rint(res.witness.mass[list(atoms)] * N).astype(np.int64)
+            assert counts.sum() == N
+            coefs, expts = oracle._member_terms(U, atoms)
+            assert res.constraint_prob >= alpha
+            assert res.constraint_prob == kernels.eval_probs(counts[None], N, coefs, expts)[0]
+            whole = prob_upper_set(res.witness, U)
+            assert abs(res.constraint_prob - whole) <= 4 * np.spacing(whole), (x.idx, i, alpha)
+        assert (calls, len(seen)) == (840, 88)
+
     def test_deterministic(self, unit5):
         x = homogeneous_sample(unit5, 2, 2)
         r1 = pessimal_bound_oracle(x, LexiHigh(), 0.25, FAST)
@@ -301,9 +337,12 @@ class TestConfig:
         x = Sample(SupportGrid(0.0, s_max, 3), sample)
         with pytest.raises(ValueError) as exc:
             pessimal_bound_oracle(x, LexiLow(), alpha)
+        # the support atoms: {0, 2} at (2, 2), {0, 1, 2} at (0, 2)
+        summed, k = {1e305: ("1e+305", 2), 1e306: ("1.5e+306", 3)}[s_max]
         assert str(exc.value) == (
-            f"scores overflow a double: 8000 times max(|s_min|, |s_max|) = {s_max:.3g}"
-            " exceeds the largest double, on final steps of 1/8000")
+            f"scores overflow a double: 8000 steps times max|v| = {s_max:.3g} on a row, or"
+            f" radius 3 times sum|v| = {summed} on an offset, over the {k} support atoms"
+            " exceeds the largest double")
         assert built == []
 
     def test_scores_just_inside_a_double_keep_their_value(self):
@@ -319,8 +358,21 @@ class TestConfig:
         grid = SupportGrid(-2e307, 2e307, 1001)
         support = SupportSet.of([*range(7), *range(994, 1001)])
         cfg = OracleConfig(resolution=1.0, support_override=support)
-        with pytest.raises(ValueError, match=r"^scores overflow a double: 14 times .* 1/8$"):
+        with pytest.raises(ValueError, match=(
+                r"^scores overflow a double: 8 steps times .* radius 1 times sum\|v\| = inf"
+                r" on an offset, over the 14 support atoms exceeds the largest double$")):
             pessimal_bound_oracle(Sample(grid, (0, 1000)), LexiHigh(), 0.05, cfg)
+
+    def test_scores_bounded_by_the_searched_atoms_keep_their_value(self):
+        # 14 atoms evenly spaced over [-1.5e307, 1.5e307]: an offset of
+        # radius 1 scores at most sum|v| = 1.13e308, and a row on 8 final
+        # steps at most 8 * 1.5e307 = 1.2e308, so every score is finite,
+        # though 14 offset units times max(|s_min|, |s_max|) are not
+        grid = SupportGrid(-1.5e307, 1.5e307, 14)
+        res = pessimal_bound_oracle(Sample(grid, (0, 13)), LexiHigh(), 0.05,
+                                    OracleConfig(resolution=1.0))
+        assert (res.value, res.final_step, res.mode) == (-1.1249999999999998e+307, 1 / 8, "dense")
+        assert res.constraint_prob >= 0.05
 
     def test_step_counts_are_exact_up_to_2_to_the_53(self):
         assert oracle._step_count(599_999 << 3) == "4799992"
@@ -707,7 +759,7 @@ class TestSearchInternals:
             assert np.unique(centers, axis=0).shape[0] == centers.shape[0]
 
     @pytest.mark.parametrize("beam_width", [1, 5, 24, 60])
-    def test_beam_equals_full_lexsort_under_ties(self, beam_width):
+    def test_beam_equals_full_lexsort_under_ties(self, monkeypatch, beam_width):
         rng = np.random.default_rng(beam_width)
         rows = np.concatenate(list(kernels.iter_composition_blocks(10, 4)))
         # four distinct scores over 286 rows: every cutoff falls in a tie,
@@ -724,9 +776,9 @@ class TestSearchInternals:
                 red.consume(rows[lo:lo + 50], scores[lo:lo + 50], probs[lo:lo + 50])
             assert np.array_equal(red.beam(), rows_f[order[:beam_width]])
             assert np.array_equal(red.beam()[0], rows_f[order[0]])
-        # the rescue row is defined only while no block held a feasible row:
-        # over the infeasible rows alone, whose probabilities tie at 0.2, it
-        # is the lex-first of their most probable rows, in any block order
+        # over the infeasible rows alone, in any block order, the beam stays
+        # empty; their probabilities tie at 0.2, and the rescue row is the
+        # lex-first of their most probable rows, over the same 50-row slices
         rows_i, scores_i, probs_i = rows[~feas], scores[~feas], probs[~feas]
         assert (probs_i == probs_i.max()).sum() > 1
         for blocks in _block_orders(np.arange(0, rows_i.shape[0], 50), beam_width):
@@ -734,10 +786,13 @@ class TestSearchInternals:
             for lo in blocks:
                 red.consume(rows_i[lo:lo + 50], scores_i[lo:lo + 50], probs_i[lo:lo + 50])
             assert red.beam().size == 0
-            assert np.array_equal(red.top_row, rows_i[np.argmax(probs_i)])
-            assert red.top_prob == probs_i.max()
+        monkeypatch.setattr(kernels, "eval_probs", _probs_by_row(rows_i, probs_i))
+        parts = [rows_i[lo:lo + 50] for lo in range(0, rows_i.shape[0], 50)]
+        row, prob = oracle._most_probable(parts, 10, None, None)
+        assert np.array_equal(row, rows_i[np.argmax(probs_i)])
+        assert prob == probs_i.max()
 
-    def test_block_partition_does_not_change_the_reducer(self):
+    def test_block_partition_does_not_change_the_reducer(self, monkeypatch):
         # integer scores tie across rows and blocks, and probabilities tie
         # at the maximum, so the lex-first rules decide every field, in any
         # block order; scores rise along the lexicographic order, so fed
@@ -755,10 +810,11 @@ class TestSearchInternals:
         feas = probs >= alpha
         keys = tuple(rows_all[feas][:, c] for c in range(2, -1, -1)) + (scores[feas],)
         want = rows_all[feas][np.lexsort(keys)[:oracle.BEAM_WIDTH]]
-        # the infeasible rows alone keep the rescue row: the lex-first of
-        # those at probability 39/80
+        # the infeasible rows alone leave the beam empty, and their rescue
+        # row is the lex-first of those at probability 39/80
         rows_i = rows_all[~feas]
         assert (probs_of(rows_i) == 39 / 80).sum() > 1
+        monkeypatch.setattr(kernels, "eval_probs", lambda rows, *terms: probs_of(rows))
         for rows_in, feasible in ((rows_all, True), (rows_i, False)):
             for size in (7, 100, kernels.BLOCK_ROWS):
                 blocks = np.split(rows_in, range(size, len(rows_in), size))
@@ -773,8 +829,11 @@ class TestSearchInternals:
                         assert kernels.scaled_scores(red.beam()[:1], values)[0] == 0.0
                     else:
                         assert red.beam().size == 0
-                        assert np.array_equal(red.top_row, rows_i[np.argmax(probs_of(rows_i))])
-                        assert red.top_prob == 39 / 80
+                if not feasible:
+                    # every partition, in lexicographic order, agrees too
+                    row, prob = oracle._most_probable(blocks, 60, None, None)
+                    assert np.array_equal(row, rows_i[np.argmax(probs_of(rows_i))])
+                    assert prob == 39 / 80
 
     @pytest.mark.parametrize("idx,order,alpha", [
         ((1, 3), 1, 0.05), ((1, 3), 2, 0.25), ((1, 3), "lexi-low", 0.9),
@@ -783,11 +842,10 @@ class TestSearchInternals:
     ])
     def test_pruned_scan_equals_the_full_reduction(self, monkeypatch, unit5, idx, order, alpha):
         # the skipped boxes hold no row of the beam: the scan's beam is the
-        # (score, row) lexsort of every feasible row of the simplex, and a
-        # scan with no feasible row (the pointwise case: 2 p (1 - p) <= 1/2)
-        # skipped nothing, so its top row is the lex-first argmax over the
-        # whole simplex; so with blocks of 500 rows, which cut through the
-        # 512-row boxes
+        # (score, row) lexsort of every feasible row of the simplex, and
+        # with no feasible row (the pointwise case: 2 p (1 - p) <= 1/2) the
+        # rescue row is the lex-first argmax over the whole simplex; so with
+        # blocks of 500 rows, which cut through the 512-row boxes
         x = Sample(unit5, idx)
         order = {"lexi-low": LexiLow(), "pointwise": Pointwise(x)}.get(order) or Quantile(order)
         atoms = refined_support(x, order).indices
@@ -810,25 +868,29 @@ class TestSearchInternals:
             ceilings = kernels.composition_ceilings(N, len(atoms), terms)
         assert (ceilings is None) == isinstance(order, Pointwise)
         # every box live, and boxes ruled out by their score floors, their
-        # probability ceilings or both, the live ones reaching the kernel in
-        # batches
+        # probability ceilings (folded into the floors as +inf) or both, the
+        # live ones reaching the kernel in batches
+        bounds = [None, floors]
+        if ceilings is not None:
+            bounds += [np.where(ceilings >= alpha, -math.inf, math.inf),
+                       np.where(ceilings >= alpha, floors, math.inf)]
         for block_rows in (kernels.BLOCK_ROWS, 500):
             monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
             blocks = list(kernels.iter_composition_blocks(N, len(atoms)))
-            for bounds in ((None, None), (floors, None), (None, ceilings), (floors, ceilings)):
-                red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, *bounds)
+            for bound in bounds:
+                red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, bound)
                 assert np.array_equal(red.beam().reshape(-1, len(atoms)), want)
-                if not feas.any():
-                    assert np.array_equal(red.top_row, rows[np.argmax(probs)])
-                    assert red.top_prob == probs.max()
+            if not feas.any():
+                row, prob = oracle._most_probable(blocks, N, coefs, expts)
+                assert np.array_equal(row, rows[np.argmax(probs)])
+                assert prob == probs.max()
 
     @pytest.mark.parametrize("order", [LexiLow(), LexiHigh(), Quantile(1)], ids=lambda o: o.name)
     def test_empty_terms_keep_the_rescue_path(self, order):
         # on atoms {0, 1} no member of x = (2, 2)'s upper set survives: the
         # polynomial is empty, and although vacuously closed under moving
         # mass up it gets no ceilings (every block's would be 0), so the scan
-        # keeps its rescue row and the error names the closest probability
-        # reached
+        # skips no box, and the error names the closest probability reached
         x = Sample(SupportGrid(0.0, 1.0, 3), (2, 2))
         cfg = OracleConfig(support_override=SupportSet.of([0, 1]))
         with pytest.raises(InfeasibleError) as exc:
@@ -905,7 +967,8 @@ class TestSearchInternals:
         oracle._scan_blocks(blocks, N, coefs, expts, values, alpha)
         assert np.array_equal(np.sort(np.concatenate(scored)), np.arange(keys.size))
         scored.clear()
-        red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, floors, ceilings)
+        live = np.where(ceilings >= alpha, floors, math.inf)
+        red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, live)
         got = np.bincount(np.concatenate(scored), minlength=keys.size)
         assert got.max() == 1 and 0 < got.sum() < keys.size
         # one segment per (block, box) pair
@@ -916,6 +979,32 @@ class TestSearchInternals:
         assert set(share.tolist()) == {0.0, 1.0}
         held = np.unique(row[share[segment] == 0] // kernels.BOX_ROWS)
         assert ((floors[held] > red.cut) | (ceilings[held] < alpha)).all()
+
+    def test_a_box_whose_ceiling_equals_alpha_stays_live(self, monkeypatch, unit5):
+        # a row is feasible when its probability reaches alpha, so only a
+        # ceiling below alpha rules its box out: at alpha equal to a box's
+        # ceiling, the first scan gets that box's score floor, not +inf
+        x, order = Sample(unit5, (1, 2, 3, 3)), Quantile(1)
+        atoms = refined_support(x, order).indices
+        k, N = len(atoms), 1000
+        coefs, expts = oracle._member_terms(upper_set(x, order, enumerate_omega(unit5, x.n)),
+                                            atoms)
+        values = np.array([unit5.point(a) for a in atoms])
+        ceilings = kernels.composition_ceilings(N, k, kernels.Terms.of(coefs, expts))
+        alpha = float(np.sort(ceilings)[ceilings.size // 2])
+        assert 0 < alpha < 1 and (ceilings < alpha).any() and (ceilings == alpha).any()
+        seen = []
+        real = oracle._scan_blocks
+
+        def scan(blocks, *a):
+            seen.append(a[-1])
+            return real(blocks, *a)
+
+        monkeypatch.setattr(oracle, "_scan_blocks", scan)
+        assert pessimal_bound_oracle(x, order, alpha).mode == "dense"
+        floors = kernels.composition_floors(N, k, values)
+        assert np.array_equal(seen[0], np.where(ceilings >= alpha, floors, math.inf))
+        assert np.isfinite(seen[0][ceilings == alpha]).all()
 
     def test_first_c2f_scan_sends_only_live_boxes_to_the_kernel(self, monkeypatch, unit5):
         # LexiHigh at (0, 2, 4), alpha 0.25, on the five unit atoms: the
@@ -1088,11 +1177,14 @@ class TestSearchInternals:
         assert red.beam()[0].tolist() == [0, 200]
         # doubling a kept row for the next refinement stage must not wrap
         assert (red.beam() * 2).max() == 400
-        # nor the rescue row, kept while no row is feasible
+        # nor the rescue row, the most probable row when none is feasible:
+        # probs are the single term c_1 / N
         rescue = _Reducer(1.5, 4)
         rescue.consume(rows, rows[:, 0].astype(np.float64), probs)
-        assert rescue.top_row.dtype == np.int64
-        assert (rescue.top_row * 2).tolist() == [0, 400]
+        assert rescue.beam().size == 0
+        row, prob = oracle._most_probable([rows], 200, np.array([1.0]), np.array([[0, 1]]))
+        assert (row.dtype, prob) == (np.int64, 1.0)
+        assert (row * 2).tolist() == [0, 400]
 
     def test_narrow_blocks_give_the_int64_result(self, monkeypatch, unit3):
         # N = 200 at this resolution: uint8 blocks, and the witnesses put
