@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import harness
@@ -208,7 +209,14 @@ def main(argv=None) -> int:
     except (GridError, ValueError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format)
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): point stdout at devnull so
+        # the flush at exit raises no second error, and exit 1 as Python does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.command == "verify":
         return 0 if all(r["passed"] for r in payload) else 1
     return 0

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +181,36 @@ class TestOracle:
         assert exc.value.code == 2
         assert "--refine-passes" in capsys.readouterr().err
 
+    # each search refines coarse to fine; run in-process after earlier
+    # calls, these also show that no kernel or offset memo moves a value
+    @pytest.mark.parametrize("argv,value", [
+        # the neighbourhoods' score bound is scaled to the range [-999, 999]
+        (["--order", "lexi-high", "--m", "5", "--s-min=-999", "--s-max", "999",
+          "--sample=-499.5,0,499.5", "--alpha", "0.05"], -965.003310381356),
+        # pointwise terms are not up-closed: the first scan skips boxes by
+        # their score floors alone
+        (["--order", "pointwise", "--m", "5", "--sample", "0.25,0.5,0.75", "--alpha", "0.05"],
+         0.2763506355932203),
+        # radius-1 and radius-2 neighbourhoods, on 7 and 6 atoms
+        (["--order", "lexi-high", "--m", "7", "--sample", "0.5,1", "--alpha", "0.25"],
+         0.4330240885416667),
+        (["--order", "lexi-high", "--m", "6", "--sample", "0.2,0.8", "--alpha", "0.05"],
+         0.025390625),
+    ], ids=["wide-grid", "pointwise", "radius-1", "radius-2"])
+    def test_coarse_to_fine_values_are_pinned(self, capsys, argv, value):
+        code, payload = _run_json(capsys, "oracle", *argv)
+        assert code == 0
+        assert payload["mode"] == "coarse-to-fine" and payload["value"] == value
+
+    def test_first_scan_rescue_value_is_pinned(self, capsys):
+        # no row of the first scan is feasible: the search refines from the
+        # most probable one, and reports the kernel's probability at its witness
+        code, payload = _run_json(capsys, "oracle", "--order", "pointwise", "--m", "5",
+                                  "--sample", "0.25,0.75", "--alpha", "0.4999", "--full-support")
+        assert code == 0
+        assert payload["value"] == 0.4964909957627119
+        assert payload["constraint_prob"] >= 0.4999
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_sample_fails(self, capsys, value):
         code = main(["oracle", "--order", "lexi-low", "--m", "2",
@@ -206,6 +239,16 @@ class TestCoverage:
         assert code == 0
         assert payload["mode"] == "MONTE_CARLO"
         assert payload["trials"] == 500 and payload["seed"] == 9
+
+    def test_mc_coverage_is_pinned(self, capsys):
+        # a million trials are tallied in 123 chunks of 8,192 rows, each from
+        # the runs of its own lexsort
+        code, payload = _run_json(
+            capsys, "coverage", "--mc", "--m", "3", "--n", "3", "--dist", "[0.2,0.3,0.5]",
+            "--trials", "1000000", "--seed", "7", "--alpha", "0.5",
+        )
+        assert code == 0
+        assert payload["coverage"] == 0.649951
 
     def test_nan_mass_fails(self, capsys):
         code = main(["coverage", "--exact", "--m", "2", "--n", "2",
@@ -319,6 +362,24 @@ def test_bound_csv_format(capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert float(rows[0]["value"]) == pytest.approx(0.5)
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    # the reader's end is closed before the child writes, so its first
+    # flush meets a broken pipe every time, not only when `| head` wins a race
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orderbound.cli", "bound", "--method", "lexi-low",
+             "--m", "2", "--i", "1", "--n", "2", "--alpha", "0.25"],
+            stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def _readme_block(heading: str, fence: str) -> str:

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,14 +245,13 @@ class TestWitness:
             assert restrict_to(res.witness.mass, res.support_used)
             assert abs(float(res.witness.mass.sum()) - 1.0) < 1e-12
 
-    def test_constraint_prob_is_the_kernel_value_the_search_tested(self):
-        # on the criterion-4 sweep: the kernel's value at the witness's row,
-        # so it reaches alpha by construction, and within 4 ulps of the
-        # same probability summed over the whole sample space
-        # one search per support and upper set: they fix the result
-        calls, seen = 0, set()
+    @staticmethod
+    def _criterion_4_searches():
+        """One search per support, Quantile upper set and alpha of the
+        criterion-4 sweep (they fix the result): the call, its upper set and
+        atoms, the result, and the witness's counts on N final steps."""
+        seen = set()
         for x, i, alpha in criterion_4_calls():
-            calls += 1
             U = upper_set(x, Quantile(i), enumerate_omega(x.grid, x.n))
             atoms = refined_support(x, Quantile(i)).indices
             if (atoms, U.mask.tobytes(), alpha) in seen:
@@ -261,12 +261,43 @@ class TestWitness:
             N = round(1 / res.final_step)
             counts = np.rint(res.witness.mass[list(atoms)] * N).astype(np.int64)
             assert counts.sum() == N
+            yield x, i, alpha, U, atoms, res, N, counts
+        assert len(seen) == 88  # of 840 calls
+
+    def test_constraint_prob_is_the_kernel_value_the_search_tested(self):
+        # on the criterion-4 sweep: the kernel's value at the witness's row,
+        # so it reaches alpha by construction, and within 4 ulps of the
+        # same probability summed over the whole sample space
+        for x, i, alpha, U, atoms, res, N, counts in self._criterion_4_searches():
             coefs, expts = oracle._member_terms(U, atoms)
             assert res.constraint_prob >= alpha
             assert res.constraint_prob == kernels.eval_probs(counts[None], N, coefs, expts)[0]
             whole = prob_upper_set(res.witness, U)
             assert abs(res.constraint_prob - whole) <= 4 * np.spacing(whole), (x.idx, i, alpha)
-        assert (calls, len(seen)) == (840, 88)
+
+    def test_witness_probability_in_exact_arithmetic(self):
+        # the witness's probability over integers, sum of n! / prod(e!) *
+        # prod(c ** e) over the member terms, against alpha's binary value
+        # times N ** n: every witness but four reaches alpha exactly; those
+        # four hit the decimal 0.05 exactly, 400 of 8,000 steps on x_(1),
+        # and so fall short of the double 0.05 by less than one ulp
+        short = []
+        for x, i, alpha, U, atoms, res, N, counts in self._criterion_4_searches():
+            _, expts = oracle._member_terms(U, atoms)
+            total = sum(
+                math.factorial(x.n) // math.prod(map(math.factorial, row))
+                * math.prod(c**e for c, e in zip(counts.tolist(), row))
+                for row in expts.tolist())
+            slack = Fraction(total, N**x.n) - Fraction(alpha)
+            if slack < 0:
+                assert -slack < math.ulp(alpha), (x.idx, i, alpha)
+                short.append((x.idx, i, alpha, counts.tolist(), N, Fraction(total, N**x.n)))
+        assert short == [
+            ((1,), 1, 0.05, [7600, 400, 0], 8000, Fraction(1, 20)),
+            ((2,), 1, 0.05, [7600, 400, 0], 8000, Fraction(1, 20)),
+            ((3,), 1, 0.05, [7600, 400, 0], 8000, Fraction(1, 20)),
+            ((4,), 1, 0.05, [7600, 400], 8000, Fraction(1, 20)),
+        ]
 
     def test_deterministic(self, unit5):
         x = homogeneous_sample(unit5, 2, 2)
