@@ -40,7 +40,7 @@ def _checked_masses(mass, m: int, ndim: int = 1) -> np.ndarray:
     off = np.flatnonzero(np.abs(sums - 1.0) > MASS_SUM_TOL)
     if off.size:
         raise ValueError(
-            f"mass must sum to 1 within {MASS_SUM_TOL}, got {sums.flat[off[0]]!r}"
+            f"mass must sum to 1 within {MASS_SUM_TOL}, got {float(sums.flat[off[0]])!r}"
         )
     return arr
 

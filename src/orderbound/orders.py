@@ -387,7 +387,10 @@ def order_from_string(text: str, *, pointwise_base: Sample | None = None) -> Pre
     if text == "lexi-high":
         return LexiHigh()
     if text.startswith("quantile:"):
-        return Quantile(int(text.split(":", 1)[1]))
+        try:
+            return Quantile(int(text.split(":", 1)[1]))
+        except ValueError:
+            pass  # not an integer index: refused below like any unknown selector
     if text == "pointwise":
         if pointwise_base is None:
             raise ValueError("pointwise order needs a base sample")

@@ -4,6 +4,17 @@ import pytest
 from scipy.special import betaincinv
 
 from orderbound import SupportGrid, enumerate_omega
+from orderbound.quantile import _certified_cell
+
+
+@pytest.fixture(autouse=True)
+def _cold_quantile_cells():
+    """Every test starts and ends with an empty quantile-cell memo, so a
+    test that patches betaincinv or tail_prob never reads a cell certified
+    without the patch, and no cell it certified with one outlives it."""
+    _certified_cell.cache_clear()
+    yield
+    _certified_cell.cache_clear()
 
 
 @pytest.fixture

@@ -131,6 +131,14 @@ class TestOracle:
         assert payload["order"] == "quantile:1"
         assert payload["support_used"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("selector", ["quantile:1.5", "quantile:"])
+    def test_quantile_selector_needs_an_integer_index(self, capsys, selector):
+        # these used to print int()'s "invalid literal for int() with base 10"
+        code = main(["oracle", "--order", selector, "--m", "3", "--sample", "0.5,1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: unknown order selector {selector!r}\n"
+
     def test_off_grid_sample_fails(self, capsys):
         code = main(["oracle", "--order", "lexi-low", "--m", "2",
                      "--sample", "0.37", "--alpha", "0.1"])
@@ -249,6 +257,13 @@ class TestCoverage:
         )
         assert code == 0
         assert payload["coverage"] == 0.649951
+
+    def test_mass_not_summing_to_one_fails(self, capsys):
+        # the sum is printed as a Python float, not as np.float64(1.1)
+        code = main(["coverage", "--mc", "--m", "3", "--n", "2", "--dist", "[0.2,0.3,0.6]"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: mass must sum to 1 within 1e-12, got 1.1\n"
 
     def test_nan_mass_fails(self, capsys):
         code = main(["coverage", "--exact", "--m", "2", "--n", "2",

@@ -529,6 +529,17 @@ def test_wide_grid_results_are_pinned(m, value, mass, step):
     assert res.final_step == float.fromhex(step)
 
 
+@pytest.mark.parametrize("m,value", [(6, 0.13416819852941178), (7, 0.1236572265625)],
+                         ids=["k6", "k7"])
+def test_neighbor_radius_boundary_values_are_pinned(m, value):
+    # k = 6, the last support searched with radius 2, and k = 7, the first
+    # with radius 1: radius 1 at k = 6 would give 0.13419117647058823 and
+    # radius 2 at k = 7 0.12361653645833333
+    res = pessimal_bound_oracle(Sample(SupportGrid(0.0, 1.0, m), (1, m - 1)), LexiHigh(), 0.05)
+    assert res.mode == "coarse-to-fine"
+    assert res.value == value
+
+
 # Dense calls (k <= 3 support atoms) at the default resolution, step 1/8000
 # after the refinement passes: (grid size m, sample, order, alpha,
 # value.hex(), witness.mass.tobytes().hex()).
@@ -674,7 +685,8 @@ class TestSearchInternals:
         # --s-max 999) and an integer grid whose row scores tie exactly;
         # the limit is a row's own score, so that row must stay. A limit of
         # +inf drops no pair, so the whole neighbourhood is the same for
-        # every grid and is built once per k
+        # every grid and is built, and its rows indexed, once per k
+        weights = np.random.default_rng(5).integers(-(1 << 62), 1 << 62, size=10)
         for k in range(1, 11):
             centers = _spread_centres(n_cur, k)
             offs = _zero_sum_offsets(k, _neighbor_radius(k))
@@ -684,19 +696,21 @@ class TestSearchInternals:
                 offset_scores = kernels.scaled_scores(offs, values)
                 if full is None:
                     full = _neighborhood(centers, k, values, offset_scores, math.inf)
+                    # a wrapping int64 hash of each row, sorted
+                    hashes = full.astype(np.int64) @ weights[:k]
+                    by_hash = np.argsort(hashes)
+                    hashes = hashes[by_hash]
                 scores = kernels.scaled_scores(full, values)
                 limit = float(np.sort(scores)[scores.size // 4])
                 got = _neighborhood(centers, k, values, offset_scores, limit)
-                # full's rows that got repeats: a stable lexsort of both puts
-                # each such row right after its copy in full
-                both = np.concatenate([full, got])
-                order = np.lexsort(both.T[::-1])
-                ranked = both[order]
-                same = (ranked[1:] == ranked[:-1]).all(axis=1)
-                kept = np.zeros(both.shape[0], dtype=bool)
-                kept[order[:-1][same]] = True
-                kept = kept[:full.shape[0]]
-                assert np.array_equal(got, full[kept]), k  # within full, distinct, in order
+                # the row of full with each got row's hash; comparing the
+                # rows themselves makes the membership exact
+                at = np.searchsorted(hashes, got.astype(np.int64) @ weights[:k])
+                match = by_hash[np.minimum(at, full.shape[0] - 1)]
+                assert np.array_equal(full[match], got), k  # every got row is in full
+                kept = np.zeros(full.shape[0], dtype=bool)
+                kept[match] = True
+                assert np.array_equal(got, full[kept]), k  # distinct, in order
                 assert (kernels.scaled_scores(full[~kept], values) > limit).all(), k
                 assert (kernels.scaled_scores(got, values) == limit).any(), k
                 if k > 1:

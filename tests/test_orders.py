@@ -425,5 +425,6 @@ def test_order_from_string(unit2):
     assert order_from_string("pointwise", pointwise_base=base) == Pointwise(base)
     with pytest.raises(ValueError):
         order_from_string("pointwise")
-    with pytest.raises(ValueError):
-        order_from_string("median")
+    for text in ("median", "quantile:1.5", "quantile:"):
+        with pytest.raises(ValueError, match=f"^unknown order selector {text!r}$"):
+            order_from_string(text)

@@ -20,7 +20,7 @@ from orderbound import (
     quantile_bound,
     tail_prob,
 )
-from orderbound.quantile import QuantileBoundResult
+from orderbound.quantile import QuantileBoundResult, _certified_cell
 
 from conftest import binom_tail_by_summation, criterion_4_calls, exact_quantile_bound
 
@@ -373,9 +373,75 @@ class TestCertificationWalk:
         assert (res.delta, res.iterations) == (1.0, 0)
 
     def test_underflowing_delta_raises(self):
+        # both epsilons share the cell searched for p_star's sake (t = 1)
         x = homogeneous_sample(SupportGrid(0.0, 4.0, 5), 4, 2)
-        with pytest.raises(ValueError, match="too small"):
-            quantile_bound(x, 1, 0.25, 5e-324)
+        for eps in (5e-324, 1e-323):
+            with pytest.raises(ValueError, match=f"^epsilon {eps!r} is too small"):
+                quantile_bound(x, 1, 0.25, eps)
+
+
+class TestCellMemo:
+    def test_warm_memo_matches_cold_and_the_bisection(self, monkeypatch, unit5):
+        real = orderbound.quantile.tail_prob
+        tails = []
+        monkeypatch.setattr(orderbound.quantile, "tail_prob",
+                            lambda i, n, p: tails.append(p) or real(i, n, p))
+        for x, i, alpha in _walk_cases(unit5):
+            for eps in SWEEP_EPSILONS:
+                ref = _bisect_reference(x, i, alpha, eps)
+                _certified_cell.cache_clear()
+                cold = quantile_bound(x, i, alpha, eps)
+                tails.clear()
+                warm = quantile_bound(x, i, alpha, eps)
+                assert tails == []  # the warm call evaluates no tail
+                assert _certified_cell.cache_info()[:2] == (1, 1)  # (hits, misses)
+                assert _same(cold, ref) and _same(warm, ref), (x.idx, i, alpha, eps)
+
+    def test_each_grid_depth_gets_its_own_cell(self, unit5):
+        # at epsilon 1e-4 the order statistics 1.0, 0.75, 0.5 and 0.25 need
+        # t = 14, 13, 13 and 12: equal (n, i, alpha), three cells, and the
+        # two samples at t = 13 share one
+        results = []
+        for j in (4, 3, 2, 1):
+            x = homogeneous_sample(unit5, j, 3)
+            res = quantile_bound(x, 2, 0.25, 1e-4)
+            assert _same(res, _bisect_reference(x, 2, 0.25, 1e-4)), j
+            results.append(res)
+        assert [r.iterations for r in results] == [14, 13, 13, 12]
+        assert results[0].p_hat != results[-1].p_hat  # so t = 12 cannot read t = 14's cell
+        info = _certified_cell.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
+
+    def test_too_fine_names_the_callers_epsilon(self, unit5):
+        # both epsilons ask for the same too-fine cell (t = 60), twice each;
+        # the refusal is not kept, and each message names the epsilon asked for
+        x = homogeneous_sample(unit5, 3, 2)
+        for eps in (1e-18, 1.1e-18) * 2:
+            with pytest.raises(ValueError, match=f"^epsilon {eps!r} is too small"):
+                quantile_bound(x, 1, 0.25, eps)
+        assert _certified_cell.cache_info().currsize == 0
+
+    def test_failed_search_is_not_kept(self, monkeypatch, unit5):
+        x = homogeneous_sample(unit5, 3, 3)
+        with monkeypatch.context() as m:
+            m.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: math.nan)
+            with pytest.raises(FloatingPointError, match="betaincinv"):
+                quantile_bound(x, 2, 0.25, 1e-4)
+        assert _certified_cell.cache_info().currsize == 0
+        assert _same(quantile_bound(x, 2, 0.25, 1e-4), _bisect_reference(x, 2, 0.25, 1e-4))
+
+    def test_memo_is_bounded(self):
+        maxsize = _certified_cell.cache_info().maxsize
+        assert maxsize == 4096
+        for n in range(1, maxsize + 11):
+            _certified_cell(1, n, 0.0, 1)
+        assert _certified_cell.cache_info().currsize == maxsize
+        # the least recently used cells went first
+        hits = _certified_cell.cache_info().hits
+        _certified_cell(1, maxsize + 10, 0.0, 1)
+        assert _certified_cell.cache_info().hits == hits + 1
+        _certified_cell(1, 1, 0.0, 1)
+        assert _certified_cell.cache_info().hits == hits + 1
 
 
 _FIRST_USE = """
@@ -393,6 +459,8 @@ import scipy.special
 assert quantile.betainc is scipy.special.betainc
 assert quantile.betaincinv is patched
 quantile.betaincinv = placeholder
+# a memo hit would never call betaincinv: search the cell again
+quantile._certified_cell.cache_clear()
 again = orderbound.quantile_bound(x, 2, 0.05, 1e-4)
 assert quantile.betaincinv is scipy.special.betaincinv
 assert again == first
