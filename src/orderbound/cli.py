@@ -52,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--i", type=int, required=True,
                    help="support index for closed forms; order-statistic index for quantile")
     b.add_argument("--n", type=int, default=1, help="sample size (closed forms)")
-    b.add_argument("--sample", help="sample values, 'a,b,c' or JSON array (quantile)")
+    b.add_argument("--sample", help="sample values, 'a,b,c' or JSON array (quantile);"
+                   " a sample starting with a negative value is written --sample=-1,0"
+                   " or --sample '[-1, 0]'")
     b.add_argument("--epsilon", type=float, default=1e-4, help="quantile search accuracy")
     b.set_defaults(handler=_cmd_bound)
 
@@ -61,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(o)
     o.add_argument("--order", required=True,
                    help="lexi-low | lexi-high | quantile:<i> | pointwise")
-    o.add_argument("--sample", required=True, help="sample values, 'a,b,c' or JSON array")
+    o.add_argument("--sample", required=True,
+                   help="sample values, 'a,b,c' or JSON array; a sample starting with a"
+                   " negative value is written --sample=-1,0 or --sample '[-1, 0]'")
     o.add_argument("--resolution", type=float, default=1e-3)
     o.add_argument("--full-support", action="store_true",
                    help="search the whole grid instead of the refined support")

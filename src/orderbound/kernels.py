@@ -26,8 +26,14 @@ Both bounds hold for any subset of a box's rows, so a scan may cut a box
 at a block edge and send only the live boxes to the kernel. Neither
 depends on alpha, and a search repeated at another alpha asks for the same
 ones, so the eight most recent of each are kept, read-only: the floors per
-(N, k, ``BOX_ROWS``, values' bytes), the ceilings per (N, k, ``BOX_ROWS``,
-``Terms.key``), one float per box each.
+(N, k, box size, values' bytes), the ceilings per (N, k, ``BOX_ROWS``,
+``Terms.key``), one float per box each. Once a scan's beam has a cut,
+``composition_cut_ceilings`` bounds, for the boxes it names, the
+probabilities of only the rows that score at most the cut: in tail
+coordinates the cut caps every tail, and the capped top-greedy point
+dominates those rows. The first scan applies it to ``SUB_BOX_ROWS`` = 64
+row sub-boxes, whose floors are kept like the boxes', and whose points
+sit in the same box-table memo, which holds both box sizes.
 
 The probability is one fixed polynomial per search, given as multinomial
 coefficients and exponent rows. ``Terms`` is everything the kernel and the
@@ -59,8 +65,15 @@ BLOCK_ROWS = 1 << 13
 #: Rows per box of a simplex, the granularity of ``composition_floors`` and
 #: ``composition_ceilings``: box b is rows [b * BOX_ROWS, (b + 1) * BOX_ROWS)
 #: of the simplex, whatever ``BLOCK_ROWS`` is. Of 256, 512 and 1,024, 512
-#: made coarse-to-fine calls fastest.
+#: made coarse-to-fine calls fastest with boxes alone; with the first scan's
+#: split into ``SUB_BOX_ROWS`` sub-boxes, the three ran within 1% of each
+#: other on coarse-to-fine calls and on ``verify all`` (2-core x86), and
+#: 512 stays.
 BOX_ROWS = 1 << 9
+#: Rows per sub-box, the granularity the first scan re-bounds its live boxes
+#: to once its beam is full: sub-box s is rows [s * SUB_BOX_ROWS, (s + 1) *
+#: SUB_BOX_ROWS) of the simplex, and ``BOX_ROWS`` is a multiple of it.
+SUB_BOX_ROWS = 1 << 6
 
 
 @dataclass(frozen=True)
@@ -224,8 +237,9 @@ def iter_composition_blocks(N: int, k: int) -> Iterator[np.ndarray]:
         yield simplex[start:start + BLOCK_ROWS]
 
 
-def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
-    """For each box of ``BOX_ROWS`` rows of the simplex
+def composition_floors(N: int, k: int, values: np.ndarray,
+                       rows: int | None = None) -> np.ndarray:
+    """For each box of ``rows`` rows (``BOX_ROWS`` when None) of the simplex
     ``iter_composition_blocks(N, k)`` yields, a float no larger than the
     ``scaled_scores(rows, values)`` entry of any of its rows. The values,
     the atoms' points, strictly increase; ValueError otherwise.
@@ -240,9 +254,9 @@ def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
     greedy score less 2 g, about k * eps * N * max|v|; the margin
     subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
     of the subtraction with room to spare. Read-only, and kept for the
-    next call with the same (N, k, ``BOX_ROWS``) and float64 values.
+    next call with the same (N, k, box size) and float64 values.
     """
-    return _floors(N, k, BOX_ROWS, np.asarray(values, dtype=np.float64).tobytes())
+    return _floors(N, k, rows or BOX_ROWS, np.asarray(values, dtype=np.float64).tobytes())
 
 
 @functools.lru_cache(maxsize=8)
@@ -298,14 +312,73 @@ def _ceilings(N: int, k: int, rows: int, terms: Terms) -> np.ndarray:
     return ceilings
 
 
-@functools.lru_cache(maxsize=4)
+def composition_cut_ceilings(N: int, k: int, terms: Terms, values: np.ndarray, cut,
+                             rows: int, boxes: np.ndarray) -> np.ndarray:
+    """For each box ``boxes`` names, of the ``rows``-row boxes of the simplex
+    ``iter_composition_blocks(N, k)`` yields, a float no smaller than the
+    ``eval_probs`` entry of any of the box's rows whose computed
+    ``scaled_scores`` is at most ``cut``, provided ``terms.up_closed`` and
+    the values, the atoms' points, strictly increase. ``cut``, one for all
+    boxes or one per box, is +inf or the computed score of a composition
+    of N. At cut = +inf the box's point is its top-greedy one, so with
+    ``rows = BOX_ROWS`` this is ``composition_ceilings`` bit for bit.
+
+    In tail coordinates, T_j = c[j:].sum() for j = 1..k-1 and steps d_j =
+    v_j - v_{j-1} > 0, a row's exact score is N v_0 + sum_j T_j d_j, and
+    a composition whose tails are all at least c's has at least c's
+    exact probability (see ``composition_ceilings``). A row c of a box
+    has tails T_i >= Tlo_i, those of the box's bottom-greedy point, and
+    T_j <= Thi_j, those of its top-greedy point. If its computed score is
+    at most cut, its exact score is at most cut + g N M (the error of a
+    k-term score, g = k u / (1 - k u), u = eps / 2, M = max|v|), so
+
+        T_j d_j <= cut + g N M - N v_0 - sum_{i != j} Tlo_i d_i.
+
+    The budget computed, cut + margin - N v_0 - sum_i Tlo_i d_i + Tlo_j
+    d_j with the d_i rounded once, the products and the sum of magnitude at
+    most 2 N M, cut at most about N M and the intermediate sums at most
+    6 N M, is within about (2k + 14) u N M of its exact value. The margin,
+    the floors' ``8 * k * eps * N * M`` = 16 k u N M, covers that and g N
+    M for k >= 2 (at k = 1 there are no tails), so the budget is at least
+    the right-hand side. Its quotient by the rounded d_j, rounded once, is
+    then at least T_j (1 - 2u) > T_j - 1 for T_j <= N < 2**52, so B_j =
+    floor(quotient) + 1 >= T_j: the + 1 covers the division's rounding.
+    Tails do not rise with j, so T_j <= B_i for every i <= j, and the
+    point whose tails are min(Thi_j, min_{i <= j} B_i), clamped at 0,
+    which do not rise either, is a composition of N whose tails are all
+    at least c's. Its computed probability times ``terms.ceiling_factor``
+    is at least c's computed one, as in ``composition_ceilings``. One
+    kernel call over the boxes' points; nothing is kept, as the cut
+    changes from call to call.
+    """
+    bottom, top = _box_points(N, k, rows)
+    values = np.asarray(values, dtype=np.float64)
+    steps = values[1:] - values[:-1]
+    low = _tails(bottom[boxes]) * steps
+    margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
+    base = np.asarray(cut, dtype=np.float64) + margin - N * values[0] - low.sum(axis=1)
+    budget = np.floor((base[..., None] + low) / steps) + 1
+    tails = np.minimum(_tails(top[boxes]), np.minimum.accumulate(budget, axis=1))
+    point = -np.diff(np.maximum(tails, 0), axis=1, prepend=N, append=0)
+    probs = eval_probs(point.astype(np.int64), N, terms.coefs, terms.expts)
+    return probs * terms.ceiling_factor
+
+
+def _tails(points: np.ndarray) -> np.ndarray:
+    """Float64 (B, k - 1) tails of int (B, k) points: column j - 1 is
+    points[:, j:].sum(axis=1), for j = 1..k-1."""
+    return np.cumsum(points[:, :0:-1], axis=1)[:, ::-1].astype(np.float64)
+
+
+@functools.lru_cache(maxsize=8)
 def _box_points(N: int, k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The bottom-greedy and top-greedy points, int64 (boxes, k) and
     read-only, of the ``rows``-row boxes of ``_simplex(N, k)``, the last
     box possibly shorter: the box's column minima lo plus the N - sum(lo)
     left filled into the atoms lowest first (bottom) or highest first
     (top), each up to the box's column range hi - lo. Keyed on the box
-    size, which the callers read from ``BOX_ROWS``."""
+    size, ``BOX_ROWS`` or ``SUB_BOX_ROWS``: the eight most recent, both
+    sizes for each of the four simplices ``_simplex`` keeps."""
     simplex = _simplex(N, k)
     starts = np.arange(0, simplex.shape[0], rows)
     lo = np.minimum.reduceat(simplex, starts, axis=0).astype(np.int64)

@@ -21,10 +21,15 @@ atom up (the lexicographic and quantile orders; the pointwise one only
 at the all-top sample), the probability only rises as mass moves up, so
 the first scan also skips each box whose probability ceiling, its
 top-greedy point's probability times a stated rounding factor, is below
-alpha: no row in it is feasible. The beam's rows are the next stage's
-centres. Only when a stage ends with no feasible row, which never happens
-under such members, does a second pass over that stage's rows find the
-most probable one to stand in for them. A refinement neighbourhood pairs
+alpha: no row in it is feasible. Under such members, once the beam is
+full the first scan splits the live boxes it has not reached into 64-row
+sub-boxes, unless their rows fit in one batch, and keeps a sub-box only
+while its own floor is at most the beam's cut and its cut-limited
+ceiling reaches alpha: the probability bound, from one dominating point,
+of the sub-box's rows that score at most the cut. The beam's rows are
+the next stage's centres. Only when a stage ends with no feasible row,
+which never happens under such members, does a second pass over that
+stage's rows find the most probable one to stand in for them. A refinement neighbourhood pairs
 each centre only with the offsets that keep it non-negative, read from a byte-bounded
 memo keyed by the centre's entries clipped to the radius. Doubled, a
 full beam's rows keep their probabilities and twice their scores, so the
@@ -275,7 +280,8 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
     box's rows: ``kernels.composition_floors`` for a simplex, +inf for a
     box that holds no feasible row. A box is live while its floor is at
     most the reducer's cut; a block with no live box is skipped by one
-    float compare on its least floor.
+    float compare on its least floor, and the runs of live boxes in a
+    block are found by one compare over its floors.
     The live boxes' rows join a pending batch, which is scored and, unless
     every score lies above the cut, run through the kernel and the
     reducer, once it holds ``BLOCK_ROWS`` rows, and after every block
@@ -284,19 +290,28 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
     does not depend on order or partition, and a cut that has not yet seen
     the pending rows is only looser.
 
+    When the terms are up-closed and the beam has just filled, the live
+    boxes not yet visited are re-bounded once, unless their rows fit in
+    one batch: each is split into ``kernels.SUB_BOX_ROWS``-row sub-boxes,
+    and a sub-box stays live only while its own floor is at most the cut
+    and its ``kernels.composition_cut_ceilings`` at this cut, the
+    probability bound of its rows that score at most the cut, reaches
+    alpha. The cut only falls, so a row it prunes could never enter the
+    beam.
+
     Without floors every box is live and each block is scored in turn.
     """
     red = _Reducer(alpha, BEAM_WIDTH)
     blocks = list(blocks)
     box = kernels.BOX_ROWS
     if floors is not None:
-        # block i holds boxes starts[i] // box to hi[i] - 1, whose least
-        # floor is least[i]; block i + 1 may start in block i's last box
         sizes = np.array([rows.shape[0] for rows in blocks], dtype=np.int64)
         ends = np.cumsum(sizes)
-        starts, hi = ends - sizes, -(-ends // box)
-        least = np.minimum(np.minimum.reduceat(floors, starts // box), floors[hi - 1]).tolist()
-        starts, hi = starts.tolist(), hi.tolist()
+        starts = ends - sizes
+        least = _least_floors(floors, box, starts, ends)
+        first_rows = starts.tolist()
+    terms = None if floors is None else kernels.Terms.of(coefs, expts)
+    rebound = terms is not None and terms.up_closed
     batch, held = [], 0
     for i in range(len(blocks) - 1, -1, -1):
         rows, cut = blocks[i], red.cut
@@ -305,23 +320,71 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
         elif least[i] > cut:
             continue
         else:
-            # one slice per run [a, z) of consecutive live boxes
-            start, runs = starts[i], []
-            for b, floor in enumerate(floors[start // box:hi[i]].tolist(), start // box):
-                if floor <= cut:
-                    if runs and runs[-1][1] == b:
-                        runs[-1][1] = b + 1
-                    else:
-                        runs.append([b, b + 1])
-            parts = [rows[max(a * box - start, 0):z * box - start] for a, z in runs]
+            parts = _live_parts(rows, first_rows[i], floors, box, cut)
         batch += parts
         held += sum(part.shape[0] for part in parts)
         if held >= kernels.BLOCK_ROWS or not red.full:
             _reduce_batch(red, batch, N, coefs, expts, values)
             batch, held = [], 0
+            if rebound and red.full:
+                rebound = False
+                fine = _cut_floors(floors, N, terms, values, alpha, red.cut, first_rows[i])
+                if fine is not None:
+                    floors, box = fine, kernels.SUB_BOX_ROWS
+                    least = _least_floors(floors, box, starts, ends)
     if batch:
         _reduce_batch(red, batch, N, coefs, expts, values)
     return red
+
+
+def _least_floors(floors, box, starts, ends) -> list[float]:
+    """Per block [starts[i], ends[i]) of the simplex's rows, the least floor
+    of the ``box``-row boxes it touches; block i + 1 may start in block i's
+    last box."""
+    hi = -(-ends // box)
+    return np.minimum(np.minimum.reduceat(floors, starts // box), floors[hi - 1]).tolist()
+
+
+def _live_parts(rows, start, floors, box, cut) -> list[np.ndarray]:
+    """The slices of ``rows``, simplex rows from ``start`` on, that the runs
+    of consecutive ``box``-row boxes with floors at most ``cut`` cover. One
+    compare over the block's floors gives the live mask; each run is found
+    by two byte searches in it, with no Python step per box."""
+    first = start // box
+    live = (floors[first:-(-(start + rows.shape[0]) // box)] <= cut).tobytes()
+    parts, z = [], 0
+    while (a := live.find(1, z)) >= 0:
+        z = live.find(0, a)
+        if z < 0:
+            z = len(live)
+        parts.append(rows[max((first + a) * box - start, 0):(first + z) * box - start])
+    return parts
+
+
+def _cut_floors(floors, N, terms, values, alpha, cut, end) -> np.ndarray | None:
+    """One floor per ``kernels.SUB_BOX_ROWS``-row sub-box of the simplex,
+    for a scan whose rows from ``end`` on are visited and whose beam's cut
+    is ``cut``, or None when the live boxes (``floors`` at most ``cut``)
+    left, counted whole, fit in one ``kernels.BLOCK_ROWS`` batch. A sub-box
+    starting below ``end`` in a live box keeps its own floor
+    (``kernels.composition_floors``) while that is at most the cut and its
+    cut-limited ceiling (``kernels.composition_cut_ceilings``, one kernel
+    call over every such sub-box) reaches alpha; every other sub-box gets
+    +inf."""
+    box, sub = kernels.BOX_ROWS, kernels.SUB_BOX_ROWS
+    live = floors[:-(-end // box)] <= cut
+    if np.count_nonzero(live) * box <= kernels.BLOCK_ROWS:
+        return None
+    k = values.shape[0]
+    subs = (np.flatnonzero(live)[:, None] * (box // sub) + np.arange(box // sub)).ravel()
+    subs = subs[subs * sub < end]
+    sub_floors = kernels.composition_floors(N, k, values, sub)
+    subs = subs[sub_floors[subs] <= cut]
+    ceilings = kernels.composition_cut_ceilings(N, k, terms, values, cut, sub, subs)
+    subs = subs[ceilings >= alpha]
+    fine = np.full(sub_floors.shape, math.inf)
+    fine[subs] = sub_floors[subs]
+    return fine
 
 
 def _reduce_batch(red: _Reducer, batch, N, coefs, expts, values) -> None:
@@ -516,7 +579,8 @@ def _minimize(values: np.ndarray, coefs: np.ndarray, expts: np.ndarray,
 
     The first scan skips the simplex boxes whose score floor is above the
     beam's cut and, when the terms are up-closed, those whose probability
-    ceiling is below alpha, folded into the floors as +inf. A stage that
+    ceiling is below alpha, folded into the floors as +inf; once its beam
+    is full it re-bounds the live boxes left (``_scan_blocks``). A stage that
     ends with an empty beam hands on the most probable of its rows, from a
     second pass over them. Up-closed terms never need it: they include the
     all-top-atom member, so at the all-top-atom row that term, coefficient

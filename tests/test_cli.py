@@ -219,6 +219,31 @@ class TestOracle:
         assert payload["value"] == 0.4964909957627119
         assert payload["constraint_prob"] >= 0.4999
 
+    @pytest.mark.parametrize("sample", [["--sample=-1,0"], ["--sample", "[-1, 0]"]],
+                             ids=["equals", "json"])
+    def test_negative_sample_forms(self, capsys, sample):
+        # the two forms --sample's help gives for a sample that starts with
+        # a negative value
+        code, payload = _run_json(capsys, "oracle", "--order", "lexi-low", "--m", "3",
+                                  "--s-min=-1", "--s-max", "1", *sample, "--alpha", "0.25")
+        assert code == 0
+        assert payload["sample"] == [-1.0, 0.0]
+        assert payload["mode"] == "dense" and payload["value"] == -0.866
+
+    def test_negative_sample_after_a_space_is_an_option(self, capsys):
+        # argparse takes "-1,0" for an option, so --sample gets no value
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--order", "lexi-low", "--m", "3", "--s-min=-1", "--s-max", "1",
+                  "--sample", "-1,0", "--alpha", "0.25"])
+        assert exc.value.code == 2
+        assert "argument --sample: expected one argument" in capsys.readouterr().err
+        for command in ("oracle", "bound"):
+            parser = cli.build_parser()._subparsers._group_actions[0].choices[command]
+            (help_text,) = [a.help for a in parser._actions if "--sample" in a.option_strings]
+            assert help_text.endswith(
+                "a sample starting with a negative value is written --sample=-1,0"
+                " or --sample '[-1, 0]'"), command
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_sample_fails(self, capsys, value):
         code = main(["oracle", "--order", "lexi-low", "--m", "2",

@@ -471,6 +471,75 @@ class TestCompositionCeilings:
         assert not _up_closed_isin(np.zeros((0, 3), dtype=np.int64))
 
 
+def _up_closed_term_sets():
+    """The distinct member terms, on the five atoms of the five-point grid,
+    of every built-in up-closed order (LexiHigh, LexiLow and each
+    Quantile(i)) at every sample of size n <= 3."""
+    from orderbound import LexiHigh, LexiLow, Quantile, SupportGrid
+    from orderbound.oracle import _member_terms
+    from orderbound.orders import enumerate_omega, upper_set
+
+    grid = SupportGrid(0.0, 1.0, 5)
+    found = {}
+    for n in (1, 2, 3):
+        omega = enumerate_omega(grid, n)
+        for x in omega:
+            for order in [LexiHigh(), LexiLow()] + [Quantile(i) for i in range(1, n + 1)]:
+                U = upper_set(x, order, omega)
+                terms = kernels.Terms.of(*_member_terms(U, tuple(range(5))))
+                found.setdefault(terms.key, terms)
+    return list(found.values())
+
+
+class TestCompositionCutCeilings:
+    def test_cut_ceiling_is_at_least_every_row_under_the_cut(self):
+        # N = 12 on five atoms: 1,820 rows in 29 sub-boxes. Cuts: +inf,
+        # where the ceiling is composition_ceilings' one; the final cut of a
+        # scan at alpha 0.25, the 24th feasible score; and per box the
+        # score of its median row, a tie. The atoms: five-point grids on
+        # [0, 1], [-1.5, 2], [1000, 1001], where N v_0 cancels, and [2**50,
+        # 2**50 + 1], where a score rounds by several steps, so there the
+        # margin, not the + 1, keeps the bound; and five atoms of the
+        # nine-point unit grid with falling and with rising steps, as on a
+        # refined support, where a later budget can exceed an earlier one
+        N, k, size = 12, 5, kernels.SUB_BOX_ROWS
+        simplex = np.concatenate(list(kernels.iter_composition_blocks(N, k)))
+        box = np.arange(simplex.shape[0]) // size
+        boxes = np.arange(box[-1] + 1)
+        width = np.bincount(box)
+        atom_sets = [np.linspace(lo, hi, k) for lo, hi in
+                     [(0.0, 1.0), (-1.5, 2.0), (1000.0, 1001.0), (2.0 ** 50, 2.0 ** 50 + 1)]]
+        atom_sets += [np.linspace(0.0, 1.0, 9)[list(atoms)]
+                      for atoms in ((0, 4, 6, 7, 8), (0, 1, 2, 4, 8))]
+        term_sets = _up_closed_term_sets()
+        assert len(term_sets) == 97 and all(t.up_closed for t in term_sets)
+        for values in atom_sets:
+            lo = values[0]
+            scores = kernels.scaled_scores(simplex, values)
+            by_box = np.lexsort((scores, box))
+            ties = scores[by_box[np.cumsum(width) - width + width // 2]]
+            tighter = 0
+            for terms in term_sets:
+                probs = kernels.eval_probs(simplex, N, terms.coefs, terms.expts)
+                final = np.sort(scores[probs >= 0.25])[23]
+                top = kernels.composition_cut_ceilings(N, k, terms, values, math.inf,
+                                                       kernels.BOX_ROWS, np.arange(4))
+                assert np.array_equal(top, kernels.composition_ceilings(N, k, terms))
+                top = kernels.composition_cut_ceilings(N, k, terms, values, math.inf, size, boxes)
+                for cut in (math.inf, final, ties):
+                    ceilings = kernels.composition_cut_ceilings(N, k, terms, values, cut, size,
+                                                                boxes)
+                    under = scores <= np.broadcast_to(cut, boxes.shape)[box]
+                    assert (probs[under] <= ceilings[box[under]]).all(), (lo, terms.key)
+                    # every box's point is a composition, also where no row
+                    # scores under the cut
+                    assert (ceilings >= 0).all(), (lo, terms.key)
+                    tighter += int((ceilings < top).sum())
+            # the cut binds: many ceilings fall, except where the margin
+            # spans every step
+            assert (tighter == 0) == (lo == 2.0 ** 50), (lo, tighter)
+
+
 def _up_closed_reference(expts):
     """Non-empty, and every row with a unit on atom j < k - 1 is still a
     row with that unit moved to atom j + 1, by Python sets of tuples."""

@@ -982,9 +982,14 @@ class TestSearchInternals:
     def test_scan_sends_every_row_of_every_live_box(self, monkeypatch, unit5, block_rows,
                                                     idx, order, alpha):
         # the rows scored, the kernel's candidates: every row once without
-        # bounds; with bounds, each box's share of each block whole or not
-        # at all, and every share held back has a floor above the final cut
-        # (the cut only falls) or a ceiling below alpha
+        # bounds; with bounds, each sub-box's share of each block whole or
+        # not at all, and every share held back has a box floor above the
+        # final cut (the cut only falls) or a box ceiling below alpha, or a
+        # sub-box floor above the final cut or a cut-limited ceiling at the
+        # final cut below alpha. The boxes are re-bounded once the beam is
+        # full, unless the live rows left fit in one batch: at (1, 2, 3, 3)
+        # they do in blocks of 8,192 rows and not in blocks of 500; the
+        # pointwise terms are not up-closed and get no ceilings
         x = Sample(unit5, idx)
         order = {"lexi-high": LexiHigh(), "pointwise": Pointwise(x)}.get(order) or Quantile(order)
         atoms = tuple(range(5)) if isinstance(order, LexiHigh) else refined_support(x, order).indices
@@ -997,35 +1002,81 @@ class TestSearchInternals:
         terms = kernels.Terms.of(coefs, expts)
         if terms.up_closed:
             ceilings = kernels.composition_ceilings(N, k, terms)
+        sub = kernels.SUB_BOX_ROWS
+        # kept, so the scan below scores no sub-box point
+        sub_floors = kernels.composition_floors(N, k, values, sub)
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
         blocks = list(kernels.iter_composition_blocks(N, k))
         radix = (N + 1) ** np.arange(k - 1, -1, -1)
         keys = np.concatenate(blocks) @ radix  # increasing: the rows are in lex order
-        scored = []
-        real = kernels.scaled_scores
+        scored, cuts = [], []
+        real, real_cut = kernels.scaled_scores, kernels.composition_cut_ceilings
 
         def spy(counts, values):
             scored.append(np.searchsorted(keys, counts @ radix))
             return real(counts, values)
 
+        def cut_spy(*a):
+            cuts.append(a[4])
+            return real_cut(*a)
+
         monkeypatch.setattr(kernels, "scaled_scores", spy)
+        monkeypatch.setattr(kernels, "composition_cut_ceilings", cut_spy)
         oracle._scan_blocks(blocks, N, coefs, expts, values, alpha)
         assert np.array_equal(np.sort(np.concatenate(scored)), np.arange(keys.size))
         scored.clear()
         live = np.where(ceilings >= alpha, floors, math.inf)
         red = oracle._scan_blocks(blocks, N, coefs, expts, values, alpha, live)
+        assert len(cuts) == (idx == (0, 2, 4) or idx == (1, 2, 3, 3) and block_rows == 500)
+        assert all(cut >= red.cut for cut in cuts)
         got = np.bincount(np.concatenate(scored), minlength=keys.size)
         assert got.max() == 1 and 0 < got.sum() < keys.size
-        # one segment per (block, box) pair
+        # one segment per (block, sub-box) pair
         row = np.arange(keys.size)
         starts = np.cumsum([0] + [b.shape[0] for b in blocks])
-        segment = np.cumsum(np.isin(row, starts) | (row % kernels.BOX_ROWS == 0)) - 1
+        segment = np.cumsum(np.isin(row, starts) | (row % sub == 0)) - 1
         share = np.bincount(segment, got) / np.bincount(segment)
         assert set(share.tolist()) == {0.0, 1.0}
-        held = np.unique(row[share[segment] == 0] // kernels.BOX_ROWS)
-        assert ((floors[held] > red.cut) | (ceilings[held] < alpha)).all()
+        held = np.unique(row[share[segment] == 0] // sub)
+        parent = held * sub // kernels.BOX_ROWS
+        by_box = (floors[parent] > red.cut) | (ceilings[parent] < alpha)
+        by_sub = sub_floors[held] > red.cut
+        if terms.up_closed:
+            by_sub |= real_cut(N, k, terms, values, red.cut, sub, held) < alpha
+        assert (by_box | by_sub).all()
+        # a re-bound holds back sub-boxes of boxes that stay live
+        assert (by_sub & ~by_box).any() == bool(cuts)
 
-    def test_a_box_whose_ceiling_equals_alpha_stays_live(self, monkeypatch, unit5):
+    def test_live_parts_equal_the_per_box_loop(self):
+        # the run-finding against the per-box loop it replaced, on floors
+        # in runs of equal values, for blocks that start inside a box and
+        # end inside or past one, at both box sizes and an odd one
+        def by_box(rows, start, floors, box, cut):
+            runs = []
+            for b, floor in enumerate(floors[start // box:-(-(start + rows.shape[0]) // box)]
+                                      .tolist(), start // box):
+                if floor <= cut:
+                    if runs and runs[-1][1] == b:
+                        runs[-1][1] = b + 1
+                    else:
+                        runs.append([b, b + 1])
+            return [rows[max(a * box - start, 0):z * box - start] for a, z in runs]
+
+        rng = np.random.default_rng(11)
+        simplex = np.arange(6000)[:, None]
+        for box in (kernels.BOX_ROWS, kernels.SUB_BOX_ROWS, 7):
+            floors = np.repeat(rng.random(400), rng.integers(1, 6, 400))
+            for start in (0, 1, box - 1, box, 5 * box + 3):
+                for size in (1, box, 2 * box + 1, 3000):
+                    rows = simplex[start:start + size]
+                    for cut in (-1.0, 0.3, 0.7, 2.0):
+                        got = oracle._live_parts(rows, start, floors, box, cut)
+                        want = by_box(rows, start, floors, box, cut)
+                        assert [p.ravel().tolist() for p in got] == [
+                            p.ravel().tolist() for p in want], (box, start, size, cut)
+                        assert all(np.shares_memory(p, rows) for p in got)
+
+    def test_a_box_whose_ceiling_equals_alpha_stays_live(self, monkeypatch, unit3, unit5):
         # a row is feasible when its probability reaches alpha, so only a
         # ceiling below alpha rules its box out: at alpha equal to a box's
         # ceiling, the first scan gets that box's score floor, not +inf
@@ -1050,14 +1101,45 @@ class TestSearchInternals:
         floors = kernels.composition_floors(N, k, values)
         assert np.array_equal(seen[0], np.where(ceilings >= alpha, floors, math.inf))
         assert np.isfinite(seen[0][ceilings == alpha]).all()
+        monkeypatch.undo()
+        # and so for the sub-boxes' cut-limited ceilings: LexiHigh at (1, 2)
+        # on the m=3 unit grid re-bounds its boxes once the first 7,168
+        # rows fill the beam; with every cut-limited ceiling equal to alpha
+        # the rows sent are those sent with none (+inf), and with every one
+        # an ulp below alpha no row is sent after the re-bound
+        x, alpha = Sample(unit3, (1, 2)), 0.25
+        want = pessimal_bound_oracle(x, LexiHigh(), alpha)
+        sent = {}
+        real_probs = kernels.eval_probs
+
+        def spy(counts, N, coefs, expts):
+            if counts.dtype == np.uint16:
+                sent[ceiling].append(counts.shape[0])
+            return real_probs(counts, N, coefs, expts)
+
+        monkeypatch.setattr(kernels, "eval_probs", spy)
+        for ceiling in (math.inf, alpha, math.nextafter(alpha, 0)):
+            sent[ceiling] = []
+            monkeypatch.setattr(kernels, "composition_cut_ceilings",
+                                lambda *a: sent[ceiling].append("re-bound")
+                                or np.full(len(a[-1]), ceiling))
+            got = pessimal_bound_oracle(x, LexiHigh(), alpha)
+            if ceiling >= alpha:
+                assert got.value.hex() == want.value.hex()
+                assert got.witness.mass.tobytes() == want.witness.mass.tobytes()
+        assert sent[math.inf] == sent[alpha]
+        assert sent[alpha][:2] == [7_168, "re-bound"] and len(sent[alpha]) > 2
+        assert sent[math.nextafter(alpha, 0)] == [7_168, "re-bound"]
 
     def test_first_c2f_scan_sends_only_live_boxes_to_the_kernel(self, monkeypatch, unit5):
         # LexiHigh at (0, 2, 4), alpha 0.25, on the five unit atoms: the
         # first scan of the N = 59 simplex, 595,665 uint8 rows in 73 blocks,
-        # sends its live 512-row boxes to the kernel in a few full batches
-        # (39 calls over 319,488 rows when whole blocks were skipped or
-        # sent); the refinement slices and the ceilings' top points are
-        # int64, and the value is unchanged
+        # fills its beam from the live 512-row boxes and then re-bounds the
+        # live boxes left as 64-row sub-boxes under the beam's cut, so it
+        # sends 23,424 rows in four calls (120,320 in 12 calls with the
+        # 512-row bounds alone, 319,488 in 39 when whole blocks were
+        # skipped or sent); the refinement slices and the ceilings' points
+        # are int64, and the value is unchanged
         x = Sample(unit5, (0, 2, 4))
         seen = []
         real = kernels.eval_probs
@@ -1070,9 +1152,39 @@ class TestSearchInternals:
         monkeypatch.setattr(kernels, "eval_probs", spy)
         res = pessimal_bound_oracle(x, LexiHigh(), 0.25)
         assert res.mode == "coarse-to-fine"
-        assert 0 < len(seen) <= 16 and sum(seen) <= 160_000
+        assert len(seen) == 4 and sum(seen) == 23_424
         assert max(seen) < 2 * kernels.BLOCK_ROWS
         assert res.value.hex() == "0x1.23eea4e1a08aep-2"
+
+    @pytest.mark.parametrize("idx,sent,value,prob,mass", [
+        ((2, 2), [7_168], "0x1.0000000000000p-1", "0x1.0000000000000p-2",
+         "000000000000e03f0000000000000000000000000000e03f"),
+        ((1, 2), [7_168, 10_048, 8_256, 7_232], "0x1.bb74bc6a7ef9ep-2", "0x1.00004ea4a8c15p-2",
+         "f853e3a59bc4da3fd578e9263108d33f333333333333d23f"),
+    ], ids=["(2,2)", "(1,2)"])
+    def test_dense_first_scans_send_only_rows_under_the_cut(self, monkeypatch, unit3, idx, sent,
+                                                            value, prob, mass):
+        # LexiHigh on the three unit atoms at alpha 0.25, as `verify all
+        # --m 3` runs it: the dense first scan of the N = 1000 simplex,
+        # 501,501 uint16 rows, sent 319,488 rows at (2, 2) and 221,184 at
+        # (1, 2) with the 512-row bounds alone. Once the first batch fills
+        # the beam, the live boxes left are re-bounded under its cut: at
+        # (2, 2) no sub-box stays live, and at (1, 2) 32,704 rows do
+        seen = []
+        real = kernels.eval_probs
+
+        def spy(counts, N, coefs, expts):
+            if counts.dtype == np.uint16:
+                seen.append(counts.shape[0])
+            return real(counts, N, coefs, expts)
+
+        monkeypatch.setattr(kernels, "eval_probs", spy)
+        res = pessimal_bound_oracle(Sample(unit3, idx), LexiHigh(), 0.25)
+        assert res.mode == "dense"
+        assert seen == sent
+        assert res.value.hex() == value
+        assert res.constraint_prob.hex() == prob
+        assert res.witness.mass.tobytes().hex() == mass
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_offsets_equal_the_product_filter(self, k):
