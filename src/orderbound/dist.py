@@ -9,6 +9,7 @@ vector per row, through the same code as one vector.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -159,8 +160,17 @@ def prob_upper_set(F, U: UpperSet):
     return float(total) if isinstance(F, Distribution) else total
 
 
+#: (support, grid) pairs whose augmentation ``augment`` keeps.
+AUGMENTS_KEPT = 1024
+
+
+@functools.lru_cache(maxsize=AUGMENTS_KEPT)
 def augment(C: SupportSet, grid: SupportGrid) -> SupportSet:
-    """C plus the grid minimum plus the successor of each non-maximal element."""
+    """C plus the grid minimum plus the successor of each non-maximal element.
+
+    A pure function of (C, grid), both frozen, so the ``AUGMENTS_KEPT``
+    most recent results are kept: a cache hit's ``refined_support`` then
+    builds only the relevant values' set."""
     outside = [i for i in C.indices if i > grid.m - 1]
     if outside:
         raise ValueError(f"support index {outside[0]} outside grid")

@@ -111,9 +111,12 @@ class OracleCache:
     the sample space of grid and n). Distinct samples sharing an upper set
     (e.g. under a quantile preorder) hit one entry. Its config is the one
     every search through it runs with; the sample space comes from
-    ``enumerate_omega``, the same object the oracle reads. ``hits`` and
-    ``misses`` count the lookups ``value`` answered from the table and by
-    a search."""
+    ``enumerate_omega``, the same object the oracle reads. A hit costs
+    O(runs of x) plus one mask comparison over the sample space: x's row
+    comes from its indices, the order's rank vector is the one the sample
+    space keeps (``Omega.ranks``), and the refined support's augmentation
+    is memoized. ``hits`` and ``misses`` count the lookups ``value``
+    answered from the table and by a search."""
 
     def __init__(self, cfg: OracleConfig | None = None):
         self.cfg = cfg or OracleConfig()
@@ -227,7 +230,7 @@ def verify_sandwich(grid: SupportGrid, n: int, alpha: float,
     lows = [upper_set(s, lexi_low, omega).mask for s in homs]
     highs = [upper_set(s, lexi_high, omega).mask for s in homs]
     for T in orders:
-        rank = T.rank(omega.idx)
+        rank = omega.ranks(T)
         for i in range(grid.m):
             u_t = rank >= rank[rows[i]]
             report.instances_checked += 1
@@ -270,7 +273,7 @@ def verify_consistency(order: Preorder, bound_values: dict[Sample, float],
     if missing:
         raise ValueError(f"bound table missing samples: {missing}")
     report = VerifyReport(f"consistency[{order.name}]", len(omega) ** 2, tolerance=tolerance)
-    rank = order.rank(omega.idx)
+    rank = omega.ranks(order)
     b = np.array([bound_values[x] for x in omega], dtype=float)
     falls = (rank[:, None] < rank[None, :]) & (b[:, None] > b[None, :] + tolerance)
     differs = (rank[:, None] == rank[None, :]) & (np.abs(b[:, None] - b[None, :]) > tolerance)

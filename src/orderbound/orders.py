@@ -6,7 +6,8 @@ lengths and multinomial coefficients (none has an axis of length m); a
 ``Sample`` is built when a row is read. A preorder is defined by one
 method, ``rank``, which maps index rows to integers: equal rank means
 equivalent, lower rank means below. Comparisons, upper sets and
-monotonicity are array comparisons of rank vectors.
+monotonicity are array comparisons of rank vectors, which each sample
+space keeps for its most recently used orders.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import operator
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,8 @@ GREATER = 1
 
 #: Most entries ``Omega.componentwise_leq`` may allocate (|Omega| <= 16,384).
 COMPONENTWISE_MAX_ENTRIES = 1 << 28
+#: Orders whose rank vector one Omega keeps, the most recently used.
+RANKS_KEPT = 8
 
 
 class EnumerationGuardError(ValueError):
@@ -45,6 +48,23 @@ def _lex_rank(rows: np.ndarray) -> np.ndarray:
     rank = np.empty(rows.shape[0], dtype=np.int64)
     rank[order] = np.cumsum(fresh) - 1
     return rank
+
+
+def _multiset_row(idx: tuple[int, ...], m: int) -> int:
+    """Row of the sorted index tuple idx among all size-n multisets of
+    range(m) in lexicographic order (the combinatorial number system).
+    C(m - a + L - 1, L) sorted size-L tails have every index >= a, so a
+    rise from a to b at column s passes C(m - a + L - 1, L) - C(m - b +
+    L - 1, L) rows, L = n - s: those whose column s lies in [a, b).
+    Column 0 rises from 0."""
+    n = len(idx)
+    row = prev = 0
+    for s, a in enumerate(idx):
+        if a != prev:
+            tail = n - s
+            row += math.comb(m - prev + tail - 1, tail) - math.comb(m - a + tail - 1, tail)
+            prev = a
+    return row
 
 
 def _run_lengths(idx: np.ndarray) -> np.ndarray:
@@ -94,6 +114,13 @@ class Omega(Sequence):
     lengths and coefficient are computed. Iteration, ``len``, indexing
     and ``in`` behave as on a list of the samples: reading row r builds
     its ``Sample``, and a slice is the Omega of the sliced rows.
+
+    ``position`` finds a sample's row in a complete sample space (all
+    C(m + n - 1, n) multisets, as ``enumerate_omega`` builds) from its
+    indices alone, in O(runs of the sample); in a partial one it scans
+    the rows. ``ranks`` keeps the read-only rank vectors of the
+    ``RANKS_KEPT`` most recently used orders, keyed by order equality,
+    so every upper set of one order on one Omega reads one vector.
     """
 
     def __init__(self, grid: SupportGrid, n: int, idx):
@@ -121,6 +148,10 @@ class Omega(Sequence):
             arr.flags.writeable = False
         self.grid, self.n = grid, n
         self.idx, self.runs, self.coefs = idx, runs, coefs
+        # the rows are distinct multisets of range(m), so C(m + n - 1, n)
+        # of them are all of them
+        self._complete = idx.shape[0] == math.comb(grid.m + n - 1, n)
+        self._ranks: dict[Preorder, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.idx.shape[0]
@@ -135,12 +166,33 @@ class Omega(Sequence):
             yield Sample(self.grid, tuple(row))
 
     def position(self, x: Sample) -> int:
-        """Row of sample x; ValueError if omega does not contain it."""
+        """Row of sample x; ValueError if omega does not contain it. A
+        complete omega holds every sample of its grid and n and finds the
+        row from x's indices; a partial one compares every row."""
         if x.grid == self.grid and x.n == self.n:
+            if self._complete:
+                return _multiset_row(x.idx, self.grid.m)
             hit = np.flatnonzero((self.idx == np.asarray(x.idx)).all(axis=1))
             if hit.size:
                 return int(hit[0])
         raise ValueError("omega does not contain the base sample")
+
+    def ranks(self, order: Preorder) -> np.ndarray:
+        """``order.rank(self.idx)``. The read-only vectors of the
+        ``RANKS_KEPT`` most recently used orders are kept, keyed by order
+        equality, which ``Preorder.rank``'s contract makes safe; an
+        unhashable order is ranked afresh on every call."""
+        try:
+            rank = self._ranks.pop(order, None)
+        except TypeError:
+            return order.rank(self.idx)
+        if rank is None:
+            rank = order.rank(self.idx)
+            rank.flags.writeable = False
+        self._ranks[order] = rank  # reinserted last: the most recently used
+        if len(self._ranks) > RANKS_KEPT:
+            del self._ranks[next(iter(self._ranks))]
+        return rank
 
     def componentwise_leq(self) -> np.ndarray:
         """(|Omega|, |Omega|) bool matrix: entry (a, b) is true iff every
@@ -165,7 +217,12 @@ class Preorder:
     def rank(self, idx: np.ndarray) -> np.ndarray:
         """int64 rank of each row of an (R, n) index matrix. Rows of equal
         rank are equivalent and lower rank is below; ranks are comparable
-        only within one call."""
+        only within one call.
+
+        The rank must be a pure function of the order's value and the
+        rows, and equal orders must rank alike: ``Omega.ranks`` keeps one
+        vector per order, keyed by equality, for every equal order to read.
+        """
         raise NotImplementedError
 
     def compare(self, x: Sample, y: Sample) -> int:
@@ -178,8 +235,10 @@ class Preorder:
         return self.compare(x, y) != GREATER
 
 
+@dataclass(frozen=True)
 class LexiLow(Preorder):
-    """Lexicographic order scanning order statistics from the smallest."""
+    """Lexicographic order scanning order statistics from the smallest.
+    Field-less, so every instance is equal to every other."""
 
     name = "lexi-low"
 
@@ -187,8 +246,10 @@ class LexiLow(Preorder):
         return _lex_rank(idx)
 
 
+@dataclass(frozen=True)
 class LexiHigh(Preorder):
-    """Lexicographic order scanning order statistics from the largest."""
+    """Lexicographic order scanning order statistics from the largest.
+    Field-less, so every instance is equal to every other."""
 
     name = "lexi-high"
 
@@ -241,13 +302,19 @@ class CustomTable(Preorder):
     """Preorder backed by an explicit rank table.
 
     Samples with equal rank are equivalent; lower rank means earlier in
-    the order. Every sample ranked must appear in the table.
+    the order. Every sample ranked must appear in the table. The hash is
+    the table's, taken once: equal tables hash alike.
     """
 
-    ranks: dict[Sample, int] = field(hash=False)
+    ranks: dict[Sample, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_idx", {s.idx: r for s, r in self.ranks.items()})
+        by_idx = {s.idx: r for s, r in self.ranks.items()}
+        object.__setattr__(self, "_by_idx", by_idx)
+        object.__setattr__(self, "_hash", hash(frozenset(by_idx.items())))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def name(self):
@@ -322,14 +389,14 @@ class UpperSet:
 
 def upper_set(x: Sample, order: Preorder, omega: Omega) -> UpperSet:
     """{y in omega : x is below-or-equivalent-to y}, as the mask
-    ``rank >= rank[x]``."""
-    rank = order.rank(omega.idx)
+    ``rank >= rank[x]`` over omega's kept rank vector of the order."""
+    rank = omega.ranks(order)
     return UpperSet(x, order, omega, rank >= rank[omega.position(x)])
 
 
 def is_monotone(order: Preorder, omega: Omega) -> bool:
     """Check x <= y componentwise implies x below-or-equivalent-to y."""
-    rank = order.rank(omega.idx)
+    rank = omega.ranks(order)
     return bool((~omega.componentwise_leq() | (rank[:, None] <= rank[None, :])).all())
 
 

@@ -182,9 +182,13 @@ class TestSandwich:
         assert report.passed and report.instances_checked == want
 
     @pytest.mark.parametrize("patched,source", [(LexiHigh, LexiLow), (LexiLow, LexiHigh)])
-    def test_inclusion_check_detects_a_wrong_extreme(self, unit3, monkeypatch, patched, source):
+    def test_inclusion_check_detects_a_wrong_extreme(self, unit3, monkeypatch, request,
+                                                     patched, source):
         # with one lexicographic order ranking like the other, an extension's
-        # upper sets escape the wrong extreme
+        # upper sets escape the wrong extreme; sample spaces keep rank
+        # vectors, so the patched rank runs on a fresh one, dropped after
+        enumerate_omega.cache_clear()
+        request.addfinalizer(enumerate_omega.cache_clear)
         monkeypatch.setattr(patched, "rank", source.rank)
         report = verify_sandwich(unit3, 2, 0.25, OracleCache(CFG))
         assert "upper-set inclusion broken at S_1" in report.failures
@@ -428,6 +432,32 @@ class TestSharedCache:
         OracleCache(CFG).value(Sample(unit3, (0, 2)), LexiHigh(), 0.25)
         assert len(seen) == 2
         assert seen[0] is seen[1] is enumerate_omega(unit3, 2)
+
+    def test_a_cache_pass_ranks_each_sample_space_once(self, unit3):
+        calls = []
+
+        class Counting(Quantile):
+            def rank(self, idx):
+                calls.append(idx.shape[0])
+                return super().rank(idx)
+
+        cache = OracleCache(CFG)
+        for n in (2, 3):
+            for x in enumerate_omega(unit3, n):
+                cache.value(x, Counting(2), 0.25)  # a fresh, equal order per lookup
+        # one search per second order statistic, one rank call per sample space
+        assert (cache.misses, cache.hits) == (6, 10)
+        assert calls == [6, 10]
+
+    def test_a_quantile_pass_at_scale_searches_once_per_upper_set(self):
+        omega = enumerate_omega(SupportGrid(0.0, 1.0, 11), 6)
+        cache = OracleCache(CFG)
+        values = [cache.value(x, Quantile(2), 0.25) for x in omega]
+        assert len(omega) == 8008 and (cache.misses, cache.hits) == (11, 7997)
+        # the value depends on x only through its second order statistic
+        want = [0.0, 0.0610625, 0.122125, 0.1831875, 0.24425, 0.3053125, 0.366375,
+                0.4274375, 0.4885, 0.5495625, 0.610625]
+        assert values == [want[j] for j in omega.idx[:, 1].tolist()]
 
     def test_reports_equal_separate_caches(self, unit3):
         shared = [r.to_dict() for r in run_all(unit3, 2, 0.25, OracleCache(CFG), trials=20, seed=4)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from orderbound.orders import (
     EQUIVALENT,
     GREATER,
     LESS,
+    RANKS_KEPT,
     EnumerationGuardError,
+    Preorder,
     is_monotone,
     order_from_string,
 )
@@ -257,6 +260,117 @@ class TestRank:
         omega = _omega(2, 2)
         order = CustomTable.from_ranking([omega[2], omega[0], omega[1]])
         assert order.rank(omega.idx).tolist() == [1, 2, 0]
+
+
+class TestPosition:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_every_row_of_every_complete_omega(self, m):
+        for n in range(1, 6):
+            omega = _omega(m, n)
+            assert [omega.position(x) for x in omega] == list(range(len(omega)))
+
+    def test_first_middle_and_last_rows_at_m_1000(self):
+        grid = SupportGrid(0, 1, 1000)
+        omega = enumerate_omega(grid, 2)
+        rows = []
+        for a, b in [(0, 0), (293, 321), (999, 999)]:
+            # the m - v samples whose first index is v, for each v < a
+            rows.append(sum(1000 - v for v in range(a)) + b - a)
+            assert omega.idx[rows[-1]].tolist() == [a, b]
+            assert omega.position(Sample(grid, (a, b))) == rows[-1]
+        assert rows == [0, len(omega) // 2, len(omega) - 1]
+
+    def test_hand_built_complete_omega_uses_the_closed_form(self, unit3):
+        omega = Omega(unit3, 3, _omega(3, 3).idx)
+        assert [omega.position(x) for x in omega] == list(range(10))
+
+    def test_partial_omegas_find_their_rows(self, unit3):
+        part = _omega(3, 3)[3:7]
+        assert [part.position(x) for x in part] == [0, 1, 2, 3]
+        built = Omega(unit3, 2, [(0, 2), (1, 1), (2, 2)])
+        assert [built.position(x) for x in built] == [0, 1, 2]
+        # every row but the first: one fewer than the multisets, so scanned
+        rest = Omega(unit3, 2, _omega(3, 2).idx[1:])
+        assert [rest.position(x) for x in rest] == list(range(5))
+        for omega, absent in ((part, (0, 0, 0)), (built, (0, 1)), (rest, (0, 0))):
+            with pytest.raises(ValueError, match="does not contain"):
+                omega.position(Sample(unit3, absent))
+
+    def test_samples_of_another_grid_or_size_are_absent(self, unit3):
+        omega = _omega(3, 2)
+        for x in (Sample(SupportGrid(0, 1, 4), (0, 1)), Sample(SupportGrid(0, 1, 4), (0, 3)),
+                  Sample(SupportGrid(0, 2, 3), (0, 1)), Sample(unit3, (0, 1, 1))):
+            with pytest.raises(ValueError, match="does not contain"):
+                omega.position(x)
+
+
+class TestRankReuse:
+    def test_kept_vector_is_the_orders_rank(self):
+        omega = _omega(4, 3)
+        table = CustomTable.from_ranking(list(omega)[::-1])
+        for order in [LexiLow(), LexiHigh(), Quantile(1), Quantile(2), Quantile(3),
+                      Pointwise(omega[5]), table]:
+            kept = omega.ranks(order)
+            assert not kept.flags.writeable and kept.dtype == np.int64
+            assert kept.tolist() == order.rank(omega.idx).tolist()
+            assert omega.ranks(order) is kept
+
+    def test_equal_orders_share_one_vector(self):
+        omega = _omega(3, 2)
+        assert LexiLow() == LexiLow() and hash(LexiLow()) == hash(LexiLow())
+        assert LexiHigh() == LexiHigh() and hash(LexiHigh()) == hash(LexiHigh())
+        assert LexiLow() != LexiHigh()
+        assert omega.ranks(LexiLow()) is omega.ranks(LexiLow())
+        assert omega.ranks(LexiHigh()).tolist() == [0, 1, 3, 2, 4, 5]
+        assert omega.ranks(Quantile(2)) is omega.ranks(Quantile(2))
+
+    def test_each_omega_keeps_the_most_recent_orders(self):
+        calls = []
+
+        class Counting(Pointwise):
+            def rank(self, idx):
+                calls.append(self.top.idx)
+                return super().rank(idx)
+
+        omega = _omega(3, 3)
+        tops = [Counting(x) for x in omega]  # 10 distinct orders
+        assert RANKS_KEPT == 8
+        for order in tops[:8]:
+            omega.ranks(order)
+        omega.ranks(tops[0])  # kept, and now the most recent
+        assert len(calls) == 8
+        omega.ranks(tops[8])  # a ninth drops the least recent, tops[1]
+        for order in [tops[0], *tops[2:9]]:
+            omega.ranks(order)
+        assert len(calls) == 9
+        omega.ranks(tops[1])
+        assert calls[-1] == omega[1].idx and len(calls) == 10
+
+    def test_unhashable_orders_are_ranked_on_every_call(self, unit3):
+        @dataclass
+        class Column(Preorder):
+            s: int
+            calls: int = 0
+
+            def rank(self, idx):
+                self.calls += 1
+                return idx[:, self.s].astype(np.int64)
+
+        omega = _omega(3, 2)
+        order = Column(1)
+        for x in omega:
+            assert upper_set(x, order, omega).mask.tolist() == \
+                upper_set(x, Quantile(2), omega).mask.tolist()
+        assert order.calls == len(omega)
+
+    def test_custom_tables_hash_by_their_table(self):
+        exts = monotone_linear_extensions(_omega(3, 3))
+        assert len(exts) == 12 and len({hash(T) for T in exts}) == 12
+        pair = monotone_linear_extensions(_omega(3, 2))
+        assert len(pair) == 2 and hash(pair[0]) != hash(pair[1])
+        again = CustomTable(dict(reversed(list(exts[0].ranks.items()))))
+        assert again == exts[0] and hash(again) == hash(exts[0])
+        assert len({exts[0], again, *exts}) == 12
 
 
 class TestUpperSet:
