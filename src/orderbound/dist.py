@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import pow_table
 from .orders import Omega, UpperSet
-from .support import Sample, SupportGrid
+from .support import Sample, SupportGrid, json_floats
 
 MASS_SUM_TOL = 1e-12
 PMF_CDF_TOL = 1e-12
@@ -80,7 +80,7 @@ def distribution_from_json(grid: SupportGrid, text: str) -> Distribution:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("expected a JSON array of masses")
-    return Distribution(grid, np.asarray(data, dtype=float))
+    return Distribution(grid, np.array(json_floats(data, "mass", ValueError)))
 
 
 @dataclass(frozen=True)

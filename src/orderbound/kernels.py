@@ -15,7 +15,7 @@ simplex; the oracle's fixed cell budget bounds each one. Scans read it in
 row slices of ``BLOCK_ROWS`` = 8,192, the fastest of 4,096, 8,192 and
 16,384 for the kernel on 2-core x86 (a block's factor arrays stay in
 cache). Next to each kept simplex sits its box table: for each box, a
-run of ``BOX_ROWS`` = 512 rows counted from its first row, the bottom-
+run of ``BOX_ROWS`` = 128 rows counted from its first row, the bottom-
 and top-greedy points of its column range, filled from the lowest atom
 up and from the highest down, as the atoms' values strictly increase.
 ``composition_floors`` bounds every box's scores from below without
@@ -26,14 +26,12 @@ Both bounds hold for any subset of a box's rows, so a scan may cut a box
 at a block edge and send only the live boxes to the kernel. Neither
 depends on alpha, and a search repeated at another alpha asks for the same
 ones, so the eight most recent of each are kept, read-only: the floors per
-(N, k, box size, values' bytes), the ceilings per (N, k, ``BOX_ROWS``,
+(N, k, ``BOX_ROWS``, values' bytes), the ceilings per (N, k, ``BOX_ROWS``,
 ``Terms.key``), one float per box each. Once a scan's beam has a cut,
 ``composition_cut_ceilings`` bounds, for the boxes it names, the
 probabilities of only the rows that score at most the cut: in tail
 coordinates the cut caps every tail, and the capped top-greedy point
-dominates those rows. The first scan applies it to ``SUB_BOX_ROWS`` = 64
-row sub-boxes, whose floors are kept like the boxes', and whose points
-sit in the same box-table memo, which holds both box sizes.
+dominates those rows.
 
 The probability is one fixed polynomial per search, given as multinomial
 coefficients and exponent rows. ``Terms`` is everything the kernel and the
@@ -62,18 +60,15 @@ import numpy as np
 #: Rows per kernel block: the enumeration default, the neighbourhood slice
 #: and, divided by |omega|, the trials in one ``verify_agreement`` chunk.
 BLOCK_ROWS = 1 << 13
-#: Rows per box of a simplex, the granularity of ``composition_floors`` and
-#: ``composition_ceilings``: box b is rows [b * BOX_ROWS, (b + 1) * BOX_ROWS)
-#: of the simplex, whatever ``BLOCK_ROWS`` is. Of 256, 512 and 1,024, 512
-#: made coarse-to-fine calls fastest with boxes alone; with the first scan's
-#: split into ``SUB_BOX_ROWS`` sub-boxes, the three ran within 1% of each
-#: other on coarse-to-fine calls and on ``verify all`` (2-core x86), and
-#: 512 stays.
-BOX_ROWS = 1 << 9
-#: Rows per sub-box, the granularity the first scan re-bounds its live boxes
-#: to once its beam is full: sub-box s is rows [s * SUB_BOX_ROWS, (s + 1) *
-#: SUB_BOX_ROWS) of the simplex, and ``BOX_ROWS`` is a multiple of it.
-SUB_BOX_ROWS = 1 << 6
+#: Rows per box of a simplex, the granularity of ``composition_floors``,
+#: ``composition_ceilings`` and ``composition_cut_ceilings``: box b is rows
+#: [b * BOX_ROWS, (b + 1) * BOX_ROWS) of the simplex, whatever
+#: ``BLOCK_ROWS`` is. With the first scan's re-bound, 128 and 256 ran
+#: within 2% of each other on coarse-to-fine calls, ``verify all`` and the
+#: criterion-4 sweep (three alternating 10 s benchmark runs each, 2-core
+#: x86), and 128 sends fewer simplex rows to the kernel: 615,056 against
+#: 993,458 on the first 48 coarse-to-fine benchmark calls.
+BOX_ROWS = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -237,9 +232,8 @@ def iter_composition_blocks(N: int, k: int) -> Iterator[np.ndarray]:
         yield simplex[start:start + BLOCK_ROWS]
 
 
-def composition_floors(N: int, k: int, values: np.ndarray,
-                       rows: int | None = None) -> np.ndarray:
-    """For each box of ``rows`` rows (``BOX_ROWS`` when None) of the simplex
+def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
+    """For each box of ``BOX_ROWS`` rows of the simplex
     ``iter_composition_blocks(N, k)`` yields, a float no larger than the
     ``scaled_scores(rows, values)`` entry of any of its rows. The values,
     the atoms' points, strictly increase; ValueError otherwise.
@@ -254,9 +248,9 @@ def composition_floors(N: int, k: int, values: np.ndarray,
     greedy score less 2 g, about k * eps * N * max|v|; the margin
     subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
     of the subtraction with room to spare. Read-only, and kept for the
-    next call with the same (N, k, box size) and float64 values.
+    next call with the same (N, k, ``BOX_ROWS``) and float64 values.
     """
-    return _floors(N, k, rows or BOX_ROWS, np.asarray(values, dtype=np.float64).tobytes())
+    return _floors(N, k, BOX_ROWS, np.asarray(values, dtype=np.float64).tobytes())
 
 
 @functools.lru_cache(maxsize=8)
@@ -313,15 +307,15 @@ def _ceilings(N: int, k: int, rows: int, terms: Terms) -> np.ndarray:
 
 
 def composition_cut_ceilings(N: int, k: int, terms: Terms, values: np.ndarray, cut,
-                             rows: int, boxes: np.ndarray) -> np.ndarray:
-    """For each box ``boxes`` names, of the ``rows``-row boxes of the simplex
+                             boxes: np.ndarray) -> np.ndarray:
+    """For each box ``boxes`` names, of the ``BOX_ROWS``-row boxes of the simplex
     ``iter_composition_blocks(N, k)`` yields, a float no smaller than the
     ``eval_probs`` entry of any of the box's rows whose computed
     ``scaled_scores`` is at most ``cut``, provided ``terms.up_closed`` and
     the values, the atoms' points, strictly increase. ``cut``, one for all
     boxes or one per box, is +inf or the computed score of a composition
-    of N. At cut = +inf the box's point is its top-greedy one, so with
-    ``rows = BOX_ROWS`` this is ``composition_ceilings`` bit for bit.
+    of N. At cut = +inf the box's point is its top-greedy one, so this is
+    ``composition_ceilings`` bit for bit.
 
     In tail coordinates, T_j = c[j:].sum() for j = 1..k-1 and steps d_j =
     v_j - v_{j-1} > 0, a row's exact score is N v_0 + sum_j T_j d_j, and
@@ -351,7 +345,7 @@ def composition_cut_ceilings(N: int, k: int, terms: Terms, values: np.ndarray, c
     kernel call over the boxes' points; nothing is kept, as the cut
     changes from call to call.
     """
-    bottom, top = _box_points(N, k, rows)
+    bottom, top = _box_points(N, k, BOX_ROWS)
     values = np.asarray(values, dtype=np.float64)
     steps = values[1:] - values[:-1]
     low = _tails(bottom[boxes]) * steps
@@ -370,15 +364,16 @@ def _tails(points: np.ndarray) -> np.ndarray:
     return np.cumsum(points[:, :0:-1], axis=1)[:, ::-1].astype(np.float64)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=4)
 def _box_points(N: int, k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The bottom-greedy and top-greedy points, int64 (boxes, k) and
     read-only, of the ``rows``-row boxes of ``_simplex(N, k)``, the last
     box possibly shorter: the box's column minima lo plus the N - sum(lo)
     left filled into the atoms lowest first (bottom) or highest first
-    (top), each up to the box's column range hi - lo. Keyed on the box
-    size, ``BOX_ROWS`` or ``SUB_BOX_ROWS``: the eight most recent, both
-    sizes for each of the four simplices ``_simplex`` keeps."""
+    (top), each up to the box's column range hi - lo. One table for each
+    of the four simplices ``_simplex`` keeps; the box size, ``BOX_ROWS``
+    as the public functions pass it, is part of the key, so a table is
+    never read at another size."""
     simplex = _simplex(N, k)
     starts = np.arange(0, simplex.shape[0], rows)
     lo = np.minimum.reduceat(simplex, starts, axis=0).astype(np.int64)

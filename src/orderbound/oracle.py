@@ -13,7 +13,7 @@ candidates walks through step halvings down to the requested resolution
 (coarse to fine) before the refinement rounds. Each scan visits its
 blocks in reverse lexicographic order, lowest means first, and scores
 and runs the probability kernel only on rows that can still enter the
-beam. The first scan rules out each 512-row box of the simplex by a
+beam. The first scan rules out each 128-row box of the simplex by a
 score floor before any of its rows is scored, and gathers the rows of
 the boxes left into full kernel batches. When the upper set's members
 on the support are closed under moving one unit of a sample to the next
@@ -22,11 +22,10 @@ at the all-top sample), the probability only rises as mass moves up, so
 the first scan also skips each box whose probability ceiling, its
 top-greedy point's probability times a stated rounding factor, is below
 alpha: no row in it is feasible. Under such members, once the beam is
-full the first scan splits the live boxes it has not reached into 64-row
-sub-boxes, unless their rows fit in one batch, and keeps a sub-box only
-while its own floor is at most the beam's cut and its cut-limited
-ceiling reaches alpha: the probability bound, from one dominating point,
-of the sub-box's rows that score at most the cut. The beam's rows are
+full the first scan re-bounds the live boxes it has not reached, unless
+their rows fit in one batch, and drops each whose cut-limited ceiling is
+below alpha: the probability bound, from one dominating point, of the
+box's rows that score at most the beam's cut. The beam's rows are
 the next stage's centres. Only when a stage ends with no feasible row,
 which never happens under such members, does a second pass over that
 stage's rows find the most probable one to stand in for them. A refinement neighbourhood pairs
@@ -292,23 +291,20 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
 
     When the terms are up-closed and the beam has just filled, the live
     boxes not yet visited are re-bounded once, unless their rows fit in
-    one batch: each is split into ``kernels.SUB_BOX_ROWS``-row sub-boxes,
-    and a sub-box stays live only while its own floor is at most the cut
-    and its ``kernels.composition_cut_ceilings`` at this cut, the
-    probability bound of its rows that score at most the cut, reaches
-    alpha. The cut only falls, so a row it prunes could never enter the
-    beam.
+    one batch: a box stays live only while its
+    ``kernels.composition_cut_ceilings`` at this cut, the probability
+    bound of its rows that score at most the cut, reaches alpha. The cut
+    only falls, so a row it prunes could never enter the beam.
 
     Without floors every box is live and each block is scored in turn.
     """
     red = _Reducer(alpha, BEAM_WIDTH)
     blocks = list(blocks)
-    box = kernels.BOX_ROWS
     if floors is not None:
         sizes = np.array([rows.shape[0] for rows in blocks], dtype=np.int64)
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        least = _least_floors(floors, box, starts, ends)
+        least = _least_floors(floors, starts, ends)
         first_rows = starts.tolist()
     terms = None if floors is None else kernels.Terms.of(coefs, expts)
     rebound = terms is not None and terms.up_closed
@@ -320,7 +316,7 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
         elif least[i] > cut:
             continue
         else:
-            parts = _live_parts(rows, first_rows[i], floors, box, cut)
+            parts = _live_parts(rows, first_rows[i], floors, cut)
         batch += parts
         held += sum(part.shape[0] for part in parts)
         if held >= kernels.BLOCK_ROWS or not red.full:
@@ -328,28 +324,31 @@ def _scan_blocks(blocks, N, coefs, expts, values, alpha, floors=None) -> _Reduce
             batch, held = [], 0
             if rebound and red.full:
                 rebound = False
-                fine = _cut_floors(floors, N, terms, values, alpha, red.cut, first_rows[i])
-                if fine is not None:
-                    floors, box = fine, kernels.SUB_BOX_ROWS
-                    least = _least_floors(floors, box, starts, ends)
+                cut_floors = _cut_floors(floors, N, terms, values, alpha, red.cut, first_rows[i])
+                if cut_floors is not None:
+                    floors = cut_floors
+                    least = _least_floors(floors, starts, ends)
     if batch:
         _reduce_batch(red, batch, N, coefs, expts, values)
     return red
 
 
-def _least_floors(floors, box, starts, ends) -> list[float]:
+def _least_floors(floors, starts, ends) -> list[float]:
     """Per block [starts[i], ends[i]) of the simplex's rows, the least floor
-    of the ``box``-row boxes it touches; block i + 1 may start in block i's
-    last box."""
+    of the ``kernels.BOX_ROWS``-row boxes it touches; block i + 1 may start
+    in block i's last box."""
+    box = kernels.BOX_ROWS
     hi = -(-ends // box)
     return np.minimum(np.minimum.reduceat(floors, starts // box), floors[hi - 1]).tolist()
 
 
-def _live_parts(rows, start, floors, box, cut) -> list[np.ndarray]:
+def _live_parts(rows, start, floors, cut) -> list[np.ndarray]:
     """The slices of ``rows``, simplex rows from ``start`` on, that the runs
-    of consecutive ``box``-row boxes with floors at most ``cut`` cover. One
-    compare over the block's floors gives the live mask; each run is found
-    by two byte searches in it, with no Python step per box."""
+    of consecutive ``kernels.BOX_ROWS``-row boxes with floors at most
+    ``cut`` cover. One compare over the block's floors gives the live mask;
+    each run is found by two byte searches in it, with no Python step per
+    box."""
+    box = kernels.BOX_ROWS
     first = start // box
     live = (floors[first:-(-(start + rows.shape[0]) // box)] <= cut).tobytes()
     parts, z = [], 0
@@ -362,29 +361,19 @@ def _live_parts(rows, start, floors, box, cut) -> list[np.ndarray]:
 
 
 def _cut_floors(floors, N, terms, values, alpha, cut, end) -> np.ndarray | None:
-    """One floor per ``kernels.SUB_BOX_ROWS``-row sub-box of the simplex,
-    for a scan whose rows from ``end`` on are visited and whose beam's cut
-    is ``cut``, or None when the live boxes (``floors`` at most ``cut``)
-    left, counted whole, fit in one ``kernels.BLOCK_ROWS`` batch. A sub-box
-    starting below ``end`` in a live box keeps its own floor
-    (``kernels.composition_floors``) while that is at most the cut and its
-    cut-limited ceiling (``kernels.composition_cut_ceilings``, one kernel
-    call over every such sub-box) reaches alpha; every other sub-box gets
-    +inf."""
-    box, sub = kernels.BOX_ROWS, kernels.SUB_BOX_ROWS
-    live = floors[:-(-end // box)] <= cut
-    if np.count_nonzero(live) * box <= kernels.BLOCK_ROWS:
+    """The box floors of a scan whose rows from ``end`` on are visited and
+    whose beam's cut is ``cut``, or None when the live boxes (``floors`` at
+    most ``cut``) that start below ``end`` fit in one ``kernels.BLOCK_ROWS``
+    batch. Each such box whose cut-limited ceiling
+    (``kernels.composition_cut_ceilings``, one kernel call over them all)
+    is below alpha gets +inf; every other box keeps its floor."""
+    live = np.flatnonzero(floors[:-(-end // kernels.BOX_ROWS)] <= cut)
+    if live.size * kernels.BOX_ROWS <= kernels.BLOCK_ROWS:
         return None
-    k = values.shape[0]
-    subs = (np.flatnonzero(live)[:, None] * (box // sub) + np.arange(box // sub)).ravel()
-    subs = subs[subs * sub < end]
-    sub_floors = kernels.composition_floors(N, k, values, sub)
-    subs = subs[sub_floors[subs] <= cut]
-    ceilings = kernels.composition_cut_ceilings(N, k, terms, values, cut, sub, subs)
-    subs = subs[ceilings >= alpha]
-    fine = np.full(sub_floors.shape, math.inf)
-    fine[subs] = sub_floors[subs]
-    return fine
+    ceilings = kernels.composition_cut_ceilings(N, values.shape[0], terms, values, cut, live)
+    floors = floors.copy()
+    floors[live[ceilings < alpha]] = math.inf
+    return floors
 
 
 def _reduce_batch(red: _Reducer, batch, N, coefs, expts, values) -> None:

@@ -36,8 +36,14 @@ class SupportGrid:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
-            raise GridError(f"need at least 2 support points, got m={self.m}")
+        # read as Sample reads its indices, so np.int64(5) is the grid of 5
+        try:
+            m = operator.index(self.m)
+        except TypeError:
+            raise GridError(f"m must be an integer, got {self.m!r}") from None
+        object.__setattr__(self, "m", m)
+        if m < 2:
+            raise GridError(f"need at least 2 support points, got m={m}")
         if not (math.isfinite(self.s_min) and math.isfinite(self.s_max)):
             raise GridError("grid endpoints must be finite")
         if not self.s_min < self.s_max:
@@ -148,6 +154,21 @@ def check_compatible(x: Sample, y: Sample) -> None:
         raise GridError(f"samples have different sizes ({x.n} vs {y.n})")
 
 
+def json_floats(entries: list, what: str, error: type[ValueError]) -> list[float]:
+    """The entries of a parsed JSON array as floats. Each must be a JSON
+    number, an int or a float but not a bool; ``error`` names the first
+    that is not, or an int too large for a double, as a ``what`` entry."""
+    floats = []
+    for v in entries:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise error(f"{what} entry {json.dumps(v)} is not a number")
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            raise error(f"{what} entry {v} overflows a double") from None
+    return floats
+
+
 def parse_sample_values(text: str) -> list[float]:
     """Parse 'a,b,c' or a JSON array of numbers into a list of floats."""
     text = text.strip()
@@ -155,7 +176,7 @@ def parse_sample_values(text: str) -> list[float]:
         data = json.loads(text)
         if not isinstance(data, list):
             raise GridError("expected a JSON array of numbers")
-        return [float(v) for v in data]
+        return json_floats(data, "sample", GridError)
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise GridError("empty sample text")

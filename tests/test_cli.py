@@ -253,6 +253,20 @@ class TestOracle:
         assert err.startswith("error:") and "not finite" in err
 
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--order", "lexi-low"], ["bound", "--method", "quantile", "--i", "1"]],
+        ids=["oracle", "bound"])
+    @pytest.mark.parametrize("sample,entry", [
+        ("[null]", "null"), ("[[0.5]]", "[0.5]"), ("[true, 1]", "true"), ('["1", 0]', '"1"')])
+    def test_json_sample_entries_that_are_not_numbers_fail(self, capsys, command, sample, entry):
+        # a JSON entry that is not an int or a float, a bool included, is
+        # refused before any grid value is formed
+        code = main(command + ["--m", "3", "--sample", sample])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: sample entry {entry} is not a number\n"
+
+
 class TestCoverage:
     def test_exact(self, capsys):
         code, payload = _run_json(
@@ -295,6 +309,15 @@ class TestCoverage:
                      "--dist", "[NaN, 1.0]"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize("dist,entry", [("[true, false]", "true"), ('["0.5", "0.5"]', '"0.5"')])
+    def test_masses_that_are_not_numbers_fail(self, capsys, dist, entry):
+        # a bool or a numeric string is no mass, though it would convert
+        code = main(["coverage", "--exact", "--m", "2", "--n", "1", "--dist", dist])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: mass entry {entry} is not a number\n"
 
 
 class TestVerify:

@@ -65,6 +65,19 @@ class TestDistribution:
         with pytest.raises(ValueError, match="non-finite"):
             distribution_from_json(unit2, f"[{json.dumps(bad)}, 1.0]")
 
+    @pytest.mark.parametrize("text,entry", [
+        ("[true, false]", "true"), ('["0.5", "0.5"]', '"0.5"'), ("[0.5, null]", "null"),
+        ("[[0.5, 0.5]]", "[0.5, 0.5]"), ("[1, false]", "false")])
+    def test_json_entries_that_are_not_numbers_rejected(self, unit2, text, entry):
+        # bools and numeric strings convert to floats, but are no masses
+        with pytest.raises(ValueError) as exc:
+            distribution_from_json(unit2, text)
+        assert str(exc.value) == f"mass entry {entry} is not a number"
+        with pytest.raises(ValueError, match=r"^mass entry 1000+ overflows a double$"):
+            distribution_from_json(unit2, f"[{10 ** 400}, 0]")
+        # JSON ints are numbers
+        assert distribution_from_json(unit2, "[1, 0]").mass.tolist() == [1.0, 0.0]
+
     def test_json_roundtrip(self, unit3):
         F = _dist(unit3, 0.2, 0.3, 0.5)
         G = distribution_from_json(unit3, F.to_json())

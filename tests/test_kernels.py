@@ -299,15 +299,18 @@ class TestCompositionFloors:
         margin = 8 * 4 * np.finfo(np.float64).eps * 100 * 3.0
         assert kernels.composition_floors(100, 4, values).tolist() == [200.0 - margin]
 
-    def test_box_points_are_kept_per_box_size(self, monkeypatch):
+    def test_box_points_are_kept_per_simplex(self, monkeypatch):
+        # one table for each of the four simplices _simplex keeps
+        assert kernels._box_points.cache_info().maxsize == 4
+        assert kernels._simplex.cache_info().maxsize == 4
         kernels._box_points.cache_clear()
         kernels._floors.cache_clear()
+        monkeypatch.setattr(kernels, "BOX_ROWS", 7)
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 5)
         bottom, top = kernels._box_points(30, 3, 7)
         for point in (bottom, top):
             assert point.dtype == np.int64 and not point.flags.writeable
             assert (point.sum(axis=1) == 30).all()
-        monkeypatch.setattr(kernels, "BOX_ROWS", 7)
-        monkeypatch.setattr(kernels, "BLOCK_ROWS", 5)
         first = kernels.composition_floors(30, 3, np.array([0.0, 1.0, 2.0]))
         assert kernels._box_points.cache_info().hits == 1
         # each point is its box's column minima plus the rest filled into
@@ -331,6 +334,15 @@ class TestCompositionFloors:
         info = kernels._box_points.cache_info()
         assert (info.hits, info.misses) == (2, 1)
         assert first.tolist() != second.tolist()
+        # three more simplices are kept beside it; a fifth drops the least
+        # recently used, and the box size is part of the key
+        for N in (31, 32, 33):
+            kernels._box_points(N, 3, 7)
+        assert kernels._box_points(30, 3, 7)[0] is bottom
+        kernels._box_points(34, 3, 7)
+        assert kernels._box_points.cache_info().currsize == 4
+        assert kernels._box_points(30, 3, 7)[0] is bottom
+        assert kernels._box_points(31, 3, 7)[0] is not kernels._box_points(31, 3, 8)[0]
 
     @pytest.mark.parametrize("values", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [1.0, 0.5, 0.0]])
     def test_values_that_do_not_strictly_increase_are_refused(self, values):
@@ -425,8 +437,9 @@ class TestCompositionCeilings:
     def test_terms_that_are_not_up_closed_can_exceed_the_top_point(self):
         # the negative control: pointwise at x = (0, 1) on two atoms is the
         # single member {0, 1}, 2 p (1 - p), which falls when mass moves up;
-        # the first box, rows (0, N) to (511, N - 511), has top point
-        # (0, N), probability 0, and its maximum, at p = 1/2, is 1/2
+        # row c is (c, N - c), so the box that holds (500, 500), where the
+        # maximum 1/2 is, has top point (b * BOX_ROWS, N - b * BOX_ROWS),
+        # whose probability is below 1/2
         from orderbound import Pointwise, Sample, SupportGrid
         from orderbound.oracle import _member_terms
         from orderbound.orders import enumerate_omega, upper_set
@@ -436,9 +449,12 @@ class TestCompositionCeilings:
         coefs, expts = _member_terms(upper_set(x, Pointwise(x), enumerate_omega(grid, 2)), (0, 1))
         terms = kernels.Terms.of(coefs, expts)
         assert not terms.up_closed
-        first = _boxes(1000, 2)[0]
-        raw = kernels.composition_ceilings(1000, 2, terms)[0]
-        assert raw == 0.0 < kernels.eval_probs(first, 1000, coefs, expts).max() == 0.5
+        b = 500 // kernels.BOX_ROWS
+        box = _boxes(1000, 2)[b]
+        assert box[0].tolist() == kernels._box_points(1000, 2, kernels.BOX_ROWS)[1][b].tolist()
+        raw = kernels.composition_ceilings(1000, 2, terms)[b]
+        assert raw == kernels.eval_probs(box[:1], 1000, coefs, expts)[0] * terms.ceiling_factor
+        assert raw < kernels.eval_probs(box, 1000, coefs, expts).max() == 0.5
 
     @pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 2)])
     def test_up_closure_per_order(self, m, n):
@@ -492,19 +508,22 @@ def _up_closed_term_sets():
 
 
 class TestCompositionCutCeilings:
-    def test_cut_ceiling_is_at_least_every_row_under_the_cut(self):
-        # N = 12 on five atoms: 1,820 rows in 29 sub-boxes. Cuts: +inf,
-        # where the ceiling is composition_ceilings' one; the final cut of a
-        # scan at alpha 0.25, the 24th feasible score; and per box the
-        # score of its median row, a tie. The atoms: five-point grids on
-        # [0, 1], [-1.5, 2], [1000, 1001], where N v_0 cancels, and [2**50,
-        # 2**50 + 1], where a score rounds by several steps, so there the
-        # margin, not the + 1, keeps the bound; and five atoms of the
-        # nine-point unit grid with falling and with rising steps, as on a
-        # refined support, where a later budget can exceed an earlier one
-        N, k, size = 12, 5, kernels.SUB_BOX_ROWS
+    @pytest.mark.parametrize("box_rows", [kernels.BOX_ROWS, 7])
+    def test_cut_ceiling_is_at_least_every_row_under_the_cut(self, monkeypatch, box_rows):
+        # N = 12 on five atoms: 1,820 rows, in boxes of BOX_ROWS rows and
+        # of 7. Cuts: +inf, where the ceiling is composition_ceilings' one;
+        # the final cut of a scan at alpha 0.25, the 24th feasible score;
+        # and per box the score of its median row, a tie. The atoms:
+        # five-point grids on [0, 1], [-1.5, 2], [1000, 1001], where N v_0
+        # cancels, and [2**50, 2**50 + 1], where a score rounds by several
+        # steps, so there the margin, not the + 1, keeps the bound; and
+        # five atoms of the nine-point unit grid with falling and with
+        # rising steps, as on a refined support, where a later budget can
+        # exceed an earlier one
+        monkeypatch.setattr(kernels, "BOX_ROWS", box_rows)
+        N, k = 12, 5
         simplex = np.concatenate(list(kernels.iter_composition_blocks(N, k)))
-        box = np.arange(simplex.shape[0]) // size
+        box = np.arange(simplex.shape[0]) // box_rows
         boxes = np.arange(box[-1] + 1)
         width = np.bincount(box)
         atom_sets = [np.linspace(lo, hi, k) for lo, hi in
@@ -522,13 +541,10 @@ class TestCompositionCutCeilings:
             for terms in term_sets:
                 probs = kernels.eval_probs(simplex, N, terms.coefs, terms.expts)
                 final = np.sort(scores[probs >= 0.25])[23]
-                top = kernels.composition_cut_ceilings(N, k, terms, values, math.inf,
-                                                       kernels.BOX_ROWS, np.arange(4))
+                top = kernels.composition_cut_ceilings(N, k, terms, values, math.inf, boxes)
                 assert np.array_equal(top, kernels.composition_ceilings(N, k, terms))
-                top = kernels.composition_cut_ceilings(N, k, terms, values, math.inf, size, boxes)
                 for cut in (math.inf, final, ties):
-                    ceilings = kernels.composition_cut_ceilings(N, k, terms, values, cut, size,
-                                                                boxes)
+                    ceilings = kernels.composition_cut_ceilings(N, k, terms, values, cut, boxes)
                     under = scores <= np.broadcast_to(cut, boxes.shape)[box]
                     assert (probs[under] <= ceilings[box[under]]).all(), (lo, terms.key)
                     # every box's point is a composition, also where no row

@@ -890,7 +890,7 @@ class TestSearchInternals:
         # (score, row) lexsort of every feasible row of the simplex, and
         # with no feasible row (the pointwise case: 2 p (1 - p) <= 1/2) the
         # rescue row is the lex-first argmax over the whole simplex; so with
-        # blocks of 500 rows, which cut through the 512-row boxes
+        # blocks of 500 rows, which cut through the 128-row boxes
         x = Sample(unit5, idx)
         order = {"lexi-low": LexiLow(), "pointwise": Pointwise(x)}.get(order) or Quantile(order)
         atoms = refined_support(x, order).indices
@@ -982,14 +982,14 @@ class TestSearchInternals:
     def test_scan_sends_every_row_of_every_live_box(self, monkeypatch, unit5, block_rows,
                                                     idx, order, alpha):
         # the rows scored, the kernel's candidates: every row once without
-        # bounds; with bounds, each sub-box's share of each block whole or
-        # not at all, and every share held back has a box floor above the
-        # final cut (the cut only falls) or a box ceiling below alpha, or a
-        # sub-box floor above the final cut or a cut-limited ceiling at the
-        # final cut below alpha. The boxes are re-bounded once the beam is
-        # full, unless the live rows left fit in one batch: at (1, 2, 3, 3)
-        # they do in blocks of 8,192 rows and not in blocks of 500; the
-        # pointwise terms are not up-closed and get no ceilings
+        # bounds; with bounds, each box's share of each block whole or not
+        # at all, and every share held back has a box floor above the final
+        # cut (the cut only falls), a box ceiling below alpha, or a
+        # cut-limited ceiling below alpha at the cut of the re-bound. The
+        # boxes are re-bounded once the beam is full, unless the live rows
+        # left fit in one batch: at (1, 2, 3, 3) they do in blocks of 8,192
+        # rows and not in blocks of 500; the pointwise terms are not
+        # up-closed and get no ceilings
         x = Sample(unit5, idx)
         order = {"lexi-high": LexiHigh(), "pointwise": Pointwise(x)}.get(order) or Quantile(order)
         atoms = tuple(range(5)) if isinstance(order, LexiHigh) else refined_support(x, order).indices
@@ -1002,9 +1002,7 @@ class TestSearchInternals:
         terms = kernels.Terms.of(coefs, expts)
         if terms.up_closed:
             ceilings = kernels.composition_ceilings(N, k, terms)
-        sub = kernels.SUB_BOX_ROWS
-        # kept, so the scan below scores no sub-box point
-        sub_floors = kernels.composition_floors(N, k, values, sub)
+        box = kernels.BOX_ROWS
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
         blocks = list(kernels.iter_composition_blocks(N, k))
         radix = (N + 1) ** np.arange(k - 1, -1, -1)
@@ -1031,26 +1029,26 @@ class TestSearchInternals:
         assert all(cut >= red.cut for cut in cuts)
         got = np.bincount(np.concatenate(scored), minlength=keys.size)
         assert got.max() == 1 and 0 < got.sum() < keys.size
-        # one segment per (block, sub-box) pair
+        # one segment per (block, box) pair
         row = np.arange(keys.size)
         starts = np.cumsum([0] + [b.shape[0] for b in blocks])
-        segment = np.cumsum(np.isin(row, starts) | (row % sub == 0)) - 1
+        segment = np.cumsum(np.isin(row, starts) | (row % box == 0)) - 1
         share = np.bincount(segment, got) / np.bincount(segment)
         assert set(share.tolist()) == {0.0, 1.0}
-        held = np.unique(row[share[segment] == 0] // sub)
-        parent = held * sub // kernels.BOX_ROWS
-        by_box = (floors[parent] > red.cut) | (ceilings[parent] < alpha)
-        by_sub = sub_floors[held] > red.cut
-        if terms.up_closed:
-            by_sub |= real_cut(N, k, terms, values, red.cut, sub, held) < alpha
-        assert (by_box | by_sub).all()
-        # a re-bound holds back sub-boxes of boxes that stay live
-        assert (by_sub & ~by_box).any() == bool(cuts)
+        held = np.unique(row[share[segment] == 0] // box)
+        by_box = (floors[held] > red.cut) | (ceilings[held] < alpha)
+        by_cut = np.zeros(held.shape, dtype=bool)
+        if cuts:
+            by_cut = real_cut(N, k, terms, values, cuts[0], held) < alpha
+        assert (by_box | by_cut).all()
+        # at (0, 2, 4) the re-bound holds back boxes that the box bounds
+        # keep live; at (1, 2, 3, 3) in blocks of 500 it holds back none
+        assert (by_cut & ~by_box).any() == (idx == (0, 2, 4))
 
-    def test_live_parts_equal_the_per_box_loop(self):
+    def test_live_parts_equal_the_per_box_loop(self, monkeypatch):
         # the run-finding against the per-box loop it replaced, on floors
         # in runs of equal values, for blocks that start inside a box and
-        # end inside or past one, at both box sizes and an odd one
+        # end inside or past one, at the box size and two others
         def by_box(rows, start, floors, box, cut):
             runs = []
             for b, floor in enumerate(floors[start // box:-(-(start + rows.shape[0]) // box)]
@@ -1064,13 +1062,14 @@ class TestSearchInternals:
 
         rng = np.random.default_rng(11)
         simplex = np.arange(6000)[:, None]
-        for box in (kernels.BOX_ROWS, kernels.SUB_BOX_ROWS, 7):
+        for box in (kernels.BOX_ROWS, 64, 7):
+            monkeypatch.setattr(kernels, "BOX_ROWS", box)
             floors = np.repeat(rng.random(400), rng.integers(1, 6, 400))
             for start in (0, 1, box - 1, box, 5 * box + 3):
                 for size in (1, box, 2 * box + 1, 3000):
                     rows = simplex[start:start + size]
                     for cut in (-1.0, 0.3, 0.7, 2.0):
-                        got = oracle._live_parts(rows, start, floors, box, cut)
+                        got = oracle._live_parts(rows, start, floors, cut)
                         want = by_box(rows, start, floors, box, cut)
                         assert [p.ravel().tolist() for p in got] == [
                             p.ravel().tolist() for p in want], (box, start, size, cut)
@@ -1102,9 +1101,9 @@ class TestSearchInternals:
         assert np.array_equal(seen[0], np.where(ceilings >= alpha, floors, math.inf))
         assert np.isfinite(seen[0][ceilings == alpha]).all()
         monkeypatch.undo()
-        # and so for the sub-boxes' cut-limited ceilings: LexiHigh at (1, 2)
-        # on the m=3 unit grid re-bounds its boxes once the first 7,168
-        # rows fill the beam; with every cut-limited ceiling equal to alpha
+        # and so for the boxes' cut-limited ceilings: LexiHigh at (1, 2) on
+        # the m=3 unit grid re-bounds its boxes once the first 3,456 rows
+        # fill the beam; with every cut-limited ceiling equal to alpha
         # the rows sent are those sent with none (+inf), and with every one
         # an ulp below alpha no row is sent after the re-bound
         x, alpha = Sample(unit3, (1, 2)), 0.25
@@ -1128,18 +1127,60 @@ class TestSearchInternals:
                 assert got.value.hex() == want.value.hex()
                 assert got.witness.mass.tobytes() == want.witness.mass.tobytes()
         assert sent[math.inf] == sent[alpha]
-        assert sent[alpha][:2] == [7_168, "re-bound"] and len(sent[alpha]) > 2
-        assert sent[math.nextafter(alpha, 0)] == [7_168, "re-bound"]
+        assert sent[alpha][:2] == [3_456, "re-bound"] and len(sent[alpha]) > 2
+        assert sent[math.nextafter(alpha, 0)] == [3_456, "re-bound"]
+
+    def test_cut_floors_rebound_every_live_box_below_the_visited_rows(self, unit5):
+        # LexiHigh at (0, 2, 4) on the five unit atoms at N = 40, alpha
+        # 0.25: the re-bound gives +inf to exactly the boxes that start
+        # below `end`, have a floor at most the cut (ties included) and a
+        # cut-limited ceiling below alpha; every other box keeps its floor,
+        # and the floors passed in are not written. Box b, whose floor is
+        # the cut, is one of them, also as the last box below `end` when it
+        # starts one row before it. When the live boxes below `end` hold at
+        # most one batch of rows, exactly one included, nothing is
+        # re-bounded.
+        x = Sample(unit5, (0, 2, 4))
+        coefs, expts = oracle._member_terms(upper_set(x, LexiHigh(), enumerate_omega(unit5, 3)),
+                                            tuple(range(5)))
+        terms = kernels.Terms.of(coefs, expts)
+        values = np.array(unit5.points)
+        N, k, alpha, box = 40, 5, 0.25, kernels.BOX_ROWS
+        floors = np.where(kernels.composition_ceilings(N, k, terms) >= alpha,
+                          kernels.composition_floors(N, k, values), math.inf)
+        floors.flags.writeable = False
+        batch = kernels.BLOCK_ROWS // box
+        # the boxes that their own floor, as the cut, rules out, with more
+        # than a batch of live boxes up to them
+        own = np.flatnonzero(np.isfinite(floors))
+        own = own[kernels.composition_cut_ceilings(N, k, terms, values, floors[own], own) < alpha]
+        cases = [b for b in own.tolist() if (floors[:b + 1] <= floors[b]).sum() > batch][:3]
+        assert len(cases) == 3
+        for b in cases:
+            cut = floors[b]
+            for end in (b * box + 1, (b + 1) * box):
+                got = oracle._cut_floors(floors, N, terms, values, alpha, cut, end)
+                live = np.flatnonzero((floors <= cut) & (np.arange(floors.size) * box < end))
+                assert live.size > batch
+                want = floors.copy()
+                ceilings = kernels.composition_cut_ceilings(N, k, terms, values, cut, live)
+                want[live[ceilings < alpha]] = math.inf
+                assert np.array_equal(got, want) and got[b] == math.inf and floors[b] == cut
+        end = floors.size * box
+        for extra in (0, 1):
+            some = np.full(floors.shape, math.inf)
+            some[-batch - extra:] = -math.inf
+            got = oracle._cut_floors(some, N, terms, values, alpha, 0.0, end)
+            assert (got is None) == (extra == 0)
 
     def test_first_c2f_scan_sends_only_live_boxes_to_the_kernel(self, monkeypatch, unit5):
         # LexiHigh at (0, 2, 4), alpha 0.25, on the five unit atoms: the
         # first scan of the N = 59 simplex, 595,665 uint8 rows in 73 blocks,
-        # fills its beam from the live 512-row boxes and then re-bounds the
-        # live boxes left as 64-row sub-boxes under the beam's cut, so it
-        # sends 23,424 rows in four calls (120,320 in 12 calls with the
-        # 512-row bounds alone, 319,488 in 39 when whole blocks were
-        # skipped or sent); the refinement slices and the ceilings' points
-        # are int64, and the value is unchanged
+        # fills its beam from the live 128-row boxes and then re-bounds the
+        # live boxes left under the beam's cut, so it sends 38,016 rows in
+        # six calls (56,320 in seven with the box bounds alone); the
+        # refinement slices and the ceilings' points are int64, and the
+        # value is unchanged
         x = Sample(unit5, (0, 2, 4))
         seen = []
         real = kernels.eval_probs
@@ -1152,24 +1193,26 @@ class TestSearchInternals:
         monkeypatch.setattr(kernels, "eval_probs", spy)
         res = pessimal_bound_oracle(x, LexiHigh(), 0.25)
         assert res.mode == "coarse-to-fine"
-        assert len(seen) == 4 and sum(seen) == 23_424
+        assert len(seen) == 6 and sum(seen) == 38_016
         assert max(seen) < 2 * kernels.BLOCK_ROWS
         assert res.value.hex() == "0x1.23eea4e1a08aep-2"
 
     @pytest.mark.parametrize("idx,sent,value,prob,mass", [
-        ((2, 2), [7_168], "0x1.0000000000000p-1", "0x1.0000000000000p-2",
+        ((2, 2), [2_688], "0x1.0000000000000p-1", "0x1.0000000000000p-2",
          "000000000000e03f0000000000000000000000000000e03f"),
-        ((1, 2), [7_168, 10_048, 8_256, 7_232], "0x1.bb74bc6a7ef9ep-2", "0x1.00004ea4a8c15p-2",
+        ((1, 2), [3_456, 8_704, 11_392, 10_368, 9_216, 8_192, 2_816], "0x1.bb74bc6a7ef9ep-2",
+         "0x1.00004ea4a8c15p-2",
          "f853e3a59bc4da3fd578e9263108d33f333333333333d23f"),
     ], ids=["(2,2)", "(1,2)"])
     def test_dense_first_scans_send_only_rows_under_the_cut(self, monkeypatch, unit3, idx, sent,
                                                             value, prob, mass):
         # LexiHigh on the three unit atoms at alpha 0.25, as `verify all
         # --m 3` runs it: the dense first scan of the N = 1000 simplex,
-        # 501,501 uint16 rows, sent 319,488 rows at (2, 2) and 221,184 at
-        # (1, 2) with the 512-row bounds alone. Once the first batch fills
-        # the beam, the live boxes left are re-bounded under its cut: at
-        # (2, 2) no sub-box stays live, and at (1, 2) 32,704 rows do
+        # 501,501 uint16 rows, sends 69,120 rows at (2, 2) and 77,184 at
+        # (1, 2) with the 128-row box bounds alone. Once the first batch
+        # fills the beam, the live boxes left are re-bounded under its cut:
+        # at (2, 2) no box stays live, and at (1, 2) 54,144 rows are sent in
+        # all
         seen = []
         real = kernels.eval_probs
 

@@ -49,6 +49,20 @@ class TestGrid:
         with pytest.raises(GridError):
             SupportGrid(0, 1, 3).point(3)
 
+    def test_m_is_read_as_an_index(self):
+        # numpy integers are the grid of that many points, stored as a
+        # Python int; anything else that is no index is named as such
+        g = SupportGrid(0, 1, np.int64(5))
+        assert g == SupportGrid(0, 1, 5) and hash(g) == hash(SupportGrid(0, 1, 5))
+        assert type(g.m) is int and g.points == SupportGrid(0, 1, 5).points
+        for m, shown in [(5.0, "5.0"), ("5", "'5'"), (None, "None")]:
+            with pytest.raises(GridError) as exc:
+                SupportGrid(0, 1, m)
+            assert str(exc.value) == f"m must be an integer, got {shown}"
+        with pytest.raises(GridError) as exc:
+            SupportGrid(0, 1, np.int64(1))
+        assert str(exc.value) == "need at least 2 support points, got m=1"
+
     def test_range_overflowing_a_double_rejected(self):
         # an infinite spacing made make_sample's tolerance infinite, and
         # [0.5, 12345.0] snapped silently to indices (0, 0)
@@ -168,8 +182,18 @@ class TestComponentwise:
 def test_parse_sample_values():
     assert parse_sample_values("0.5, 1") == [0.5, 1.0]
     assert parse_sample_values("[0.5, 1]") == [0.5, 1.0]
+    assert parse_sample_values("[-1, 2e0]") == [-1.0, 2.0]
     with pytest.raises(GridError):
         parse_sample_values("   ")
+    # JSON entries must be numbers: ints or floats, not bools, strings,
+    # nulls or lists; the first other one is named
+    for text, entry in [("[null]", "null"), ("[[0.5]]", "[0.5]"), ("[true, 1]", "true"),
+                        ('[0, "1"]', '"1"'), ("[1, false]", "false"), ('[{"a": 1}]', '{"a": 1}')]:
+        with pytest.raises(GridError) as exc:
+            parse_sample_values(text)
+        assert str(exc.value) == f"sample entry {entry} is not a number", text
+    with pytest.raises(GridError, match=r"^sample entry 1000+ overflows a double$"):
+        parse_sample_values(f"[{10 ** 400}]")
 
 
 def test_order_stat_is_one_based(unit5):
