@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import pow_table
-from .orders import Omega, UpperSet
+from .orders import Omega, UpperSet, _multinomial_coefs, _run_lengths
 from .support import Sample, SupportGrid, json_floats
 
 MASS_SUM_TOL = 1e-12
@@ -121,43 +121,67 @@ def mean(F: Distribution) -> float:
     return float(np.dot(F.mass, np.asarray(F.grid.points)))
 
 
-def omega_pmf(F, omega: Omega) -> np.ndarray:
-    """Probability of each sample of omega under F, in omega's row order:
-    one row for a Distribution, a (P, |omega|) array for a (P, m) mass
-    stack, whose row p equals the call on row p's Distribution bit for bit.
+def _stacked_masses(F, grid: SupportGrid) -> np.ndarray:
+    """F's masses as a (P, m) stack: one row for a Distribution on the
+    grid, a checked copy of a (P, m) mass stack."""
+    if isinstance(F, Distribution):
+        if F.grid != grid:
+            raise ValueError("sample and distribution live on different grids")
+        return F.mass[None]
+    return _checked_masses(F, grid.m, ndim=2)
+
+
+def _rows_pmf(masses: np.ndarray, idx: np.ndarray, runs: np.ndarray,
+              coefs: np.ndarray) -> np.ndarray:
+    """(P, R) probabilities of R sample rows, given by their (R, n) index
+    rows, run lengths and multinomial coefficients, under each row of a
+    (P, m) mass stack.
 
     Multinomial form, one product per row of ``(idx, runs)``: the
     coefficient times F(S_j)^c for each run of c copies of index j, in
     ascending grid order (a column where no run starts gives 1.0 exactly).
     The powers come from ``kernels.pow_table`` as left-to-right products,
     the arithmetic the oracle's kernel uses, so each entry is within about
-    n roundings of its exact value.
+    n roundings of its exact value. Every entry is computed on its own, so
+    it has the same bits in any set of rows it is asked for with.
     """
-    single = isinstance(F, Distribution)
-    if single and F.grid != omega.grid:
-        raise ValueError("sample and distribution live on different grids")
-    masses = F.mass[None] if single else _checked_masses(F, omega.grid.m, ndim=2)
+    n = idx.shape[1]
     # powers[..., c] = mass ** c for c = 0..n
-    powers = np.stack([np.ones_like(masses), *pow_table(masses, omega.n)], axis=-1)
-    factors = powers[:, omega.idx, omega.runs]
+    powers = np.stack([np.ones_like(masses), *pow_table(masses, n)], axis=-1)
+    factors = powers[:, idx, runs]
     prob = factors[..., 0].copy()
-    for s in range(1, omega.n):
+    for s in range(1, n):
         prob *= factors[..., s]
-    prob = omega.coefs * prob
-    return prob[0] if single else prob
+    return coefs * prob
+
+
+def omega_pmf(F, omega: Omega) -> np.ndarray:
+    """Probability of each sample of omega under F, in omega's row order:
+    one row for a Distribution, a (P, |omega|) array for a (P, m) mass
+    stack, whose row p equals the call on row p's Distribution bit for bit.
+    Each entry is ``_rows_pmf``'s product for that row."""
+    prob = _rows_pmf(_stacked_masses(F, omega.grid), omega.idx, omega.runs, omega.coefs)
+    return prob[0] if isinstance(F, Distribution) else prob
 
 
 def sample_prob(F: Distribution, x: Sample) -> float:
-    """Probability that n i.i.d. draws from F form the multiset x."""
-    return float(omega_pmf(F, Omega(x.grid, x.n, [x.idx]))[0])
+    """Probability that n i.i.d. draws from F form the multiset x: the
+    ``omega_pmf`` entry of x's row, from x's one row alone."""
+    idx = np.array([x.idx], dtype=np.int64)
+    runs = _run_lengths(idx)
+    return float(_rows_pmf(_stacked_masses(F, x.grid), idx, runs, _multinomial_coefs(runs))[0, 0])
 
 
 def prob_upper_set(F, U: UpperSet):
-    """Total probability of drawing a sample in the upper set, summed in
-    member order: a float for a Distribution, one per row of a mass stack."""
-    probs = omega_pmf(F, U.omega)[..., U.mask]
-    total = np.cumsum(probs, axis=-1)[..., -1] if U.mask.any() else probs.sum(axis=-1)
-    return float(total) if isinstance(F, Distribution) else total
+    """Total probability of drawing a sample in the upper set: the
+    ``omega_pmf`` entries of the member rows, evaluated for those rows
+    only and summed in member order; a float for a Distribution, one per
+    row of a mass stack."""
+    omega, mask = U.omega, U.mask
+    probs = _rows_pmf(_stacked_masses(F, omega.grid), omega.idx[mask], omega.runs[mask],
+                      omega.coefs[mask])
+    total = np.cumsum(probs, axis=-1)[:, -1] if mask.any() else probs.sum(axis=-1)
+    return float(total[0]) if isinstance(F, Distribution) else total
 
 
 #: (support, grid) pairs whose augmentation ``augment`` keeps.

@@ -52,6 +52,7 @@ same factors in the same order.
 from __future__ import annotations
 
 import functools
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -192,6 +193,21 @@ def scaled_scores(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
+def score_margin(N: int, values: np.ndarray) -> float:
+    """``8 * k * eps * N * max|v|`` for the k atom values ``values``: the
+    slack the scans allow a computed ``scaled_scores`` entry of a row of
+    non-negative counts summing to N.
+
+    With u = eps / 2 and g = k u / (1 - k u), a k-term score computed in
+    any order is within g * sum_j |c_j v_j| of its exact value, so within
+    g N max|v| for such a row. The margin, 16 k u N max|v|, covers several
+    of those errors and the roundings around them; each caller states
+    what its own use needs. A Python float, which overflows to inf
+    without a warning.
+    """
+    return 8 * len(values) * sys.float_info.epsilon * N * float(np.abs(values).max())
+
+
 def multisets(m: int, n: int) -> np.ndarray:
     """Every size-n multiset of range(m), m >= 1, as a non-decreasing row,
     the rows in lexicographic order, in the smallest unsigned dtype holding
@@ -242,13 +258,12 @@ def composition_floors(N: int, k: int, values: np.ndarray) -> np.ndarray:
     sums to N, so its exact score is at least the range's smallest one: lo
     plus the N - sum(lo) left filled into the lowest atoms first, each up
     to hi - lo (the greedy solution of that linear program, an integer
-    vector: the box's bottom-greedy point). Computed left to right, a
-    k-term score of counts summing to N is within g = k u / (1 - k u) * N
-    * max|v| of its exact value (u = eps / 2), so a computed row score is at least the computed
-    greedy score less 2 g, about k * eps * N * max|v|; the margin
-    subtracted, ``8 * k * eps * N * max|v|``, covers that and the rounding
-    of the subtraction with room to spare. Read-only, and kept for the
-    next call with the same (N, k, ``BOX_ROWS``) and float64 values.
+    vector: the box's bottom-greedy point). A computed row score is then
+    at least the computed greedy score less twice the error bound of
+    ``score_margin``, and the margin subtracted, ``score_margin(N,
+    values)``, covers that and the rounding of the subtraction with room
+    to spare. Read-only, and kept for the next call with the same (N, k,
+    ``BOX_ROWS``) and float64 values.
     """
     return _floors(N, k, BOX_ROWS, np.asarray(values, dtype=np.float64).tobytes())
 
@@ -259,8 +274,7 @@ def _floors(N: int, k: int, rows: int, value_bytes: bytes) -> np.ndarray:
     if not (values[1:] > values[:-1]).all():
         raise ValueError("composition_floors needs strictly increasing atom values")
     bottom = _box_points(N, k, rows)[0]
-    margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
-    floors = scaled_scores(bottom, values) - margin
+    floors = scaled_scores(bottom, values) - score_margin(N, values)
     floors.flags.writeable = False
     return floors
 
@@ -323,8 +337,8 @@ def composition_cut_ceilings(N: int, k: int, terms: Terms, values: np.ndarray, c
     exact probability (see ``composition_ceilings``). A row c of a box
     has tails T_i >= Tlo_i, those of the box's bottom-greedy point, and
     T_j <= Thi_j, those of its top-greedy point. If its computed score is
-    at most cut, its exact score is at most cut + g N M (the error of a
-    k-term score, g = k u / (1 - k u), u = eps / 2, M = max|v|), so
+    at most cut, its exact score is at most cut + g N M (the error bound
+    of ``score_margin``, g = k u / (1 - k u), u = eps / 2, M = max|v|), so
 
         T_j d_j <= cut + g N M - N v_0 - sum_{i != j} Tlo_i d_i.
 
@@ -332,8 +346,8 @@ def composition_cut_ceilings(N: int, k: int, terms: Terms, values: np.ndarray, c
     d_j with the d_i rounded once, the products and the sum of magnitude at
     most 2 N M, cut at most about N M and the intermediate sums at most
     6 N M, is within about (2k + 14) u N M of its exact value. The margin,
-    the floors' ``8 * k * eps * N * M`` = 16 k u N M, covers that and g N
-    M for k >= 2 (at k = 1 there are no tails), so the budget is at least
+    ``score_margin(N, values)`` = 16 k u N M, covers that and g N M for k
+    >= 2 (at k = 1 there are no tails), so the budget is at least
     the right-hand side. Its quotient by the rounded d_j, rounded once, is
     then at least T_j (1 - 2u) > T_j - 1 for T_j <= N < 2**52, so B_j =
     floor(quotient) + 1 >= T_j: the + 1 covers the division's rounding.
@@ -349,8 +363,8 @@ def composition_cut_ceilings(N: int, k: int, terms: Terms, values: np.ndarray, c
     values = np.asarray(values, dtype=np.float64)
     steps = values[1:] - values[:-1]
     low = _tails(bottom[boxes]) * steps
-    margin = 8 * k * np.finfo(np.float64).eps * N * float(np.abs(values).max())
-    base = np.asarray(cut, dtype=np.float64) + margin - N * values[0] - low.sum(axis=1)
+    base = (np.asarray(cut, dtype=np.float64) + score_margin(N, values) - N * values[0]
+            - low.sum(axis=1))
     budget = np.floor((base[..., None] + low) / steps) + 1
     tails = np.minimum(_tails(top[boxes]), np.minimum.accumulate(budget, axis=1))
     point = -np.diff(np.maximum(tails, 0), axis=1, prepend=N, append=0)

@@ -466,15 +466,14 @@ def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray,
     A pair is dropped before any key is built when the
     offset's score (``offset_scores``, the ``scaled_scores`` of
     ``_zero_sum_offsets``) exceeds ``limit`` plus a margin less the
-    centre's score. The margin, ``8 * k * eps * N *
-    max|v|`` for centres summing to N, makes every dropped row's computed
+    centre's score. The margin, ``kernels.score_margin(N, values)`` for
+    centres summing to N, makes every dropped row's computed
     ``scaled_scores`` exceed ``limit``, so a row scoring exactly ``limit``
-    is kept. With u = eps / 2 and g = k u / (1 - k u), a k-term score
-    computed in any order is within g * sum_j |c_j v_j| of its exact value:
-    within g N max|v| for the centre and for the row, both non-negative and
-    summing to N, and within 2 g N max|v| for the offset, whose entries sum
-    to zero and whose negative entries total at most N once the row is
-    non-negative. Forming limit + margin less the centre's score rounds
+    is kept. With u = eps / 2 and g = k u / (1 - k u), the error bound of
+    ``score_margin`` is g N max|v| for the centre and for the row, both
+    non-negative and summing to N, and 2 g N max|v| for the offset, whose
+    entries sum to zero and whose negative entries total at most N once
+    the row is non-negative. Forming limit + margin less the centre's score rounds
     twice, by about 3 u N max|v| in all. So a dropped row's computed score
     exceeds ``limit`` + margin - (4 g + 3 u) N max|v|, and (4 g + 3 u),
     about (4 k + 3) u, is under half the margin's 16 k u.
@@ -514,7 +513,7 @@ def _neighborhood(centers: np.ndarray, k: int, values: np.ndarray,
     valid = [_valid_offsets(k, radius, code) for code in have.tolist()]
     sizes = [v.size for v in valid]
     oi = np.concatenate(valid, dtype=np.intp)
-    margin = 8 * k * sys.float_info.epsilon * total * max(map(abs, values.tolist()))
+    margin = kernels.score_margin(total, values)
     keep = offset_scores[oi] <= np.repeat(limit + margin - centers @ values, sizes)
     oi = oi[keep]
     # one 1-d array per key, the last the most significant
@@ -678,7 +677,8 @@ def pessimal_bound_oracle(x: Sample, order: Preorder, alpha: float,
     # << stages, M the atoms' largest |v|, and r S for an offset on radius
     # r, |o_j| <= r, S the atoms' summed |v|. The value's dot product is a
     # row's score, the doubled cut a score at N / 2 doubled exactly, and a
-    # floor subtracts, and a neighbourhood adds, a margin of 8 k eps N M.
+    # floor subtracts, and a neighbourhood adds, kernels.score_margin, 8 k
+    # eps N M.
     # So all stay finite while max(N M, r S) (1 + 16 k eps) does; past that
     # a row can score +inf, which no cut admits. The neighbourhood's bound,
     # the doubled cut plus the margin less a centre's score, is not negative

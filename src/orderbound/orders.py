@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .support import DESK_SCALE_LIMIT, GridError, Sample, SupportGrid, check_compatible
+from .support import DESK_SCALE_LIMIT, Sample, SupportGrid, check_compatible
 
 LESS = -1
 EQUIVALENT = 0
@@ -99,8 +99,9 @@ def _multinomial_coefs(runs: np.ndarray) -> np.ndarray:
 
 
 class Omega(Sequence):
-    """A lexicographically ordered sequence of distinct size-n samples on
-    one grid, held as three read-only arrays built once:
+    """The sample space of one grid and sample size n: all C(m + n - 1, n)
+    size-n multisets of grid indices, in lexicographic order, held as
+    three read-only arrays built once:
 
     - ``idx``: the (|Omega|, n) int64 index matrix, row r is sample r's
       index vector;
@@ -110,55 +111,39 @@ class Omega(Sequence):
     - ``coefs``: float multinomial coefficients n! / prod_s runs[r, s]!.
 
     No array has an axis of length m, so the memory grows with |Omega|
-    and n, not with the grid. This is the only place a sample's run
-    lengths and coefficient are computed. Iteration, ``len``, indexing
-    and ``in`` behave as on a list of the samples: reading row r builds
-    its ``Sample``, and a slice is the Omega of the sliced rows.
+    and n, not with the grid. Iteration, ``len``, indexing and ``in``
+    behave as on a list of the samples: reading row r builds its
+    ``Sample``. A subset of the sample space is a bool mask or an array
+    of rows over it, never another Omega; ``enumerate_omega`` keeps one
+    Omega per (grid, n).
 
-    ``position`` finds a sample's row in a complete sample space (all
-    C(m + n - 1, n) multisets, as ``enumerate_omega`` builds) from its
-    indices alone, in O(runs of the sample); in a partial one it scans
-    the rows. ``ranks`` keeps the read-only rank vectors of the
+    ``position`` finds a sample's row from its indices alone, in O(runs
+    of the sample). ``ranks`` keeps the read-only rank vectors of the
     ``RANKS_KEPT`` most recently used orders, keyed by order equality,
     so every upper set of one order on one Omega reads one vector.
     """
 
-    def __init__(self, grid: SupportGrid, n: int, idx):
-        idx = np.asarray(idx)
+    def __init__(self, grid: SupportGrid, n: int):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        if idx.ndim != 2 or idx.shape[1] != n:
-            raise ValueError(f"every sample must be a size-{n} sample on {grid}")
-        if idx.dtype.kind not in "iu":
-            raise GridError("sample indices must be integers")
-        idx = idx.astype(np.int64)
-        bad = np.flatnonzero(((idx < 0) | (idx > grid.m - 1)).any(axis=1))
-        if bad.size:
-            raise GridError(f"sample indices {tuple(idx[bad[0]].tolist())} outside grid range")
-        if (idx[:, 1:] < idx[:, :-1]).any():
-            raise GridError("sample indices must be non-decreasing")
-        # each row must exceed the one before at the first column they differ in
-        step = idx[1:] - idx[:-1]
-        first = (step != 0).argmax(axis=1)[:, None]
-        if not (np.take_along_axis(step, first, axis=1) > 0).all():
-            raise ValueError("samples must be distinct and in lexicographic order")
+        total = math.comb(grid.m + n - 1, n)
+        if total > DESK_SCALE_LIMIT:
+            raise EnumerationGuardError(
+                f"sample space has {total} elements, above the guard of {DESK_SCALE_LIMIT}"
+            )
+        idx = kernels.multisets(grid.m, n).astype(np.int64)
         runs = _run_lengths(idx)
         coefs = _multinomial_coefs(runs)
         for arr in (idx, runs, coefs):
             arr.flags.writeable = False
         self.grid, self.n = grid, n
         self.idx, self.runs, self.coefs = idx, runs, coefs
-        # the rows are distinct multisets of range(m), so C(m + n - 1, n)
-        # of them are all of them
-        self._complete = idx.shape[0] == math.comb(grid.m + n - 1, n)
         self._ranks: dict[Preorder, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.idx.shape[0]
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Omega(self.grid, self.n, self.idx[key])
         return Sample(self.grid, tuple(self.idx[operator.index(key)].tolist()))
 
     def __iter__(self):
@@ -166,15 +151,10 @@ class Omega(Sequence):
             yield Sample(self.grid, tuple(row))
 
     def position(self, x: Sample) -> int:
-        """Row of sample x; ValueError if omega does not contain it. A
-        complete omega holds every sample of its grid and n and finds the
-        row from x's indices; a partial one compares every row."""
+        """Row of sample x, from its indices; ValueError for a sample of
+        another grid or size, the only ones omega does not contain."""
         if x.grid == self.grid and x.n == self.n:
-            if self._complete:
-                return _multiset_row(x.idx, self.grid.m)
-            hit = np.flatnonzero((self.idx == np.asarray(x.idx)).all(axis=1))
-            if hit.size:
-                return int(hit[0])
+            return _multiset_row(x.idx, self.grid.m)
         raise ValueError("omega does not contain the base sample")
 
     def ranks(self, order: Preorder) -> np.ndarray:
@@ -342,20 +322,15 @@ def enumerate_omega(grid: SupportGrid, n: int) -> Omega:
     sample spaces of the four most recent (grid, n) are kept, so every
     caller asking for the same one reads the same read-only ``Omega``.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    total = math.comb(grid.m + n - 1, n)
-    if total > DESK_SCALE_LIMIT:
-        raise EnumerationGuardError(
-            f"sample space has {total} elements, above the guard of {DESK_SCALE_LIMIT}"
-        )
-    return Omega(grid, n, kernels.multisets(grid.m, n))
+    return Omega(grid, n)
 
 
 @dataclass(frozen=True, eq=False)
 class UpperSet:
     """All samples of omega ranked at or above a base sample under a
-    preorder, held as a bool mask over omega's rows."""
+    preorder, held as a read-only bool mask over omega's rows. A read-only
+    bool array that owns its data is kept as given; any other mask is
+    copied, so no caller's array can change it later."""
 
     base: Sample
     order: Preorder
@@ -363,10 +338,13 @@ class UpperSet:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)
+        mask = self.mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.flags.owndata and not mask.flags.writeable):
+            mask = np.array(mask, dtype=bool)
+            mask.flags.writeable = False
         if mask.shape != (len(self.omega),):
             raise ValueError(f"mask must have one entry per sample, got shape {mask.shape}")
-        mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
     @property
@@ -389,9 +367,12 @@ class UpperSet:
 
 def upper_set(x: Sample, order: Preorder, omega: Omega) -> UpperSet:
     """{y in omega : x is below-or-equivalent-to y}, as the mask
-    ``rank >= rank[x]`` over omega's kept rank vector of the order."""
+    ``rank >= rank[x]`` over omega's kept rank vector of the order, made
+    read-only and handed to the ``UpperSet`` without a copy."""
     rank = omega.ranks(order)
-    return UpperSet(x, order, omega, rank >= rank[omega.position(x)])
+    mask = rank >= rank[omega.position(x)]
+    mask.flags.writeable = False
+    return UpperSet(x, order, omega, mask)
 
 
 def is_monotone(order: Preorder, omega: Omega) -> bool:

@@ -22,29 +22,6 @@ from dataclasses import dataclass
 from .support import Sample
 
 
-def _load_scipy(name: str):
-    """Placeholder for ``scipy.special.<name>`` that imports scipy on its
-    first call and rebinds every module global still holding a placeholder
-    to the real ufunc, so importing orderbound never pays for scipy and
-    later calls run no import statement."""
-
-    def first_call(*args):
-        from scipy import special
-
-        for placeholder in _PLACEHOLDERS:
-            if globals()[placeholder.__name__] is placeholder:
-                globals()[placeholder.__name__] = getattr(special, placeholder.__name__)
-        return getattr(special, name)(*args)
-
-    first_call.__name__ = name
-    return first_call
-
-
-betainc = _load_scipy("betainc")
-betaincinv = _load_scipy("betaincinv")
-_PLACEHOLDERS = (betainc, betaincinv)
-
-
 def tail_prob(i: int, n: int, p: float) -> float:
     """Probability that the i-th smallest of n two-atom draws is the high atom.
 
@@ -56,6 +33,8 @@ def tail_prob(i: int, n: int, p: float) -> float:
 
     Non-decreasing in p for every fixed (i, n).
     """
+    from scipy.special import betainc  # imported on use: importing orderbound loads no scipy
+
     if not 1 <= i <= n:
         raise ValueError(f"order statistic index {i} outside [1, {n}]")
     if not 0.0 <= p <= 1.0:
@@ -91,6 +70,8 @@ def _certified_cell(i: int, n: int, alpha: float, t: int) -> tuple[float, float]
     _TooFine when the grid near it is finer than double precision; neither
     is kept.
     """
+    from scipy.special import betaincinv  # imported on use, as in tail_prob
+
     k = n - i
     p_star = 0.0 if alpha == 0.0 else float(betaincinv(k + 1, n - k, alpha))
     if not math.isfinite(p_star):

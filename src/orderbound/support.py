@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 #: Number of distinct samples above which exhaustive verification is hopeless.
@@ -169,15 +170,27 @@ def json_floats(entries: list, what: str, error: type[ValueError]) -> list[float
     return floats
 
 
+#: A comma-form sample entry: an ASCII decimal number, or inf or nan
+#: (which ``make_sample`` refuses as not finite).
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)",
+                      re.IGNORECASE)
+
+
 def parse_sample_values(text: str) -> list[float]:
-    """Parse 'a,b,c' or a JSON array of numbers into a list of floats."""
+    """Parse 'a,b,c' or a JSON array of numbers into a list of floats.
+    A comma-form entry must be an ASCII decimal number (optional sign,
+    digits with at most one point, optional exponent), inf or nan: not
+    everything ``float`` reads, such as ``1_0`` or non-ASCII digits."""
     text = text.strip()
     if text.startswith("["):
         data = json.loads(text)
         if not isinstance(data, list):
             raise GridError("expected a JSON array of numbers")
         return json_floats(data, "sample", GridError)
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise GridError("empty sample text")
+    for p in parts:
+        if not _DECIMAL.fullmatch(p):
+            raise GridError(f"sample entry {p} is not a number")
     return [float(p) for p in parts]

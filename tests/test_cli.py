@@ -266,6 +266,17 @@ class TestOracle:
         assert code == 2 and out == ""
         assert err == f"error: sample entry {entry} is not a number\n"
 
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--order", "lexi-low"], ["bound", "--method", "quantile", "--i", "1"]],
+        ids=["oracle", "bound"])
+    @pytest.mark.parametrize("entry", ["1_0", "\u0661", "0x1", "1e", "infinity"])
+    def test_comma_sample_entries_that_are_not_decimals_fail(self, capsys, command, entry):
+        # float() would read 1_0 as 10 and the Arabic-Indic digit one as 1
+        code = main(command + ["--m", "11", "--s-max", "10", "--sample", f"{entry},2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: sample entry {entry} is not a number\n"
+
 
 class TestCoverage:
     def test_exact(self, capsys):

@@ -16,6 +16,7 @@ from orderbound import (
     Sample,
     SupportGrid,
     SupportSet,
+    UpperSet,
     augment,
     enumerate_omega,
     mean,
@@ -121,6 +122,20 @@ class TestSampleProb:
         with pytest.raises(ValueError):
             sample_prob(uniform(unit2), Sample(unit3, (0,)))
 
+    @pytest.mark.parametrize("m,n", [(3, 4), (4, 3), (5, 2), (5, 4), (11, 3)])
+    def test_bit_identical_to_per_sample_reference(self, m, n):
+        # from x's one row alone, on a grid with negative points; zero-mass
+        # atoms included
+        grid = SupportGrid(-1.5, 2.0, m)
+        rng = np.random.default_rng(m * 10 + n)
+        masses = rng.dirichlet(np.ones(m), size=5)
+        masses[1, rng.permutation(m)[:m // 2]] = 0.0
+        masses /= masses.sum(axis=1, keepdims=True)
+        for mass in masses:
+            F = Distribution(grid, mass)
+            for x in enumerate_omega(grid, n):
+                assert sample_prob(F, x).hex() == _reference_sample_prob(F, x).hex(), x.idx
+
     @given(data=st.data(), m=st.integers(2, 4), n=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_sums_to_one_over_omega(self, data, m, n):
@@ -206,8 +221,6 @@ class TestProbUpperSet:
         Fs = [Distribution(grid, rng.dirichlet(np.ones(m))) for _ in range(5)]
         stack = np.stack([F.mass for F in Fs])
         for x in omega:
-            for F in Fs:
-                assert sample_prob(F, x).hex() == _reference_sample_prob(F, x).hex()
             for order in (LexiLow(), LexiHigh(), Quantile(n)):
                 u = upper_set(x, order, omega)
                 for F, p in zip(Fs, prob_upper_set(stack, u).tolist()):
@@ -216,6 +229,31 @@ class TestProbUpperSet:
                         want += _reference_sample_prob(F, y)
                     assert prob_upper_set(F, u).hex() == want.hex()
                     assert p.hex() == want.hex()
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (11, 3)])
+    def test_member_rows_sum_the_omega_pmf_in_order(self, m, n):
+        # only the member rows are evaluated, and each keeps the bits
+        # omega_pmf gives it; the empty mask sums to 0.0
+        grid = SupportGrid(-1.5, 2.0, m)
+        omega = enumerate_omega(grid, n)
+        rng = np.random.default_rng(7 * m + n)
+        stack = rng.dirichlet(np.ones(m), size=6)
+        F = Distribution(grid, stack[0])
+        single, stacked = omega_pmf(F, omega), omega_pmf(stack, omega)
+        x = omega[len(omega) // 2]
+        sets = [upper_set(x, order, omega) for order in (LexiLow(), LexiHigh(), Quantile(2))]
+        sets.append(UpperSet(x, LexiLow(), omega, np.zeros(len(omega), dtype=bool)))
+        for u in sets:
+            want = 0.0
+            for p in single[u.mask].tolist():
+                want += p
+            assert prob_upper_set(F, u).hex() == want.hex()
+            for got, row in zip(prob_upper_set(stack, u).tolist(), stacked):
+                want = 0.0
+                for p in row[u.mask].tolist():
+                    want += p
+                assert got.hex() == want.hex()
+        assert prob_upper_set(F, sets[-1]) == 0.0
 
     def test_one_float_per_distribution(self, unit3):
         omega = enumerate_omega(unit3, 2)

@@ -409,9 +409,9 @@ class TestSharedCache:
         built = []
         real = Omega.__init__
 
-        def spy(self, grid, n, samples):
+        def spy(self, grid, n):
             built.append((grid.m, n))
-            real(self, grid, n, samples)
+            real(self, grid, n)
 
         enumerate_omega.cache_clear()
         monkeypatch.setattr(Omega, "__init__", spy)

@@ -14,6 +14,7 @@ from orderbound import (
     Quantile,
     Sample,
     SupportGrid,
+    UpperSet,
     enumerate_omega,
     homogeneous_sample,
     monotone_linear_extensions,
@@ -172,40 +173,31 @@ class TestEnumerate:
         assert len(omega) == 6
         assert omega[1] == Sample(SupportGrid(0, 1, 3), (0, 1))
         assert omega[-1].idx == (2, 2)
-        head = omega[:2]
-        assert isinstance(head, Omega)
-        assert [s.idx for s in head] == [(0, 0), (0, 1)]
-        assert head.runs.tolist() == omega.runs[:2].tolist()
-        assert omega[1] in omega and omega[1] not in head[:1]
+        assert omega[1] in omega and Sample(SupportGrid(0, 1, 4), (0, 1)) not in omega
         assert omega.position(omega[4]) == 4
 
-    def test_rejects_unordered_samples(self, unit2):
-        with pytest.raises(ValueError, match="lexicographic"):
-            Omega(unit2, 2, [(1, 1), (0, 0)])
-        with pytest.raises(ValueError, match="lexicographic"):
-            Omega(unit2, 1, [(0,), (0,)])
-        # ordered at first, then out of order
-        with pytest.raises(ValueError, match="lexicographic"):
-            Omega(unit2, 2, [(0, 0), (1, 1), (0, 1)])
-
-    def test_rejects_invalid_index_rows(self, unit3):
-        assert Omega(unit3, 2, [(0, 1), (0, 2)]).idx.tolist() == [[0, 1], [0, 2]]
-        with pytest.raises(GridError, match="outside grid range"):
-            Omega(unit3, 2, [(0, 1), (0, 3)])
-        with pytest.raises(GridError, match="outside grid range"):
-            Omega(unit3, 1, [(-1,)])
-        with pytest.raises(GridError, match="non-decreasing"):
-            Omega(unit3, 2, [(0, 1), (2, 1)])
+    def test_one_sample_space_per_grid_and_size(self, unit3):
+        # Omega is built from (grid, n) alone: always the whole sample
+        # space, int64 rows from the multiset enumerator
+        omega = Omega(unit3, 2)
+        assert omega.idx.dtype == np.int64
+        assert omega.idx.tolist() == _omega(3, 2).idx.tolist() == [
+            [0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]
+        assert omega.coefs.tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]
+        assert not (omega.idx.flags.writeable or omega.runs.flags.writeable
+                    or omega.coefs.flags.writeable)
         with pytest.raises(ValueError, match="n >= 1"):
-            Omega(unit3, 0, np.zeros((1, 0), dtype=np.int64))
-        with pytest.raises(ValueError, match="lexicographic"):
-            Omega(unit3, 2, [(0, 1), (0, 1)])
-        with pytest.raises(ValueError, match="size-2 sample"):
-            Omega(unit3, 2, [(0, 1, 2)])
-        with pytest.raises(ValueError, match="size-2 sample"):
-            Omega(unit3, 2, [0, 1])
-        with pytest.raises(GridError, match="integers"):
-            Omega(unit3, 2, [(0.0, 1.0)])
+            Omega(unit3, 0)
+        with pytest.raises(TypeError):
+            omega[:2]
+
+    def test_guard_fires_before_any_row_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(orders.kernels, "multisets", lambda m, n: built.append((m, n)))
+        # C(1000 + 3 - 1, 3) = 167,167,000 samples
+        with pytest.raises(EnumerationGuardError, match="167167000 elements"):
+            Omega(SupportGrid(0, 1, 1000), 3)
+        assert built == []
 
     def test_enumeration_builds_no_samples(self, monkeypatch):
         built = []
@@ -279,22 +271,6 @@ class TestPosition:
             assert omega.idx[rows[-1]].tolist() == [a, b]
             assert omega.position(Sample(grid, (a, b))) == rows[-1]
         assert rows == [0, len(omega) // 2, len(omega) - 1]
-
-    def test_hand_built_complete_omega_uses_the_closed_form(self, unit3):
-        omega = Omega(unit3, 3, _omega(3, 3).idx)
-        assert [omega.position(x) for x in omega] == list(range(10))
-
-    def test_partial_omegas_find_their_rows(self, unit3):
-        part = _omega(3, 3)[3:7]
-        assert [part.position(x) for x in part] == [0, 1, 2, 3]
-        built = Omega(unit3, 2, [(0, 2), (1, 1), (2, 2)])
-        assert [built.position(x) for x in built] == [0, 1, 2]
-        # every row but the first: one fewer than the multisets, so scanned
-        rest = Omega(unit3, 2, _omega(3, 2).idx[1:])
-        assert [rest.position(x) for x in rest] == list(range(5))
-        for omega, absent in ((part, (0, 0, 0)), (built, (0, 1)), (rest, (0, 0))):
-            with pytest.raises(ValueError, match="does not contain"):
-                omega.position(Sample(unit3, absent))
 
     def test_samples_of_another_grid_or_size_are_absent(self, unit3):
         omega = _omega(3, 2)
@@ -392,8 +368,9 @@ class TestUpperSet:
 
     def test_omega_must_contain_base(self, unit3):
         omega = enumerate_omega(unit3, 2)
-        with pytest.raises(ValueError):
-            upper_set(Sample(unit3, (1, 2)), LexiLow(), omega[:2])
+        for x in (Sample(SupportGrid(0, 1, 4), (1, 2)), Sample(unit3, (1, 2, 2))):
+            with pytest.raises(ValueError, match="does not contain"):
+                upper_set(x, LexiLow(), omega)
 
     def test_mask_members_and_containment(self, unit3):
         omega = enumerate_omega(unit3, 2)
@@ -404,6 +381,38 @@ class TestUpperSet:
         assert len(u) == 3
         assert omega[4] in u and omega[3] not in u
         assert Sample(SupportGrid(0, 1, 4), (0, 2)) not in u
+
+    def test_upper_set_hands_over_its_mask(self, unit3, monkeypatch):
+        omega = enumerate_omega(unit3, 2)
+        given = []
+        real = orders.UpperSet
+        monkeypatch.setattr(orders, "UpperSet", lambda *args: given.append(args[3]) or real(*args))
+        u = upper_set(omega[2], LexiHigh(), omega)
+        assert u.mask is given[0] and not u.mask.flags.writeable
+
+    def test_caller_masks_are_copied(self, unit3):
+        omega = enumerate_omega(unit3, 2)
+        x, order = omega[2], LexiHigh()
+        want = [False, False, True, False, True, True]
+        mine = np.array(want)
+        u = UpperSet(x, order, omega, mine)
+        mine[:] = True  # the caller's writable array changes; the upper set does not
+        assert u.mask.tolist() == want and not u.mask.flags.writeable
+        ints = UpperSet(x, order, omega, [0, 0, 1, 0, 1, 1])
+        assert ints.mask.dtype == bool and ints.mask.tolist() == want
+        # a read-only view of a writable array is copied too
+        base = np.array(want)
+        view = base.view()
+        view.flags.writeable = False
+        v = UpperSet(x, order, omega, view)
+        base[:] = False
+        assert v.mask.tolist() == want
+        frozen = np.array(want)
+        frozen.flags.writeable = False
+        assert UpperSet(x, order, omega, frozen).mask is frozen
+        for bad in (frozen[:5], np.ones((6, 1), dtype=bool)):
+            with pytest.raises(ValueError, match="one entry per sample"):
+                UpperSet(x, order, omega, bad)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_lexi_low_equiv_at_homogeneous(self, m, n):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,10 +306,10 @@ def _walk_cases(unit5):
 class TestCertificationWalk:
     @pytest.mark.parametrize("shift", [-3, -1, 1, 3])
     def test_misplaced_critical_mass_walks_back(self, monkeypatch, unit5, shift):
-        real = orderbound.quantile.betaincinv
+        real = scipy.special.betaincinv
         offset = 0.0
         monkeypatch.setattr(
-            orderbound.quantile, "betaincinv", lambda a, b, y: real(a, b, y) + offset
+            scipy.special, "betaincinv", lambda a, b, y: real(a, b, y) + offset
         )
         for x, i, alpha in _walk_cases(unit5):
             for eps in SWEEP_EPSILONS:
@@ -319,7 +320,7 @@ class TestCertificationWalk:
 
     @pytest.mark.parametrize("p_star", [0.0, 1.0 - 1e-15])
     def test_critical_mass_at_either_end_walks_across(self, monkeypatch, unit5, p_star):
-        monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: p_star)
+        monkeypatch.setattr(scipy.special, "betaincinv", lambda a, b, y: p_star)
         for x, i, alpha in _walk_cases(unit5):
             for eps in SWEEP_EPSILONS:
                 res = quantile_bound(x, i, alpha, eps)
@@ -330,12 +331,12 @@ class TestCertificationWalk:
         # on steps of 2**-57 only the cells below 2**-4 have double ends; a
         # critical mass misplaced at 0 passes the up-front check, and the
         # walk up toward the true one, 1 - sqrt(0.75), stops at 2**53 steps
-        monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: 0.0)
+        monkeypatch.setattr(scipy.special, "betaincinv", lambda a, b, y: 0.0)
         with pytest.raises(ValueError, match="too small"):
             quantile_bound(homogeneous_sample(unit5, 4, 2), 2, 0.25, 1e-17)
 
     def test_nan_critical_mass_raises(self, monkeypatch, unit5):
-        monkeypatch.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: math.nan)
+        monkeypatch.setattr(scipy.special, "betaincinv", lambda a, b, y: math.nan)
         x = homogeneous_sample(unit5, 3, 3)
         with pytest.raises(FloatingPointError, match="betaincinv"):
             quantile_bound(x, 2, 0.25, 1e-4)
@@ -424,7 +425,7 @@ class TestCellMemo:
     def test_failed_search_is_not_kept(self, monkeypatch, unit5):
         x = homogeneous_sample(unit5, 3, 3)
         with monkeypatch.context() as m:
-            m.setattr(orderbound.quantile, "betaincinv", lambda a, b, y: math.nan)
+            m.setattr(scipy.special, "betaincinv", lambda a, b, y: math.nan)
             with pytest.raises(FloatingPointError, match="betaincinv"):
                 quantile_bound(x, 2, 0.25, 1e-4)
         assert _certified_cell.cache_info().currsize == 0
@@ -447,23 +448,17 @@ class TestCellMemo:
 _FIRST_USE = """
 import sys
 import orderbound, orderbound.cli
-from orderbound import quantile
 assert "scipy" not in sys.modules, "importing orderbound loaded scipy"
-placeholder = quantile.betaincinv
-quantile.betaincinv = patched = lambda a, b, y: placeholder(a, b, y)
 x = orderbound.make_sample(orderbound.SupportGrid(0.0, 1.0, 5), [0.25, 0.5, 0.75])
 first = orderbound.quantile_bound(x, 2, 0.05, 1e-4)
 import scipy.special
-# the first call loads scipy and rebinds the placeholder left in place,
-# not a function patched over the other one
-assert quantile.betainc is scipy.special.betainc
-assert quantile.betaincinv is patched
-quantile.betaincinv = placeholder
-# a memo hit would never call betaincinv: search the cell again
-quantile._certified_cell.cache_clear()
+# each search reads scipy.special's binding when it runs, so a patch there
+# is seen; a memo hit would never call betaincinv: search the cell again
+real, calls = scipy.special.betaincinv, []
+scipy.special.betaincinv = lambda a, b, y: calls.append((a, b, y)) or real(a, b, y)
+orderbound.quantile._certified_cell.cache_clear()
 again = orderbound.quantile_bound(x, 2, 0.05, 1e-4)
-assert quantile.betaincinv is scipy.special.betaincinv
-assert again == first
+assert calls == [(2, 2, 0.05)] and again == first
 print(first.bound.hex(), first.p_hat.hex())
 """
 

@@ -194,6 +194,16 @@ def test_parse_sample_values():
         assert str(exc.value) == f"sample entry {entry} is not a number", text
     with pytest.raises(GridError, match=r"^sample entry 1000+ overflows a double$"):
         parse_sample_values(f"[{10 ** 400}]")
+    # comma-form entries are ASCII decimals, inf or nan; inf and nan are
+    # left for make_sample to refuse as not finite
+    assert parse_sample_values(" 1., .5 ,-2e-1,+3E+0,4") == [1.0, 0.5, -0.2, 3.0, 4.0]
+    assert parse_sample_values("1e999,0") == [math.inf, 0.0]
+    assert [str(v) for v in parse_sample_values("inf,-INF,nan")] == ["inf", "-inf", "nan"]
+    for entry in ["1_0", "\u0661", "\uff11", "0x10", "1e", ".", "1.2.3", "e5", "1 2",
+                  "infinity", "+-1", "1e+"]:
+        with pytest.raises(GridError) as exc:
+            parse_sample_values(f"0.5,{entry}")
+        assert str(exc.value) == f"sample entry {entry} is not a number", entry
 
 
 def test_order_stat_is_one_based(unit5):
